@@ -4,7 +4,9 @@ Results go to stdout, diagnostics to stderr, and nothing is written to
 disk unless --out-file says so.  Identical invocations produce byte
 identical output.  Exit codes: 0 success or verified, 1 a verification
 ran and failed (the diff is in the output), 2 usage error, 3 a
-numerical certificate could not be established.
+numerical certificate could not be established.  rec-check exits 3
+when its n range holds no grid points to check, rather than passing
+vacuously.
 """
 import argparse
 import json
@@ -124,6 +126,10 @@ def _cmd_rec_check(args):
              % (rep.name, rep.mode, rep.n_lo, rep.n_hi, rep.points)]
     if rep.note:
         print(rep.note, file=sys.stderr)
+    if rep.points == 0:
+        lines.append("no grid points checked")
+        _emit(args, "\n".join(lines))
+        return 3
     if rep.ok:
         lines.append("all residuals zero")
     else:

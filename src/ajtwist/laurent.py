@@ -309,6 +309,23 @@ class LaurentPoly:
             out[a] = p
         return out
 
+    def univariate_coefficients(self, name):
+        """{exponent of name: int coefficient} of a polynomial in name alone.
+
+        For name "q" the keys are q-exponents.  Any other variable, or an
+        odd s exponent under "q", raises ValueError.
+        """
+        base, scale = _fold_q(name, 1)
+        i = VAR_INDEX[base]
+        others = _ZEROS[1:]
+        out = {}
+        for e, c in self.terms.items():
+            a = e[i]
+            if a % scale or e[:i] + e[i + 1:] != others:
+                raise ValueError("not a polynomial in %s alone" % name)
+            out[a // scale] = c
+        return out
+
     def derivative(self, name):
         """Formal partial derivative."""
         i = VAR_INDEX[_fold_q(name, 0)[0]]

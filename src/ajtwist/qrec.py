@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 import os
 import re
 
@@ -414,21 +415,15 @@ def _m_gcd(a, b):
         return LaurentPoly.const(1)
     lcm_den = 1
     for c in fa:
-        lcm_den = lcm_den * c.denominator // _int_gcd(lcm_den, c.denominator)
+        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
     ints = [int(c * lcm_den) for c in fa]
     g = 0
     for c in ints:
-        g = _int_gcd(g, abs(c))
+        g = math.gcd(g, c)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return _from_m_coeffs(0, ints)
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _m_lcm(a, b):

@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+import operator
 
 from .laurent import LaurentPoly, RatFunc
 
@@ -176,15 +178,6 @@ class QFactors:
             self.den -= common
         return self
 
-    def factor_count(self):
-        return sum(self.num.values())
-
-    def l1_bound(self):
-        """Upper bound on the coefficient 1-norm of the expanded numerator."""
-        if self.zero:
-            return 0
-        return 1 << self.factor_count()
-
     def to_ratfunc(self):
         if self.zero:
             return RatFunc.zero()
@@ -252,37 +245,63 @@ def certificate_base(l1_bound):
     return t
 
 
-def is_zero_sum(parts, extra_l1=None):
-    """Exact zero test for sum_i poly_i(q) * qf_i.
+def is_zero_sum(parts):
+    """Exact zero test for S = sum_i poly_i(q) * qf_i.
 
     parts is a list of (LaurentPoly in q alone, QFactors) pairs.  Returns
-    (is_zero, base): the sum, viewed over the common denominator, is the
-    zero Laurent polynomial iff its value at q = base vanishes, by the
-    coefficient-size bound.  extra_l1 adds slack to the bound (used when
-    the caller already multiplied things in).
+    (is_zero, base), where base = 2^b is the point the certificate
+    evaluated at.  Parts with a zero poly or a zero QFactors are dropped
+    first.
+
+    Clearing and dividing out.  Let den_all be the union (largest
+    multiplicity) of the den multisets and D the product of (1 - q^j)
+    over it.  Each den_i is contained in den_all, so D * part_i is the
+    Laurent polynomial sign_i q^qpow_i poly_i prod (1 - q^j) over the
+    multiset num_i + (den_all - den_i).  Let C be the product over the
+    intersection of these multisets and rest_i what is left of part i's
+    multiset after removing it.  Then D * S = C * R with
+
+        R = sum_i sign_i q^qpow_i poly_i prod_{j in rest_i} (1 - q^j).
+
+    D and C are nonzero in the integral domain Z[q, 1/q], so S = 0
+    exactly when R = 0.
+
+    The bound.  The coefficient 1-norm is submultiplicative and
+    (1 - q^j) has 1-norm 2, so every coefficient of R lies in [-B, B]
+    with B = sum_i l1(poly_i) * 2^|rest_i|.
+
+    The evaluation.  t = certificate_base(B) >= 2B + 2.  With lo the
+    smallest exponent of any q^qpow_i poly_i, t^-lo R(t) is an integer
+    whose balanced base-t digits are exactly the coefficients of R, since
+    each lies strictly inside (-t/2, t/2).  That expansion is unique, so
+    t^-lo R(t) = 0 forces every coefficient of R to vanish.  The shift by
+    lo leaves only nonnegative powers of t = 2^b, so everything is plain
+    int arithmetic: c * t^(a - lo) is c << b*(a - lo), and (1 - t^j)^m is
+    (1 - (1 << b*j)) ** m.
     """
-    bound = 0
-    for poly, qf in parts:
-        if qf.zero or not poly:
-            continue
-        l1 = sum(abs(c) for c in poly.terms.values())
-        bound += l1 * qf.l1_bound()
-    # denominators cleared below multiply every term by at most the lcm
-    # of the den multisets; bound by the product of all of them
+    live = [(poly, qf) for poly, qf in parts if poly and not qf.zero]
+    if not live:
+        return True, certificate_base(0)
     den_all = Counter()
-    for _, qf in parts:
-        if not qf.zero:
-            den_all |= qf.den
-    bound <<= sum(den_all.values())
-    if extra_l1:
-        bound *= extra_l1
-    if bound == 0:
-        return True, 4
+    for _, qf in live:
+        den_all |= qf.den
+    rests = [qf.num + (den_all - qf.den) for _, qf in live]
+    common = reduce(operator.and_, rests)
+    terms = []
+    bound = 0
+    for (poly, qf), rest in zip(live, rests):
+        rest -= common
+        coeffs = {a + qf.qpow: qf.sign * c
+                  for a, c in poly.univariate_coefficients("q").items()}
+        bound += sum(map(abs, coeffs.values())) << sum(rest.values())
+        terms.append((coeffs, rest))
     t = certificate_base(bound)
-    tf = Fraction(t)
-    total = Fraction(0)
-    for poly, qf in parts:
-        if qf.zero or not poly:
-            continue
-        total += poly.eval_fraction({"q": tf}) * qf.eval_fraction(tf)
+    b = t.bit_length() - 1
+    lo = min(min(coeffs) for coeffs, _ in terms)
+    total = 0
+    for coeffs, rest in terms:
+        val = sum(c << b * (a - lo) for a, c in coeffs.items())
+        for j, m in rest.items():
+            val *= (1 - (1 << b * j)) ** m
+        total += val
     return total == 0, t

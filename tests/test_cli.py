@@ -134,6 +134,15 @@ class TestRecCheck:
         assert "all residuals zero" in out
         assert "76 points" in out
 
+    def test_empty_grid_is_not_certified(self, capsys):
+        code, out, err = run(capsys, "rec-check", "--fixture",
+                             "fivetwo_kfree", "--n-min", "1", "--n-max", "3")
+        assert code == 3
+        assert out.splitlines() == [
+            "fixture fivetwo_kfree: mode interior, n in [1, 3], 0 points",
+            "no grid points checked"]
+        assert "no interior grid points" in err
+
     def test_wrong_kind_is_usage_error(self, capsys):
         code, _, err = run(capsys, "rec-check", "--fixture",
                            "fivetwo_inhom", "--n-min", "6", "--n-max", "8")

@@ -60,6 +60,17 @@ class TestBasics:
         assert p.var_range("m") == (2, 5)
         assert p.var_range("x") == (0, 0)
 
+    def test_univariate_coefficients(self):
+        p = 3 * mono(q=-2) - Q + 5
+        assert p.univariate_coefficients("q") == {-2: 3, 1: -1, 0: 5}
+        assert p.univariate_coefficients("s") == {-4: 3, 2: -1, 0: 5}
+        assert (M ** 2 - 4).univariate_coefficients("m") == {2: 1, 0: -4}
+        assert LaurentPoly.zero().univariate_coefficients("q") == {}
+        with pytest.raises(ValueError):
+            S.univariate_coefficients("q")
+        with pytest.raises(ValueError):
+            (Q + M).univariate_coefficients("q")
+
 
 class TestExactDivide:
     def test_simple(self):

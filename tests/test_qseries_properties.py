@@ -1,0 +1,179 @@
+"""Property tests for the exact zero certificate in qseries.is_zero_sum.
+
+The oracle is RatFunc arithmetic on the fully expanded parts, which
+shares no code with the certificate's integer evaluation.
+"""
+from collections import Counter
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from ajtwist.laurent import LaurentPoly, RatFunc
+from ajtwist.qseries import QFactors, is_zero_sum
+
+SETTINGS = settings(max_examples=150, deadline=None)
+ONE = LaurentPoly.const(1)
+
+signs = st.sampled_from((1, -1))
+small_multisets = st.lists(st.integers(1, 6), max_size=3).map(Counter)
+shared_multisets = st.lists(st.integers(1, 6), max_size=5).map(Counter)
+
+
+def _poly(coeffs):
+    out = LaurentPoly.zero()
+    for a, c in coeffs.items():
+        out = out + LaurentPoly.monomial(c, q=a)
+    return out
+
+
+# q-polynomials with negative exponents; a zero coefficient may leave
+# the polynomial empty
+q_polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3),
+                          max_size=4).map(_poly)
+nonzero_q_polys = st.dictionaries(st.integers(-4, 4),
+                                  st.integers(1, 3) | st.integers(-3, -1),
+                                  min_size=1, max_size=4).map(_poly)
+
+
+@st.composite
+def qfactors(draw, shared=(Counter(), Counter())):
+    """A nonzero QFactors; den-only values come from an empty num draw."""
+    return QFactors(sign=draw(signs), qpow=draw(st.integers(-8, 8)),
+                    num=draw(small_multisets) + shared[0],
+                    den=draw(small_multisets) + shared[1])
+
+
+@st.composite
+def part_lists(draw, shared=False):
+    """Up to four parts, some zero; with shared=True every nonzero part
+    also carries one common num and den multiset."""
+    common = ((draw(shared_multisets), draw(shared_multisets)) if shared
+              else (Counter(), Counter()))
+    factor = qfactors(common) | st.builds(QFactors.make_zero)
+    return draw(st.lists(st.tuples(q_polys, factor), min_size=1,
+                         max_size=4))
+
+
+any_parts = part_lists() | part_lists(shared=True)
+
+
+@st.composite
+def rewritten(draw, part):
+    """The same value poly * qf, written with other factors."""
+    poly, qf = part
+    f = qf.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        move = draw(st.sampled_from(("qpow", "sign", "pair", "expand")))
+        if move == "qpow":
+            k = draw(st.integers(-3, 3))
+            poly = poly * LaurentPoly.monomial(1, q=k)
+            f.times_qpow(-k)
+        elif move == "sign":
+            poly = -poly
+            f.times_sign(-1)
+        elif move == "pair":
+            j = draw(st.integers(1, 6))
+            f.num[j] += 1
+            f.den[j] += 1
+        else:
+            # negative j takes the (1 - q^-j) normalization in div_binom
+            j = draw(st.integers(-6, 6).filter(bool))
+            poly = poly * (ONE - LaurentPoly.monomial(1, q=j))
+            f.div_binom(j)
+    return poly, f
+
+
+@st.composite
+def zero_sums(draw):
+    """parts minus a rewritten copy of them, in shuffled order."""
+    parts = draw(any_parts)
+    copies = [draw(rewritten(pt)) for pt in parts]
+    return draw(st.permutations(parts + negated(copies)))
+
+
+def expanded(parts):
+    total = RatFunc.zero()
+    for poly, qf in parts:
+        total = total + RatFunc(poly) * qf.to_ratfunc()
+    return total
+
+
+def negated(parts):
+    return [(-poly, qf) for poly, qf in parts]
+
+
+@SETTINGS
+@given(any_parts | zero_sums(), st.data())
+def test_agrees_with_expansion(parts, data):
+    # with a one-factor change to one part, a zero sum usually is not
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(parts) - 1))
+        poly, qf = parts[i]
+        qf = qf.copy().times_binom(data.draw(st.integers(1, 6)))
+        parts = parts[:i] + [(poly, qf)] + parts[i + 1:]
+    ok, base = is_zero_sum(parts)
+    assert ok == (not expanded(parts))
+    assert base >= 4 and base & (base - 1) == 0
+
+
+@SETTINGS
+@given(any_parts | zero_sums())
+def test_base_bounds_the_reduced_residual(parts):
+    # the docstring's residual R = D * S / C, expanded independently;
+    # R(base) = 0 forces R = 0 only when base >= 2 * l1(R) + 2
+    live = [(poly, qf) for poly, qf in parts if poly and not qf.zero]
+    den_all = Counter()
+    for _, qf in live:
+        den_all |= qf.den
+    common = None
+    for _, qf in live:
+        cleared = qf.num + (den_all - qf.den)
+        common = cleared if common is None else common & cleared
+    scale = RatFunc(QFactors(num=den_all).to_poly(),
+                    QFactors(num=common or Counter()).to_poly())
+    residual = (expanded(parts) * scale).as_poly()
+    l1 = sum(abs(c) for c in residual.terms.values())
+    assert is_zero_sum(parts)[1] >= 2 * l1 + 2
+
+
+@SETTINGS
+@given(zero_sums())
+def test_zero_sums_are_zero(parts):
+    assert is_zero_sum(parts)[0]
+
+
+@SETTINGS
+@given(zero_sums(), nonzero_q_polys, qfactors(), st.data())
+def test_never_calls_a_nonzero_sum_zero(zero, poly, qf, data):
+    # zero + one nonzero part is that part; zero with one nonzero part
+    # negated is minus twice that part
+    at = data.draw(st.integers(0, len(zero)))
+    added = zero[:at] + [(poly, qf)] + zero[at:]
+    assert expanded(added)
+    assert not is_zero_sum(added)[0]
+    live = [i for i, (p, f) in enumerate(zero) if p and not f.zero]
+    if live:
+        i = data.draw(st.sampled_from(live))
+        flipped = zero[:i] + negated(zero[i:i + 1]) + zero[i + 1:]
+        assert expanded(flipped)
+        assert not is_zero_sum(flipped)[0]
+
+
+@SETTINGS
+@given(shared_multisets, shared_multisets, st.integers(1, 6),
+       st.integers(-8, 8), st.integers(0, 2))
+def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
+    # (q)_{n+1} - (q)_n + q^{n+1} (q)_n = 0, times a common factor
+    # q^qpow * prod num / prod den that every part carries
+    def part(coeff, q_exp, poch):
+        f = QFactors(qpow=qpow, num=Counter(num), den=Counter(den))
+        return LaurentPoly.monomial(coeff, q=q_exp), f.times_poch(poch)
+
+    parts = [part(1, 0, n + 1), part(-1, 0, n), part(1, n + 1, n)]
+    assert is_zero_sum(parts)[0]
+    poly, qf = parts[flip]
+    parts[flip] = (-poly, qf)
+    assert not is_zero_sum(parts)[0]
