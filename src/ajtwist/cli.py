@@ -6,7 +6,8 @@ identical output.  Exit codes: 0 success or verified, 1 a verification
 ran and failed (the diff is in the output), 2 usage error, 3 a
 numerical certificate could not be established.  rec-check exits 3
 when its n range holds no grid points to check, rather than passing
-vacuously.
+vacuously; rec-check and rec-q1 also exit 3 when a fixture denominator
+vanishes at a point they must evaluate.
 """
 import argparse
 import json
@@ -121,7 +122,11 @@ def _cmd_rec_check(args):
     if args.n_min > args.n_max:
         raise UsageError("empty n range")
     spec = load_recurrence(args.fixture)
-    rep = check_kfree(spec, (args.n_min, args.n_max), mode=args.mode)
+    try:
+        rep = check_kfree(spec, (args.n_min, args.n_max), mode=args.mode)
+    except ZeroDivisionError as exc:
+        print("not certified: %s" % exc, file=sys.stderr)
+        return 3
     lines = ["fixture %s: mode %s, n in [%d, %d], %d points"
              % (rep.name, rep.mode, rep.n_lo, rep.n_hi, rep.points)]
     if rep.note:
@@ -147,6 +152,9 @@ def _cmd_rec_q1(args):
     except InexactDivision as exc:
         print("q = 1 cancellation failed: %s" % exc, file=sys.stderr)
         return 1
+    except ZeroDivisionError as exc:
+        print("not certified: %s" % exc, file=sys.stderr)
+        return 3
     rep = compare_with_apoly(shadow, args.compare_p)
     if args.out == "json":
         out = {"fixture": spec.name}

@@ -19,8 +19,8 @@ alternates inside the k-sum; sign_convention_report records the facts.
 Self-contained summand shift machinery: the three one-step shift
 quotients of the double-sum summand are small closed-form rational
 functions in (q, N, K, L2) = (q, q^n, q^k, q^l), and the annihilator
-pairs returned here are their (denominator, numerator) pairs, which is
-exactly what the recurrence certification consumes.
+pairs returned here are their (denominator, numerator) pairs.  Today
+only the tests consume them; no recurrence certification uses them yet.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, RatFunc, unit_ratio
-from .qseries import QFactors, NegativeIndex, brace
+from .qseries import (QFactors, NegativeIndex, brace, clear_denominators,
+                      times_binoms)
 
 
 @dataclass(frozen=True)
@@ -153,30 +154,23 @@ def summand_F(knot, n, k, l):
 def assemble_sum(terms):
     """Exact LaurentPoly value of a sum of QFactors.
 
-    Expands over the union common denominator and divides out, raising
-    InexactDivision if the sum is not a Laurent polynomial.
+    Clears the sum over its union denominator (D * S = C * R, see
+    qseries.clear_denominators), cancels the factors C and D share, and
+    divides out, raising InexactDivision if the sum is not a Laurent
+    polynomial.  The quotient C' * R / D' is unique, so the cancellation
+    does not change the result.
     """
-    from collections import Counter
-
     live = [t for t in terms if not t.zero]
     if not live:
         return LaurentPoly.zero()
-    denom = Counter()
-    for t in live:
-        denom |= t.den
-    one = LaurentPoly.const(1)
+    den_all, common, rests = clear_denominators(live)
+    shared = common & den_all
     total = LaurentPoly.zero()
-    for t in live:
-        part = LaurentPoly.monomial(t.sign, q=t.qpow)
-        for j in sorted(t.num.elements()):
-            part = part * (one - LaurentPoly.monomial(1, q=j))
-        for j in sorted((denom - t.den).elements()):
-            part = part * (one - LaurentPoly.monomial(1, q=j))
-        total = total + part
-    dpoly = one
-    for j in sorted(denom.elements()):
-        dpoly = dpoly * (one - LaurentPoly.monomial(1, q=j))
-    return total.exact_divide(dpoly)
+    for t, rest in zip(live, rests):
+        total = total + times_binoms(LaurentPoly.monomial(t.sign, q=t.qpow),
+                                     rest)
+    return times_binoms(total, common - shared).exact_divide(
+        times_binoms(LaurentPoly.const(1), den_all - shared))
 
 
 # cyclotomic route
@@ -376,15 +370,7 @@ def annihilator_generators(knot):
     Each pair is the (denominator, numerator) of the corresponding shift
     quotient, expanded to LaurentPolys in (q, N, K, L2).
     """
-    if not isinstance(knot, KnotId):
-        knot = KnotId.twist_knot(knot)
-    if knot.is_named:
-        if knot.name != "5_2":
-            raise ValueError("no annihilator pairs shipped for %s"
-                             % knot.label())
-        spec = fivetwo_shift_ratios()
-    else:
-        spec = shift_ratios(knot.twist)
+    spec = summand_spec(knot)
     return [
         (spec.n_step.denominator_poly(), spec.n_step.numerator_poly(), "n"),
         (spec.k_step.denominator_poly(), spec.k_step.numerator_poly(), "k"),

@@ -394,13 +394,6 @@ class LaurentPoly:
         out.terms = quo
         return out
 
-    def divides(self, other):
-        try:
-            other.exact_divide(self)
-            return True
-        except InexactDivision:
-            return False
-
     # substitution and evaluation
 
     def substitute(self, **bindings):

@@ -12,9 +12,11 @@ instead of a buried constant.  Two kinds are supported:
   inhom   a relation among shifted colored Jones values J(n + i) with
           rational-in-(q, q^n) coefficients and an unprinted right hand
           side.  Only its q = 1 shadow is certifiable: specialize_q1
-          sends q to 1, q^n to m^2, J(n + i) to l^i, cancels the common
-          denominator exactly, and compare_with_apoly holds the result
-          against the recursively built A-polynomial.
+          sends q to 1, q^n to m^2, J(n + i) to l^i, divides each
+          coefficient's numerator by its own denominator exactly (the
+          shifts are distinct, so the shadow is a polynomial exactly
+          when every such division is), and compare_with_apoly holds
+          the result against the recursively built A-polynomial.
 
 GRAMMAR (UTF-8, line oriented, # comments):
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import math
 import os
 import re
 
@@ -382,114 +383,56 @@ def _m_coeff_list(p):
     return lo, out
 
 
-def _from_m_coeffs(lo, cofs):
-    out = LaurentPoly.zero()
-    for i, c in enumerate(cofs):
-        if c:
-            out += LaurentPoly.monomial(c, m=lo + i)
-    return out
-
-
-def _m_gcd(a, b):
-    """Primitive gcd of two integer polynomials in m alone."""
-    _, fa = _m_coeff_list(a)
-    _, fb = _m_coeff_list(b)
-    fa = [Fraction(c) for c in fa]
-    fb = [Fraction(c) for c in fb]
-    while fb and any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        while len(fa) >= len(fb):
-            if fa[-1]:
-                q = fa[-1] / fb[-1]
-                off = len(fa) - len(fb)
-                for i, c in enumerate(fb):
-                    fa[off + i] -= q * c
-            fa.pop()
-        fa, fb = fb, fa
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
-        return LaurentPoly.const(1)
-    lcm_den = 1
-    for c in fa:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in fa]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return _from_m_coeffs(0, ints)
-
-
-def _m_lcm(a, b):
-    g = _m_gcd(a, b)
-    return a * b.exact_divide(g)
-
-
 def specialize_q1(spec):
     """q = 1 shadow of a sequence recurrence, as a polynomial in (l, m).
 
     Each coefficient is specialized with q -> 1 and q^n -> m^2 and
-    attached to l^i for its shift i; the terms are then put over the
-    least common denominator and the quotient is taken exactly.  The
-    exactness of that final division is the point: it certifies the
-    claim that the specialized denominators cancel.
+    attached to l^i for its shift i.  The shifts are distinct, so the
+    l^i coefficient of the shadow is num_i / den_i alone, and the shadow
+    is a polynomial exactly when each of those quotients is exact.  That
+    exactness is the point: it certifies the claim that the specialized
+    denominators cancel.
     """
     if spec.kind != "inhom":
         raise ValueError("specialize_q1 wants an inhom spec, got %s"
                          % spec.kind)
     m2 = LaurentPoly.monomial(1, m=2)
-    items = []
-    for t in spec.terms:
+    total = LaurentPoly.zero()
+    failures = []
+    for t in sorted(spec.terms, key=lambda term: term.shift):
         num = t.num.substitute_monomials(q=1, N=m2)
         den = t.den.substitute_monomials(q=1, N=m2)
         if not den:
             raise ZeroDivisionError("denominator of shift %r vanishes at "
                                     "q = 1" % (t.shift,))
-        items.append((t.shift[0], num, den))
-    common = LaurentPoly.const(1)
-    for _, _, den in items:
-        common = _m_lcm(common, den)
-    total = LaurentPoly.zero()
-    for i, num, den in items:
-        total += (LaurentPoly.monomial(1, l=i) * num
-                  * common.exact_divide(den))
-    try:
-        return total.exact_divide(common)
-    except InexactDivision:
-        rem = _m_remainder_text(total, common)
+        try:
+            quo = num.exact_divide(den)
+        except InexactDivision:
+            failures.append("l^%d: %s" % (t.shift[0],
+                                          _m_remainder_text(num, den)))
+            continue
+        total += LaurentPoly.monomial(1, l=t.shift[0]) * quo
+    if failures:
         raise InexactDivision(
-            "q=1 numerator is not divisible by the common denominator; "
-            "remainder %s" % rem) from None
+            "q=1 coefficient is not divisible by its denominator; "
+            "remainder %s" % "; ".join(failures))
+    return total
 
 
 def _m_remainder_text(num, den):
-    dlo, dcofs = _m_coeff_list(den)
-    dcofs = [Fraction(c) for c in dcofs]
-    pieces = []
-    for i, cof in sorted(num.coefficients_in("l").items()):
-        nlo, ncofs = _m_coeff_list(cof)
-        ncofs = [Fraction(c) for c in ncofs]
-        while len(ncofs) >= len(dcofs) and any(ncofs):
-            if ncofs[-1]:
-                q = ncofs[-1] / dcofs[-1]
-                off = len(ncofs) - len(dcofs)
-                for j, c in enumerate(dcofs):
-                    ncofs[off + j] -= q * c
-            ncofs.pop()
-        while ncofs and ncofs[-1] == 0:
-            ncofs.pop()
-        if any(ncofs):
-            txt = " + ".join("%s*m^%d" % (c, nlo + j)
-                             for j, c in enumerate(ncofs) if c)
-            pieces.append("l^%d: %s" % (i, txt))
-    return "; ".join(pieces) if pieces else "0 (per-l division clean; "\
-        "content mismatch)"
+    """Remainder of num by den over the rationals, both in m alone."""
+    _, dcofs = _m_coeff_list(den)
+    nlo, ncofs = _m_coeff_list(num)
+    ncofs = [Fraction(c) for c in ncofs]
+    while len(ncofs) >= len(dcofs):
+        q = ncofs[-1] / dcofs[-1]
+        off = len(ncofs) - len(dcofs)
+        for j, c in enumerate(dcofs):
+            ncofs[off + j] -= q * c
+        ncofs.pop()
+    txt = " + ".join("%s*m^%d" % (c, nlo + j)
+                     for j, c in enumerate(ncofs) if c)
+    return txt or "0 (content mismatch)"
 
 
 @dataclass

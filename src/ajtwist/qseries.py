@@ -6,10 +6,13 @@ shape
 
     sign * q^e * prod (1 - q^j) / prod (1 - q^j)      (j >= 1)
 
-as multisets of indices instead of expanding anything.  Sums of many such
-values are checked against zero with an exact one-point integer
-certificate (see is_zero_sum), which is how the recurrence and ratio
-checks stay both exact and fast.
+as multisets of indices instead of expanding anything.  This module
+owns the clearing of a sum of such values over its union denominator
+(clear_denominators) for both consumers: is_zero_sum checks the cleared
+sum against zero with an exact one-point integer certificate, which is
+how the recurrence checks stay both exact and fast, and
+jones.assemble_sum expands it into a Laurent polynomial.  Every
+expanded product of (1 - q^j) factors goes through times_binoms.
 """
 
 from __future__ import annotations
@@ -181,14 +184,9 @@ class QFactors:
     def to_ratfunc(self):
         if self.zero:
             return RatFunc.zero()
-        top = LaurentPoly.monomial(self.sign, q=self.qpow)
-        one = LaurentPoly.const(1)
-        for j in sorted(self.num.elements()):
-            top = top * (one - LaurentPoly.monomial(1, q=j))
-        bot = LaurentPoly.const(1)
-        for j in sorted(self.den.elements()):
-            bot = bot * (one - LaurentPoly.monomial(1, q=j))
-        return RatFunc(top, bot)
+        top = times_binoms(LaurentPoly.monomial(self.sign, q=self.qpow),
+                           self.num)
+        return RatFunc(top, times_binoms(LaurentPoly.const(1), self.den))
 
     def to_poly(self):
         return self.to_ratfunc().as_poly()
@@ -231,6 +229,40 @@ class QFactors:
                         self.num + other.num, self.den + other.den)
 
 
+def times_binoms(poly, js):
+    """poly * prod (1 - q^j) over the multiset js, expanded."""
+    one = LaurentPoly.const(1)
+    for j in sorted(js.elements()):
+        poly = poly * (one - LaurentPoly.monomial(1, q=j))
+    return poly
+
+
+def clear_denominators(qfs):
+    """Clear a sum of nonzero QFactors over its union denominator.
+
+    Returns (den_all, common, rests).  den_all is the union (largest
+    multiplicity) of the den multisets.  Each den_i is contained in
+    den_all, so prod_{den_all} (1 - q^j) * qf_i is sign_i q^qpow_i times
+    the product over the multiset num_i + (den_all - den_i).  common is
+    the intersection of those multisets over all i, and rests[i] is
+    part i's multiset with common removed.  So for any coefficients c_i,
+
+        D * sum_i c_i qf_i = C * sum_i c_i sign_i q^qpow_i prod_{rests[i]}
+
+    with D and C the (1 - q^j) products over den_all and common.
+    """
+    den_all = Counter()
+    for qf in qfs:
+        den_all |= qf.den
+    rests = [qf.num + (den_all - qf.den) for qf in qfs]
+    # start from a copy: with one part, reduce would hand back rests[0]
+    # itself and the subtraction below would empty common as well
+    common = reduce(operator.and_, rests, Counter(rests[0]))
+    for rest in rests:
+        rest -= common
+    return den_all, common, rests
+
+
 def certificate_base(l1_bound):
     """Smallest power of two t with t >= 2*l1_bound + 2.
 
@@ -253,13 +285,9 @@ def is_zero_sum(parts):
     evaluated at.  Parts with a zero poly or a zero QFactors are dropped
     first.
 
-    Clearing and dividing out.  Let den_all be the union (largest
-    multiplicity) of the den multisets and D the product of (1 - q^j)
-    over it.  Each den_i is contained in den_all, so D * part_i is the
-    Laurent polynomial sign_i q^qpow_i poly_i prod (1 - q^j) over the
-    multiset num_i + (den_all - den_i).  Let C be the product over the
-    intersection of these multisets and rest_i what is left of part i's
-    multiset after removing it.  Then D * S = C * R with
+    Clearing and dividing out.  clear_denominators gives the union
+    denominator product D, the common factor C and the multisets rest_i
+    with D * S = C * R, where
 
         R = sum_i sign_i q^qpow_i poly_i prod_{j in rest_i} (1 - q^j).
 
@@ -282,15 +310,10 @@ def is_zero_sum(parts):
     live = [(poly, qf) for poly, qf in parts if poly and not qf.zero]
     if not live:
         return True, certificate_base(0)
-    den_all = Counter()
-    for _, qf in live:
-        den_all |= qf.den
-    rests = [qf.num + (den_all - qf.den) for _, qf in live]
-    common = reduce(operator.and_, rests)
+    _, _, rests = clear_denominators([qf for _, qf in live])
     terms = []
     bound = 0
     for (poly, qf), rest in zip(live, rests):
-        rest -= common
         coeffs = {a + qf.qpow: qf.sign * c
                   for a, c in poly.univariate_coefficients("q").items()}
         bound += sum(map(abs, coeffs.values())) << sum(rest.values())

@@ -31,7 +31,7 @@ import mpmath as mp
 
 from .apoly import saddle_constraint
 from .jones import KnotId
-from .laurent import LaurentPoly, InexactDivision, VARS, VAR_INDEX, NV
+from .laurent import LaurentPoly, InexactDivision
 
 GUARD_BITS = 32
 
@@ -170,7 +170,7 @@ def _residue_certificate(p, n, k, l0):
             acc[i] += cur[i]
     if not any(acc):
         return
-    rem = _polyrem(acc, _cyclotomic(n))
+    _, rem = _polydivmod(acc, _cyclotomic(n))
     if any(rem):
         raise CertificationError(
             "pole residues fail to cancel at n = %d, k = %d, p = %d"
@@ -183,38 +183,28 @@ def _cyclotomic(n):
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _polydiv_exact(poly, _cyclotomic(d))
+            poly, rem = _polydivmod(poly, _cyclotomic(d))
+            if any(rem):
+                raise ArithmeticError("inexact integer polynomial division")
     return tuple(poly)
 
 
-def _polydiv_exact(num, den):
-    # den must be monic; remainder is required to vanish
+def _polydivmod(num, den):
+    """Quotient and remainder of dense ascending integer polynomials.
+
+    den must be monic, so every step stays integral.
+    """
     num = list(num)
     dn = len(den) - 1
-    out = [0] * (len(num) - dn)
+    quo = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if not c:
             continue
-        out[i - dn] = c
+        quo[i - dn] = c
         for t in range(dn + 1):
             num[i - dn + t] -= c * den[t]
-    if any(num):
-        raise ArithmeticError("inexact integer polynomial division")
-    return out
-
-
-def _polyrem(num, den):
-    # remainder of dense integer polynomials, den monic
-    num = list(num)
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if not c:
-            continue
-        for t in range(dn + 1):
-            num[i - dn + t] -= c * den[t]
-    return num[:dn]
+    return quo, num[:dn]
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +400,8 @@ def reduced_eliminant(p):
 
 def _dense_y_coeffs(poly):
     """Descending dense integer coefficient list of a polynomial in y."""
-    cof = {e: c.const_value() for e, c in poly.coefficients_in("y").items()}
-    deg = max(cof)
-    return [cof.get(e, 0) for e in range(deg, -1, -1)]
-
-
-def _poly_partial(poly, var):
-    """Exact partial derivative of a LaurentPoly."""
-    idx = VAR_INDEX[var]
-    out = LaurentPoly.zero()
-    for e, c in poly.sorted_terms():
-        a = e[idx]
-        if not a:
-            continue
-        ex = {VARS[j]: e[j] for j in range(NV) if e[j]}
-        ex[var] = a - 1
-        out = out + LaurentPoly.monomial(c * a, **ex)
-    return out
+    cof = poly.univariate_coefficients("y")
+    return [cof.get(e, 0) for e in range(max(cof), -1, -1)]
 
 
 def saddle_solve(p, prec=128):
@@ -446,8 +421,8 @@ def saddle_solve(p, prec=128):
         roots = mp.polyroots([mp.mpf(c) for c in coeffs],
                              maxsteps=200, extraprec=prec)
         p1, p2 = _growth_polys(p)
-        d1x, d1y = _poly_partial(p1, "x"), _poly_partial(p1, "y")
-        d2x, d2y = _poly_partial(p2, "x"), _poly_partial(p2, "y")
+        d1x, d1y = p1.derivative("x"), p1.derivative("y")
+        d2x, d2y = p2.derivative("x"), p2.derivative("y")
         c2 = p2.coefficients_in("x")
         xnum, xden = -c2[0], c2[1]
 

@@ -149,6 +149,20 @@ class TestRecCheck:
         assert code == 2
         assert "kfree" in err
 
+    def test_vanishing_denominator_is_not_certified(self, capsys, tmp_path):
+        # 1 - q^-6 N is zero at n = 6
+        fixture = tmp_path / "vanish.rec"
+        fixture.write_text(
+            "recurrence vanish kind=kfree knot=5_2\n"
+            "term shift=(0,0,0) num= 1 den= 1 + -1*q^-6*N^1\n"
+            "term shift=(1,0,0) num= 1 den= 1\n")
+        code, out, err = run(capsys, "rec-check", "--fixture", str(fixture),
+                             "--n-min", "5", "--n-max", "7")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("not certified: ")
+        assert "n = 6" in err
+
 
 class TestRecQ1:
     def test_fivetwo_agrees_at_two(self, capsys):
@@ -177,6 +191,20 @@ class TestRecQ1:
         assert payload["fixture"] == "sixone_inhom"
         assert payload["equal"] is True
         assert payload["abelian_power"] == 1
+
+    def test_vanishing_denominator_is_not_certified(self, capsys, tmp_path):
+        # 1 - q^2 is zero at q = 1
+        fixture = tmp_path / "vanish.rec"
+        fixture.write_text(
+            "recurrence vanish kind=inhom knot=5_2\n"
+            "term shift=(0) num= 1 den= 1 + -1*q^2\n"
+            "term shift=(1) num= 1 den= 1\n")
+        code, out, err = run(capsys, "rec-q1", "--fixture", str(fixture),
+                             "--compare-p", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("not certified: ")
+        assert "q = 1" in err
 
 
 class TestVolume:

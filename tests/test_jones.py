@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ajtwist.laurent import LaurentPoly, RatFunc
@@ -306,3 +308,18 @@ class TestSignConventionReport:
         assert rep["habiro_reproduces_classical_values"] is True
         # the printed convention is NOT a unit multiple of the double sum
         assert rep["printed_matches_multisum_up_to_unit"] is False
+
+
+class TestGoldenDigest:
+    # sha256 over the text of the polynomials below, one per line; a
+    # change to any printed colored Jones polynomial changes it
+    DIGEST = ("11a14a624e32f310837a2eda3357cb2a"
+              "cfed160ca8757b4b24292154800b01e9")
+
+    def test_text_is_unchanged(self):
+        polys = [colored_jones(p, n, "habiro")
+                 for p in range(-3, 4) for n in range(1, 11)]
+        polys += [colored_jones_multisum(KnotId.named(name), n)
+                  for name in ("5_2", "6_1") for n in range(1, 9)]
+        text = "".join(poly.text() + "\n" for poly in polys)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

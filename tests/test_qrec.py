@@ -229,6 +229,28 @@ class TestSpecializeQ1:
         assert "l^3" in msg
         assert "l^2:" not in msg and "l^4" not in msg
 
+    def test_two_broken_shifts_each_report_a_remainder(self):
+        # the same sign flip as above, at shifts 1 and 3: each failing
+        # shift gets its own l^i piece, in ascending i, and the shifts
+        # that still divide exactly stay out of the message
+        flip = {}
+        for shift in ((1,), (3,)):
+            t = FIVETWO.term_by_shift(shift)
+            flip[shift] = (t.den.exact_divide(parse_poly("-1 + N"))
+                           * parse_poly("1 + N"))
+        terms = tuple(RecurrenceTerm(x.shift, x.num, flip[x.shift])
+                      if x.shift in flip else x for x in FIVETWO.terms)
+        broken = RecurrenceSpec(FIVETWO.name, FIVETWO.kind, FIVETWO.knot,
+                                terms)
+        with pytest.raises(InexactDivision) as err:
+            specialize_q1(broken)
+        msg = str(err.value)
+        assert "remainder" in msg
+        assert "l^1:" in msg and "l^3:" in msg
+        assert msg.index("l^1:") < msg.index("l^3:")
+        for i in (0, 2, 4, 5):
+            assert "l^%d" % i not in msg
+
     def test_vanishing_denominator_is_an_error(self):
         spec = parse_recurrence(
             "recurrence z kind=inhom knot=5_2\n"

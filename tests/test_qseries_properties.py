@@ -1,4 +1,5 @@
-"""Property tests for the exact zero certificate in qseries.is_zero_sum.
+"""Property tests for the exact zero certificate in qseries.is_zero_sum
+and for the clearing and expansion in jones.assemble_sum.
 
 The oracle is RatFunc arithmetic on the fully expanded parts, which
 shares no code with the certificate's integer evaluation.
@@ -9,9 +10,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ajtwist.laurent import LaurentPoly, RatFunc
+from ajtwist.jones import assemble_sum
+from ajtwist.laurent import InexactDivision, LaurentPoly, RatFunc
 from ajtwist.qseries import QFactors, is_zero_sum
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -177,3 +179,66 @@ def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
     poly, qf = parts[flip]
     parts[flip] = (-poly, qf)
     assert not is_zero_sum(parts)[0]
+
+
+def binom_ratfunc(qf):
+    """qf as a RatFunc, with its (1 - q^j) products expanded here."""
+    if qf.zero:
+        return RatFunc.zero()
+
+    def product(js):
+        out = ONE
+        for j in js.elements():
+            out = out * (ONE - LaurentPoly.monomial(1, q=j))
+        return out
+
+    top = LaurentPoly.monomial(qf.sign, q=qf.qpow) * product(qf.num)
+    return RatFunc(top, product(qf.den))
+
+
+@st.composite
+def polynomial_sums(draw):
+    """QFactors lists whose sum is a Laurent polynomial.
+
+    Each nonzero part starts as a polynomial (den within num) and may be
+    split as qf / (1 - q^j) - q^j qf / (1 - q^j), two parts that are not
+    polynomials; a shared pair adds one (1 - q^j) to every num and den,
+    so the common factor meets the union denominator."""
+    pair = draw(small_multisets)
+    out = []
+    for qf in draw(st.lists(qfactors() | st.builds(QFactors.make_zero),
+                            max_size=4)):
+        if qf.zero:
+            out.append(qf)
+            continue
+        qf.num += qf.den + pair
+        qf.den += pair
+        if draw(st.booleans()):
+            j = draw(st.integers(1, 6))
+            out.append(qf.copy().div_binom(j))
+            qf = qf.div_binom(j).times_qpow(j).times_sign(-1)
+        out.append(qf)
+    return draw(st.permutations(out))
+
+
+# empty lists, single parts, zero parts and non-polynomial sums all
+# come from the plain lists
+qfactor_lists = st.lists(qfactors() | st.builds(QFactors.make_zero),
+                         max_size=4)
+
+
+@SETTINGS
+@given(qfactor_lists | polynomial_sums())
+@example([])
+@example([QFactors.make_zero()])
+@example([QFactors.one().div_binom(1)])
+@example([QFactors(num=Counter({1: 1}), den=Counter({1: 1}))])
+def test_assemble_sum_agrees_with_expansion(qfs):
+    oracle = sum((binom_ratfunc(qf) for qf in qfs), RatFunc.zero())
+    try:
+        want = oracle.as_poly()
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            assemble_sum(qfs)
+        return
+    assert assemble_sum(qfs) == want
