@@ -6,8 +6,10 @@ identical output.  Exit codes: 0 success or verified, 1 a verification
 ran and failed (the diff is in the output), 2 usage error, 3 a
 numerical certificate could not be established.  rec-check exits 3
 when its n range holds no grid points to check, rather than passing
-vacuously; rec-check and rec-q1 also exit 3 when a fixture denominator
-vanishes at a point they must evaluate.
+vacuously, and always says on stderr how many grid points it skipped;
+rec-check and rec-q1 also exit 3 when a fixture denominator vanishes at
+a point they must evaluate.  volume, like kashaev, refuses the
+non-hyperbolic p = 0 and p = 1 as a usage error.
 """
 import argparse
 import json
@@ -129,6 +131,8 @@ def _cmd_rec_check(args):
         return 3
     lines = ["fixture %s: mode %s, n in [%d, %d], %d points"
              % (rep.name, rep.mode, rep.n_lo, rep.n_hi, rep.points)]
+    print("skipped %d of %d grid points"
+          % (rep.skipped, rep.points + rep.skipped), file=sys.stderr)
     if rep.note:
         print(rep.note, file=sys.stderr)
     if rep.points == 0:

@@ -2,7 +2,9 @@
 
 The cyclotomic route writes J(n) as a sum of coefficient polynomials
 against the product basis sigma_k(n); the double-sum route evaluates the
-rearranged two-index sum directly.  Both are exact LaurentPolys.
+rearranged two-index sum directly.  Both are exact LaurentPolys in q:
+Masbaum's quantum integers {i} = s^i - s^-i, with q = s^2, enter only
+through sigma_basis, which is written in q.
 
 Sign conventions.  The cyclotomic coefficients come in two flavors,
 selected by the convention argument:
@@ -25,10 +27,11 @@ only the tests consume them; no recurrence certification uses them yet.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, RatFunc, unit_ratio
-from .qseries import (QFactors, NegativeIndex, brace, clear_denominators,
+from .qseries import (QFactors, NegativeIndex, clear_denominators,
                       times_binoms)
 
 
@@ -202,19 +205,17 @@ def masbaum_coeff(p, k, convention="printed"):
 
 
 def sigma_basis(k, n):
-    """Product basis element: braces over [n-k, n+k] skipping n.
+    """Product basis element q^(-kn) prod (1 - q^i), i in [n-k, n+k] but n.
 
-    Vanishes for k >= n (the range then contains the zero bracket)."""
+    This is Masbaum's product of quantum integers {i} = s^i - s^-i over
+    the same range, with q = s^2: each {i} is -s^-i (1 - q^i), and the
+    2k prefactors multiply to q^(-kn).  Vanishes for k >= n (the range
+    then contains i = 0)."""
     if k < 0:
         raise ValueError("level k must be nonnegative")
-    out = LaurentPoly.const(1)
-    for i in range(n - k, n + k + 1):
-        if i == n:
-            continue
-        out = out * brace(i)
-        if not out:
-            break
-    return out
+    span = Counter(range(n - k, n + k + 1))
+    del span[n]
+    return times_binoms(LaurentPoly.monomial(1, q=-k * n), span)
 
 
 def colored_jones(p, n, convention="printed"):

@@ -7,13 +7,13 @@ LaurentPolys kept in a canonical form.
 
 The variable universe is fixed once:
 
-    s, N, K, L2, l, m, x, y
+    q, N, K, L2, l, m, x, y
 
-The quantum parameter q is accepted in input and shown in output whenever
-possible, but it is never stored: q = s^2, so every occurrence of q^a is
-folded to s^(2a).  Monomials are exponent 8-tuples in the order above, and
-the canonical term order is plain tuple comparison on those 8-tuples,
-largest first.
+Every value the package computes lies in Z[q, 1/q], so the quantum
+parameter q is stored as itself.  Monomials are exponent 8-tuples in the
+order above, and the canonical term order is plain tuple comparison on
+those 8-tuples, largest first.  The one serialized form is text(), which
+parse_poly reads back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 import math
 import re
 
-VARS = ("s", "N", "K", "L2", "l", "m", "x", "y")
+VARS = ("q", "N", "K", "L2", "l", "m", "x", "y")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 NV = len(VARS)
 _ZEROS = (0,) * NV
@@ -40,17 +40,9 @@ class PolyParseError(ValueError):
         super().__init__(message)
 
 
-def _fold_q(name, exp):
-    # q is an alias for s^2; nothing else is renamed
-    if name == "q":
-        return "s", 2 * exp
-    return name, exp
-
-
 def _exp_tuple(**exps):
     e = [0] * NV
     for name, a in exps.items():
-        name, a = _fold_q(name, a)
         try:
             e[VAR_INDEX[name]] += a
         except KeyError:
@@ -233,7 +225,7 @@ class LaurentPoly:
 
     def var_range(self, name):
         """(min, max) exponent of a variable over all terms; (0, 0) if zero."""
-        i = VAR_INDEX[_fold_q(name, 0)[0]]
+        i = VAR_INDEX[name]
         if not self.terms:
             return (0, 0)
         lo = hi = None
@@ -296,7 +288,7 @@ class LaurentPoly:
 
     def coefficients_in(self, name):
         """Split into {exponent of name: cofactor poly without name}."""
-        i = VAR_INDEX[_fold_q(name, 0)[0]]
+        i = VAR_INDEX[name]
         buckets = {}
         for e, c in self.terms.items():
             a = e[i]
@@ -312,23 +304,20 @@ class LaurentPoly:
     def univariate_coefficients(self, name):
         """{exponent of name: int coefficient} of a polynomial in name alone.
 
-        For name "q" the keys are q-exponents.  Any other variable, or an
-        odd s exponent under "q", raises ValueError.
+        Any other variable raises ValueError.
         """
-        base, scale = _fold_q(name, 1)
-        i = VAR_INDEX[base]
+        i = VAR_INDEX[name]
         others = _ZEROS[1:]
         out = {}
         for e, c in self.terms.items():
-            a = e[i]
-            if a % scale or e[:i] + e[i + 1:] != others:
+            if e[:i] + e[i + 1:] != others:
                 raise ValueError("not a polynomial in %s alone" % name)
-            out[a // scale] = c
+            out[e[i]] = c
         return out
 
     def derivative(self, name):
         """Formal partial derivative."""
-        i = VAR_INDEX[_fold_q(name, 0)[0]]
+        i = VAR_INDEX[name]
         t = {}
         for e, c in self.terms.items():
             if e[i]:
@@ -407,23 +396,20 @@ class LaurentPoly:
         """
         vals = {}
         for name, val in bindings.items():
-            base, scale = _fold_q(name, 1)
             if not isinstance(val, RatFunc):
                 val = RatFunc(val if isinstance(val, LaurentPoly)
                               else LaurentPoly.const(val))
-            vals[VAR_INDEX[base]] = (val, scale)
+            vals[VAR_INDEX[name]] = val
         total = RatFunc.zero()
         powers = {}
         for e, c in self.sorted_terms():
             rest = list(e)
             factor = RatFunc.const(c)
-            for i, (val, scale) in vals.items():
+            for i, val in vals.items():
                 a = rest[i]
                 rest[i] = 0
                 if not a:
                     continue
-                if scale == 2:
-                    a = _half_exp(a)
                 key = (i, a)
                 if key not in powers:
                     powers[key] = val ** a
@@ -439,23 +425,17 @@ class LaurentPoly:
         """
         maps = {}
         for name, val in bindings.items():
-            base, scale = _fold_q(name, 1)
             if isinstance(val, int):
                 val = LaurentPoly.const(val)
             if len(val.terms) > 1:
                 raise ValueError("value for %s is not a monomial" % name)
-            maps[VAR_INDEX[base]] = (val, scale)
+            maps[VAR_INDEX[name]] = val
         out = {}
         for e, c in self.terms.items():
             ne = list(e)
             cc = c
-            for i, (val, scale) in maps.items():
+            for i, val in maps.items():
                 a = ne[i]
-                if scale == 2:
-                    if a % 2:
-                        raise ValueError(
-                            "odd s exponent %d cannot be written in q" % a)
-                    a //= 2
                 ne[i] = 0
                 if not val.terms:
                     if a > 0:
@@ -488,10 +468,7 @@ class LaurentPoly:
 
     def eval_fraction(self, bindings):
         """Exact evaluation with Fraction/int values for every used variable."""
-        vals = {}
-        for name, v in bindings.items():
-            base, scale = _fold_q(name, 1)
-            vals[VAR_INDEX[base]] = (Fraction(v), scale)
+        vals = {VAR_INDEX[name]: Fraction(v) for name, v in bindings.items()}
         total = Fraction(0)
         for e, c in self.terms.items():
             term = Fraction(c)
@@ -500,12 +477,7 @@ class LaurentPoly:
                     continue
                 if i not in vals:
                     raise KeyError("no value for %s" % VARS[i])
-                v, scale = vals[i]
-                if scale == 2:
-                    if a % 2:
-                        raise ValueError("odd s exponent under q binding")
-                    a //= 2
-                term *= v ** a
+                term *= vals[i] ** a
             total += term
         return total
 
@@ -515,10 +487,7 @@ class LaurentPoly:
         Terms are accumulated in descending canonical order so repeated
         runs produce bit-identical results.
         """
-        vals = {}
-        for name, v in bindings.items():
-            base, scale = _fold_q(name, 1)
-            vals[VAR_INDEX[base]] = (v, scale)
+        vals = {VAR_INDEX[name]: v for name, v in bindings.items()}
         total = 0
         for e, c in self.sorted_terms():
             term = c
@@ -527,62 +496,19 @@ class LaurentPoly:
                     continue
                 if i not in vals:
                     raise KeyError("no value for %s" % VARS[i])
-                v, scale = vals[i]
-                if scale == 2:
-                    if a % 2:
-                        raise ValueError("odd s exponent under q binding")
-                    a //= 2
-                term = term * v ** a
+                term = term * vals[i] ** a
             total = total + term
         return total
 
     # rendering
 
-    def _q_display(self):
-        # show s^2 as q whenever every s exponent is even and s occurs
-        has_s = False
-        for e in self.terms:
-            if e[0]:
-                has_s = True
-                if e[0] % 2:
-                    return False
-        return has_s
-
-    def display_terms(self):
-        """(names, rows) where each row is (coeff, exps) in display variables.
-
-        Only variables that occur are listed.  If all s exponents are even
-        (and s occurs) the first name is q and the exponents are halved.
-        """
-        useq = self._q_display()
-        used = [False] * NV
-        for e in self.terms:
-            for i, a in enumerate(e):
-                if a:
-                    used[i] = True
-        idx = [i for i in range(NV) if used[i]]
-        names = tuple(("q" if i == 0 and useq else VARS[i]) for i in idx)
-        rows = []
-        for e, c in self.sorted_terms():
-            rows.append((c, tuple((e[i] // 2 if i == 0 and useq else e[i])
-                                  for i in idx)))
-        return names, rows
-
     def text(self):
         if not self.terms:
             return "0"
-        names, rows = self.display_terms()
         out = []
-        for c, exps in rows:
-            factors = []
-            for name, a in zip(names, exps):
-                if not a:
-                    continue
-                if a == 1:
-                    factors.append(name)
-                else:
-                    factors.append("%s^%d" % (name, a))
-            body = "*".join(factors)
+        for e, c in self.sorted_terms():
+            body = "*".join(name if a == 1 else "%s^%d" % (name, a)
+                            for name, a in zip(VARS, e) if a)
             if not body:
                 body = str(abs(c))
             elif abs(c) != 1:
@@ -593,37 +519,11 @@ class LaurentPoly:
                 out.append(("+ " if c > 0 else "- ") + body)
         return " ".join(out)
 
-    def to_json_dict(self):
-        names, rows = self.display_terms()
-        return {
-            "vars": list(names),
-            "terms": [{"c": str(c), "e": list(exps)} for c, exps in rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        names = d["vars"]
-        terms = {}
-        for row in d["terms"]:
-            exps = {}
-            for name, a in zip(names, row["e"]):
-                if a:
-                    exps[name] = exps.get(name, 0) + a
-            e = _exp_tuple(**exps)
-            terms[e] = terms.get(e, 0) + int(row["c"])
-        return cls(terms)
-
     def __str__(self):
         return self.text()
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.text()
-
-
-def _half_exp(a):
-    if a % 2:
-        raise ValueError("odd s exponent under q binding")
-    return a // 2
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)"
@@ -633,8 +533,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)"
 def parse_poly(text):
     """Parse a polynomial in the text form produced by LaurentPoly.text().
 
-    Accepts signed integer coefficients, * products, ^ exponents with an
-    optional sign or parenthesized sign, and the q alias.  Example:
+    Accepts signed integer coefficients, * products and ^ exponents with
+    an optional sign or parenthesized sign.  Example:
     "-3*q^12*N^4 + q*N - 7".
     """
     text = text.rstrip()
@@ -706,8 +606,7 @@ def parse_poly(text):
                 coeff *= int(val)
                 i += 1
             elif kind == 2 and expect_factor:
-                name, _ = _fold_q(val, 0)
-                if name not in VAR_INDEX:
+                if val not in VAR_INDEX:
                     raise PolyParseError("unknown variable %r" % val, p)
                 i += 1
                 kind2, _, _ = peek()
@@ -898,9 +797,6 @@ class RatFunc:
             return self.num.text()
         return "(%s)/(%s)" % (self.num.text(), self.den.text())
 
-    def to_json_dict(self):
-        return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
-
     def __str__(self):
         return self.text()
 
@@ -929,5 +825,4 @@ def unit_ratio(a, b):
 
 
 Q = LaurentPoly.var("q")
-S = LaurentPoly.var("s")
 ONE = LaurentPoly.const(1)

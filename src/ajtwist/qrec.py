@@ -35,8 +35,7 @@ from fractions import Fraction
 import os
 import re
 
-from .laurent import (LaurentPoly, RatFunc, InexactDivision, unit_ratio,
-                      VAR_INDEX, NV)
+from .laurent import LaurentPoly, RatFunc, InexactDivision, unit_ratio
 from .qseries import QFactors, NegativeIndex, is_zero_sum
 from .jones import KnotId, summand_family
 from .apoly import a_polynomial
@@ -223,14 +222,16 @@ def parse_recurrence(text):
     return RecurrenceSpec(spec_name, kind, knot, tuple(terms))
 
 
-def _monomial_text(e, c):
-    # the serialized form is always the explicit triple c*q^a*N^b
-    if any(e[i] for i in range(2, NV)):
+def _coeff_text(poly):
+    # the serialized form is always the explicit triple c*q^a*N^b, in
+    # descending (q, N) order
+    if set(poly.variables()) - {"q", "N"}:
         raise ValueError("coefficient uses a variable other than q and N")
-    sexp = e[VAR_INDEX["s"]]
-    if sexp % 2:
-        raise ValueError("coefficient has an odd power of s")
-    return "%d*q^%d*N^%d" % (c, sexp // 2, e[VAR_INDEX["N"]])
+    return " + ".join(
+        "%d*q^%d*N^%d" % (c, a, b)
+        for a, rest in sorted(poly.coefficients_in("q").items(), reverse=True)
+        for b, c in sorted(rest.univariate_coefficients("N").items(),
+                           reverse=True))
 
 
 def serialize_recurrence(spec):
@@ -238,9 +239,8 @@ def serialize_recurrence(spec):
     lines = ["recurrence %s kind=%s knot=%s" % (spec.name, spec.kind, knot)]
     for t in spec.terms:
         shift = "(%s)" % ",".join(str(x) for x in t.shift)
-        num = " + ".join(_monomial_text(e, c) for e, c in t.num.sorted_terms())
-        den = " + ".join(_monomial_text(e, c) for e, c in t.den.sorted_terms())
-        lines.append("term shift=%s num= %s den= %s" % (shift, num, den))
+        lines.append("term shift=%s num= %s den= %s"
+                     % (shift, _coeff_text(t.num), _coeff_text(t.den)))
     return "\n".join(lines) + "\n"
 
 
@@ -267,6 +267,7 @@ class CheckReport:
     n_lo: int
     n_hi: int
     points: int = 0
+    skipped: int = 0
     failures: list = field(default_factory=list)
     note: str = ""
 
@@ -277,7 +278,7 @@ class CheckReport:
     def to_json_dict(self):
         return {"name": self.name, "mode": self.mode,
                 "n_range": [self.n_lo, self.n_hi], "points": self.points,
-                "ok": self.ok, "note": self.note,
+                "skipped": self.skipped, "ok": self.ok, "note": self.note,
                 "failures": [list(f) for f in self.failures]}
 
 
@@ -288,8 +289,9 @@ def check_kfree(spec, n_range, mode="interior"):
     interior mode keeps only points where each shifted argument is
     formula-evaluable (no factor with a negative index in a numerator
     position; a negative index in a denominator is the conventional
-    zero) and skips the rest.  full mode instead treats every
-    out-of-support shifted argument as literal zero.
+    zero) and skips the rest, counting them in the report's skipped.
+    full mode instead treats every out-of-support shifted argument as
+    literal zero.
 
     The residual at each point is a sum of coefficient-times-product
     values; it is proven zero, or not, by one exact evaluation at an
@@ -309,6 +311,7 @@ def check_kfree(spec, n_range, mode="interior"):
             for l in range(k + 1):
                 parts = _point_parts(spec, fam, coeff_cache, n, k, l, mode)
                 if parts is None:
+                    rep.skipped += 1
                     continue
                 rep.points += 1
                 zero, _ = is_zero_sum(parts)
@@ -377,9 +380,8 @@ def _m_coeff_list(p):
         return 0, []
     lo, hi = p.var_range("m")
     out = [0] * (hi - lo + 1)
-    mi = VAR_INDEX["m"]
-    for e, c in p.terms.items():
-        out[e[mi] - lo] = c
+    for a, c in p.univariate_coefficients("m").items():
+        out[a - lo] = c
     return lo, out
 
 
@@ -490,11 +492,8 @@ def compare_with_apoly(poly, p):
 def _normalize_for_diff(p):
     if not p:
         return p
-    vec = [0] * NV
-    for v in ("l", "m"):
-        lo, _ = p.var_range(v)
-        vec[VAR_INDEX[v]] = -lo
-    p = p.shift_exponents(tuple(vec))
+    p = p * LaurentPoly.monomial(1, l=-p.var_range("l")[0],
+                                 m=-p.var_range("m")[0])
     if p.leading()[1] < 0:
         p = -p
     return p

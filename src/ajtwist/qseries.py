@@ -1,4 +1,4 @@
-"""Balanced brackets, q-Pochhammer products and a factored value type.
+"""q-Pochhammer products and a factored value type.
 
 The polynomial builders return LaurentPolys.  QFactors is the workhorse
 for summand evaluation at integer lattice points: it keeps a value of the
@@ -12,7 +12,8 @@ owns the clearing of a sum of such values over its union denominator
 sum against zero with an exact one-point integer certificate, which is
 how the recurrence checks stay both exact and fast, and
 jones.assemble_sum expands it into a Laurent polynomial.  Every
-expanded product of (1 - q^j) factors goes through times_binoms.
+expanded product of (1 - q^j) factors, jones.sigma_basis included, goes
+through times_binoms.
 """
 
 from __future__ import annotations
@@ -28,21 +29,6 @@ from .laurent import LaurentPoly, RatFunc
 
 class NegativeIndex(ValueError):
     """A Pochhammer with negative index appeared in a numerator."""
-
-
-def brace(n):
-    """s^n - s^(-n)."""
-    return LaurentPoly.monomial(1, s=n) - LaurentPoly.monomial(1, s=-n)
-
-
-def brace_factorial(n):
-    """{n}! = {n}{n-1}...{1}."""
-    if n < 0:
-        raise ValueError("negative brace factorial")
-    out = LaurentPoly.const(1)
-    for i in range(1, n + 1):
-        out = out * brace(i)
-    return out
 
 
 def qpoch(n):

@@ -467,7 +467,13 @@ def saddle_solve(p, prec=128):
 
 
 def optimistic_volume(p, prec=128):
-    """Maximal volume candidate over all saddle solutions, plus the list."""
+    """Maximal volume candidate over all saddle solutions, plus the list.
+
+    p must pick a hyperbolic twist knot (not 0, not 1), as for
+    kashaev_scan: at p = 1 every candidate is precision noise around 0.
+    """
+    if p in (0, 1):
+        raise ValueError("p = %d is not hyperbolic" % p)
     sols = saddle_solve(p, prec)
     if not sols:
         raise ValueError("no saddle solutions at p = %d" % p)

@@ -221,7 +221,7 @@ def test_criterion_10_jhat_cross_check():
             for n in range(3, 13):
                 got = jhat(p, n, prec=128)
                 poly = colored_jones(p, n, convention="habiro")
-                want = poly.eval_complex({"s": mp.expjpi(mp.mpf(1) / n)})
+                want = poly.eval_complex({"q": mp.expjpi(mp.mpf(2) / n)})
                 worst = max(worst, abs(got - want))
         assert worst < tol
     took = time.time() - t0

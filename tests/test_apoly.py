@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -221,3 +222,17 @@ class TestReciprocity:
     def test_detects_violation(self):
         broken = parse_poly("l^2 + l*m^2 + m^6")
         assert reciprocity_report(broken)["palindromic"] is False
+
+
+class TestGoldenDigest:
+    # sha256 over the text of the A-, B- and H-polynomials for p in
+    # -6..6, one per line; a change to any printed polynomial or to the
+    # multivariate text form changes it
+    DIGEST = ("2379a781bb86db3a06a3c2fdc090756f"
+              "6298437ef8b4325af34532020f8a40fe")
+
+    def test_text_is_unchanged(self):
+        text = "".join(build(p).text() + "\n"
+                       for build in (a_polynomial, b_polynomial, h_polynomial)
+                       for p in range(-6, 7))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -27,6 +27,7 @@ class TestUsageErrors:
         ["jones", "--n", "2"],
         ["volume", "--p", "2", "--prec", "32"],
         ["volume", "--p", "0"],
+        ["volume", "--p", "1"],
         ["kashaev", "--p", "1", "--n-min", "10", "--n-max", "20"],
         ["kashaev", "--p", "-1", "--n-min", "20", "--n-max", "10"],
         ["verify-aj", "--p-min", "3", "--p-max", "1"],
@@ -133,6 +134,16 @@ class TestRecCheck:
         assert code == 0
         assert "all residuals zero" in out
         assert "76 points" in out
+
+    def test_skipped_points_go_to_stderr(self, capsys):
+        code, out, err = run(capsys, "rec-check", "--fixture",
+                             "fivetwo_kfree", "--n-min", "6", "--n-max", "8")
+        assert code == 0
+        # three of the 21 + 28 + 36 points per color are not interior
+        assert "skipped 9 of 85 grid points" in err
+        assert "skipped" not in out
+        assert out.splitlines()[0] == \
+            "fixture fivetwo_kfree: mode interior, n in [6, 8], 76 points"
 
     def test_empty_grid_is_not_certified(self, capsys):
         code, out, err = run(capsys, "rec-check", "--fixture",

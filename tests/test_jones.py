@@ -66,8 +66,8 @@ class TestMasbaumCoeff:
 class TestSigmaBasis:
     def test_small_values(self):
         assert sigma_basis(0, 3) == 1
-        # sigma_1(2) = {1}{3}
-        b = (qmono(1, s=1) - qmono(1, s=-1)) * (qmono(1, s=3) - qmono(1, s=-3))
+        # sigma_1(2) = {1}{3} = (s - s^-1)(s^3 - s^-3) with q = s^2
+        b = qmono(1, q=2) - qmono(1, q=1) - qmono(1, q=-1) + qmono(1, q=-2)
         assert sigma_basis(1, 2) == b
 
     def test_vanishes_at_and_past_the_color(self):

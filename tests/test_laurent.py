@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ def mono(c=1, **e):
 
 
 Q = LaurentPoly.var("q")
-S = LaurentPoly.var("s")
 M = LaurentPoly.var("m")
 X = LaurentPoly.var("x")
 L = LaurentPoly.var("l")
@@ -27,18 +25,14 @@ class TestBasics:
         assert LaurentPoly.const(5).const_value() == 5
         assert LaurentPoly.const(1) == 1
 
-    def test_q_folds_to_s_squared(self):
-        assert Q == mono(1, s=2)
-        assert mono(1, q=-3) == mono(1, s=-6)
-
     def test_addition_cancels(self):
         assert (Q - Q) == 0
         assert (Q + 2 - Q - 2) == 0
 
     def test_brace_square(self):
-        br = mono(1, s=2) - mono(1, s=-2)
+        br = mono(1, q=1) - mono(1, q=-1)
         sq = br * br
-        assert sq == mono(1, s=4) - 2 + mono(1, s=-4)
+        assert sq == mono(1, q=2) - 2 + mono(1, q=-2)
 
     def test_product_of_binomials(self):
         assert (ONE + Q) * (ONE - Q) == ONE - Q ** 2
@@ -63,11 +57,8 @@ class TestBasics:
     def test_univariate_coefficients(self):
         p = 3 * mono(q=-2) - Q + 5
         assert p.univariate_coefficients("q") == {-2: 3, 1: -1, 0: 5}
-        assert p.univariate_coefficients("s") == {-4: 3, 2: -1, 0: 5}
         assert (M ** 2 - 4).univariate_coefficients("m") == {2: 1, 0: -4}
         assert LaurentPoly.zero().univariate_coefficients("q") == {}
-        with pytest.raises(ValueError):
-            S.univariate_coefficients("q")
         with pytest.raises(ValueError):
             (Q + M).univariate_coefficients("q")
 
@@ -127,12 +118,8 @@ class TestSubstitution:
         for _ in range(40):
             a = _random_poly(rng, names, max_exp=2)
             b = _random_poly(rng, names, max_exp=2)
-            try:
-                lhs = (a * b).substitute(**binding)
-                rhs = a.substitute(**binding) * b.substitute(**binding)
-            except ValueError:
-                # odd s exponent under a q binding
-                continue
+            lhs = (a * b).substitute(**binding)
+            rhs = a.substitute(**binding) * b.substitute(**binding)
             assert lhs == rhs
             assert (a + b).substitute(**binding) == \
                 a.substitute(**binding) + b.substitute(**binding)
@@ -141,10 +128,6 @@ class TestSubstitution:
         p = mono(3, q=5, N=2) + mono(-1, q=-2, N=1)
         r = p.substitute_monomials(q=1, N=M ** 2)
         assert r == mono(3, m=4) + mono(-1, m=2)
-
-    def test_substitute_monomials_rejects_odd_s(self):
-        with pytest.raises(ValueError):
-            S.substitute_monomials(q=1)
 
     def test_eval_fraction(self):
         p = Q ** 2 - 1
@@ -214,12 +197,6 @@ class TestTextAndJson:
         assert (-X).text() == "-x"
         assert (2 * Q - 3).text() == "2*q - 3"
 
-    def test_q_display_halves_even_s(self):
-        p = mono(1, s=4) - mono(2, s=2)
-        assert p.text() == "q^2 - 2*q"
-        p2 = mono(1, s=3)
-        assert "s^3" in p2.text()
-
     def test_parse_roundtrip(self):
         cases = [
             "-3*q^12*N^4 + q*N - 7 + q^-2",
@@ -243,15 +220,6 @@ class TestTextAndJson:
             parse_poly("q^")
         with pytest.raises(PolyParseError):
             parse_poly("q +")
-
-    def test_json_roundtrip(self):
-        p = mono(-3, q=12, N=4) + mono(1, q=1, N=1) - 7
-        d = p.to_json_dict()
-        # stable wire form, decimal strings for coefficients
-        blob = json.dumps(d)
-        assert LaurentPoly.from_json_dict(json.loads(blob)) == p
-        assert d["vars"] == ["q", "N"]
-        assert all(isinstance(t["c"], str) for t in d["terms"])
 
 
 class TestRingProperties:

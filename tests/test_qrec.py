@@ -1,6 +1,7 @@
 """Recurrence fixtures: grammar, grid certification, q = 1 shadow."""
 
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -72,6 +73,20 @@ class TestGrammar:
             assert again == spec
             # the serialized form itself is stable
             assert serialize_recurrence(again) == text
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fivetwo_kfree", "a5e4e05f6a03d6ba73c610ee61290998"
+                           "2cbc94e7374e28948037883c231676d1"),
+        ("fivetwo_inhom", "c7441da054444a672ae554c8bd46614d"
+                           "394a1093e85746668502e9a47f678342"),
+        ("sixone_inhom", "742d410618702f5d822043e3a946ef57"
+                          "1523291d96a5dc9b6801b7c2af65f9c0"),
+    ])
+    def test_serialized_fixture_digest(self, name, digest):
+        # sha256 of the serialized shipped fixture; a change to the
+        # serializer or to the term order changes it
+        text = serialize_recurrence(load_recurrence(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_term_lookup(self):
         assert FIVETWO.term_by_shift((0,)).num == parse_poly("q^9*N^7")
@@ -169,11 +184,22 @@ class TestKfreeCertification:
         assert rep.ok
         assert "no interior grid points" in rep.note
 
+    @pytest.mark.parametrize("n_range, mode", [
+        ((6, 12), "interior"), ((1, 3), "interior"), ((1, 6), "full")])
+    def test_points_and_skipped_cover_the_grid(self, n_range, mode):
+        rep = check_kfree(KFREE, n_range, mode=mode)
+        grid = sum(n * (n + 1) // 2 for n in range(n_range[0],
+                                                   n_range[1] + 1))
+        assert rep.points + rep.skipped == grid
+        if mode == "full":
+            assert rep.skipped == 0
+
     def test_report_json_shape(self):
         rep = check_kfree(KFREE, (6, 6), mode="interior")
         d = rep.to_json_dict()
         assert d["ok"] is True
         assert d["points"] == 18
+        assert d["skipped"] == 3
         assert d["n_range"] == [6, 6]
         assert d["failures"] == []
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ajtwist.laurent import LaurentPoly, RatFunc
-from ajtwist.qseries import (brace, brace_factorial, qpoch, inv_qpoch,
-                             qpoch_base, QFactors, NegativeIndex,
-                             certificate_base, is_zero_sum)
+from ajtwist.qseries import (qpoch, inv_qpoch, qpoch_base, QFactors,
+                             NegativeIndex, certificate_base, is_zero_sum)
 
 
 Q = LaurentPoly.var("q")
@@ -14,21 +13,6 @@ ONE = LaurentPoly.const(1)
 
 
 class TestBuilders:
-    def test_brace(self):
-        assert brace(3) == LaurentPoly.monomial(1, s=3) - \
-            LaurentPoly.monomial(1, s=-3)
-        assert brace(0) == 0
-
-    def test_brace_at_one(self):
-        # every bracket vanishes at s = 1
-        assert brace(5).eval_fraction({"s": 1}) == 0
-
-    def test_brace_factorial(self):
-        assert brace_factorial(0) == 1
-        assert brace_factorial(2) == brace(1) * brace(2)
-        with pytest.raises(ValueError):
-            brace_factorial(-1)
-
     def test_qpoch(self):
         assert qpoch(0) == 1
         assert qpoch(1) == ONE - Q
