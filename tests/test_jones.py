@@ -1,3 +1,4 @@
+from collections import Counter
 import hashlib
 
 import pytest
@@ -250,6 +251,60 @@ class TestShiftRatios:
                                 assert r, (knot.label(), n, k, l, shifted)
                                 checked += 1
             assert checked >= 200
+
+
+# The one-step shift quotients as shipped in closed form before they were
+# derived from the summand description: (sign, monomial, numerator
+# binomials, denominator binomials), binomials as exponent tuples on
+# (q, N, K, L2).
+GOLDEN_N_STEP = (1, (("K", 1),),
+                 ((-1, -1, -1, 0), (0, -1, 0, 0)),
+                 ((-1, -1, 0, 0), (0, -1, 1, 0)))
+GOLDEN_TWIST_K_STEP = (-1, (("q", 2), ("K", 1), ("N", 1)),
+                       ((-1, -1, -1, 0), (1, -1, 1, 0), (1, 0, 1, 0)),
+                       ((2, 0, 1, 1), (1, 0, 1, -1)))
+GOLDEN_TWIST_L_MONO = {
+    -6: (("q", -12), ("L2", -11)), -5: (("q", -10), ("L2", -9)),
+    -4: (("q", -8), ("L2", -7)), -3: (("q", -6), ("L2", -5)),
+    -2: (("q", -4), ("L2", -3)), -1: (("q", -2), ("L2", -1)),
+    0: (("q", 0), ("L2", 1)), 1: (("q", 2), ("L2", 3)),
+    2: (("q", 4), ("L2", 5)), 3: (("q", 6), ("L2", 7)),
+    4: (("q", 8), ("L2", 9)), 5: (("q", 10), ("L2", 11)),
+    6: (("q", 12), ("L2", 13)),
+}
+GOLDEN_TWIST_L_BINOMS = (((3, 0, 0, 2), (0, 0, 1, -1)),
+                         ((1, 0, 0, 2), (2, 0, 1, 1)))
+GOLDEN_FIVETWO = (
+    GOLDEN_N_STEP,
+    (-1, (("q", 4), ("K", 3), ("N", 1), ("L2", -1)),
+     ((-1, -1, -1, 0), (1, -1, 1, 0), (-1, 0, -1, 0)),
+     ((-1, 0, -1, 1),)),
+    (1, (("q", -1), ("K", -1)),
+     ((0, 0, -1, 1),),
+     ((-1, 0, 0, -1),)),
+)
+
+
+def _multisets(sign, mono, num, den):
+    return (sign, {v: e for v, e in mono if e}, Counter(num), Counter(den))
+
+
+class TestGoldenShiftTuples:
+    def _check(self, knot, golden):
+        spec = summand_spec(knot)
+        for ratio, want in zip((spec.n_step, spec.k_step, spec.l_step),
+                               golden):
+            got = _multisets(ratio.sign, ratio.mono, ratio.num, ratio.den)
+            assert got == _multisets(*want), (knot.label(), want)
+
+    def test_twist_knots(self):
+        for p, l_mono in GOLDEN_TWIST_L_MONO.items():
+            golden = (GOLDEN_N_STEP, GOLDEN_TWIST_K_STEP,
+                      (-1, l_mono) + GOLDEN_TWIST_L_BINOMS)
+            self._check(KnotId.twist_knot(p), golden)
+
+    def test_fivetwo(self):
+        self._check(KnotId.named("5_2"), GOLDEN_FIVETWO)
 
 
 class TestAnnihilatorGenerators:
