@@ -9,7 +9,7 @@ and evaluates the associated hyperbolic volume numerics.
 from .laurent import (LaurentPoly, RatFunc, InexactDivision, PolyParseError,
                       parse_poly, VARS)
 from .jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
-                    colored_jones_multisum, shift_ratios,
+                    colored_jones_multisum, summand_spec,
                     annihilator_generators, named_form_unit)
 from .apoly import (a_polynomial, b_polynomial, h_polynomial,
                     cd_coefficients, verify_aj)
@@ -24,7 +24,7 @@ __all__ = [
     "LaurentPoly", "RatFunc", "InexactDivision", "PolyParseError",
     "parse_poly", "VARS",
     "KnotId", "masbaum_coeff", "sigma_basis", "colored_jones",
-    "colored_jones_multisum", "shift_ratios", "annihilator_generators",
+    "colored_jones_multisum", "summand_spec", "annihilator_generators",
     "named_form_unit",
     "a_polynomial", "b_polynomial", "h_polynomial", "cd_coefficients",
     "verify_aj",

@@ -18,8 +18,8 @@ import sys
 import mpmath as mp
 
 from .apoly import a_polynomial, b_polynomial, h_polynomial, verify_aj
-from .jones import (KnotId, colored_jones, colored_jones_multisum,
-                    named_form_unit)
+from .jones import (NAMED_KNOTS, KnotId, colored_jones,
+                    colored_jones_multisum, named_form_unit)
 from .laurent import InexactDivision
 from .qrec import check_kfree, compare_with_apoly, load_recurrence, \
     specialize_q1
@@ -225,7 +225,7 @@ def _add_out(sp, choices=("text", "json"), default="text"):
 def _add_knot_selector(sp):
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=int, help="twist parameter")
-    group.add_argument("--knot", choices=("5_2", "6_1"),
+    group.add_argument("--knot", choices=NAMED_KNOTS,
                        help="named knot instead of a twist parameter")
 
 

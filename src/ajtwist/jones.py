@@ -18,21 +18,94 @@ selected by the convention argument:
 The two flavors do NOT differ by a single global unit, since the sign
 alternates inside the k-sum; sign_convention_report records the facts.
 
-Self-contained summand shift machinery: the three one-step shift
-quotients of the double-sum summand are small closed-form rational
-functions in (q, N, K, L2) = (q, q^n, q^k, q^l), and the annihilator
-pairs returned here are their (denominator, numerator) pairs.  Today
-only the tests consume them; no recurrence certification uses them yet.
+One description per summand.  Each double-sum summand is the block
+sigma_k(n) (SIGMA) times a level part c(k, l), stored once per knot as
+data in LEVEL_PARTS.  summand_factors, masbaum_coeff and shift_ratio all
+read that data, so every knot, 6_1 included, has closed-form shift
+quotients in (q, N, K, L2) = (q, q^n, q^k, q^l); the annihilator pairs
+are their (denominator, numerator) pairs.  Only the tests consume the
+pairs so far.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+import math
 
 from .laurent import LaurentPoly, RatFunc, unit_ratio
-from .qseries import (QFactors, NegativeIndex, clear_denominators,
-                      times_binoms)
+from .qseries import QFactors, clear_denominators, times_binoms
+
+
+# the summand description
+
+NUM, DEN = 1, -1
+
+
+@dataclass(frozen=True)
+class ProductForm:
+    """(-1)^parity q^(qexp2/2) prod (q^base)_index^side prod (1 - q^index).
+
+    parity and each index are affine forms (c0, cn, ck, cl), worth
+    c0 + cn*n + ck*k + cl*l at (n, k, l); as exponents on (q, N, K, L2)
+    the tuple is q^index, the form ShiftRatio binomials take.  qexp2 is
+    the doubled q-exponent (so k(k+3)/2 stays integral): (coefficient,
+    monomial) pairs over n, k, l and the twist parameter p.  pochs are
+    (side, base, index): (q^base)_index, base 1 or -1, on side NUM or
+    DEN.  binoms are the indices of numerator factors (1 - q^index).
+    """
+
+    qexp2: tuple
+    pochs: tuple
+    parity: tuple = (0, 0, 0, 0)
+    binoms: tuple = ()
+
+    def __mul__(self, other):
+        return ProductForm(
+            self.qexp2 + other.qexp2, self.pochs + other.pochs,
+            tuple(a + b for a, b in zip(self.parity, other.parity)),
+            self.binoms + other.binoms)
+
+
+# sigma_k(n) = q^(nk) (q^-1)_(n+k) (q^-1)_(n-1) / ((q^-1)_n (q^-1)_(n-k-1)),
+# the block every summand shares; sigma_basis is its expansion
+SIGMA = ProductForm(
+    qexp2=((2, "nk"),),
+    pochs=((NUM, -1, (0, 1, 1, 0)), (NUM, -1, (-1, 1, 0, 0)),
+           (DEN, -1, (0, 1, 0, 0)), (DEN, -1, (-1, 1, -1, 0))))
+
+# The level part c(k, l) of each summand sigma_k(n) c(k, l), keyed by
+# knot, with the twist knot each named knot is (5_2 = K_2, 6_1 = K_-2).
+LEVEL_PARTS = {
+    # (-1)^(k+l) q^(k(k+3)/2 + p l(l+1) + l(l-1)/2) (1 - q^(2l+1))
+    #   * (q)_k / ((q)_(k+l+1) (q)_(k-l))
+    "K_p": (None, ProductForm(
+        parity=(0, 0, 1, 1),
+        qexp2=((1, "kk"), (3, "k"), (2, "pll"), (2, "pl"), (1, "ll"),
+               (-1, "l")),
+        pochs=((NUM, 1, (0, 0, 1, 0)), (DEN, 1, (1, 0, 1, 1)),
+               (DEN, 1, (0, 0, 1, -1))),
+        binoms=((1, 0, 0, 2),))),
+    # (-1)^(k+1) q^((3k^2+5k)/2 - l(k+1)) (q^-1)_k / ((q^-1)_l (q^-1)_(k-l))
+    "5_2": (2, ProductForm(
+        parity=(1, 0, 1, 0),
+        qexp2=((3, "kk"), (5, "k"), (-2, "kl"), (-2, "l")),
+        pochs=((NUM, -1, (0, 0, 1, 0)), (DEN, -1, (0, 0, 0, 1)),
+               (DEN, -1, (0, 0, 1, -1))))),
+    # q^(-k^2 - k + l(k+1)) (q)_k / ((q)_l (q)_(k-l))
+    "6_1": (-2, ProductForm(
+        qexp2=((-2, "kk"), (-2, "k"), (2, "kl"), (2, "l")),
+        pochs=((NUM, 1, (0, 0, 1, 0)), (DEN, 1, (0, 0, 0, 1)),
+               (DEN, 1, (0, 0, 1, -1))))),
+}
+
+NAMED_KNOTS = tuple(name for name, (twist, _) in LEVEL_PARTS.items()
+                    if twist is not None)
+
+_SUMMAND_FORMS = {key: SIGMA * level
+                  for key, (_, level) in LEVEL_PARTS.items()}
+
+_UNIT_POINTS = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -45,7 +118,7 @@ class KnotId:
     def __post_init__(self):
         if (self.twist is None) == (self.name is None):
             raise ValueError("exactly one of twist, name must be given")
-        if self.name is not None and self.name not in ("5_2", "6_1"):
+        if self.name is not None and self.name not in NAMED_KNOTS:
             raise ValueError("unknown knot name %r" % self.name)
 
     @classmethod
@@ -64,83 +137,47 @@ class KnotId:
         """The twist parameter, with 5_2 = K_2 and 6_1 = K_-2."""
         if self.twist is not None:
             return self.twist
-        return 2 if self.name == "5_2" else -2
+        return LEVEL_PARTS[self.name][0]
 
     def label(self):
         return self.name if self.name else "K_%d" % self.twist
 
 
-# summands as factored values
+def _at(index, x):
+    c0, cn, ck, cl = index
+    one, n, k, l = x
+    return c0 * one + cn * n + ck * k + cl * l
 
 
-def twist_summand_factors(p, n, k, l):
-    """Double-sum summand for K_p at an integer point, as QFactors.
+def _qexp(form, p, x):
+    """The q-exponent of form at x = (1, n, k, l)."""
+    vals = {"p": p, "n": x[1], "k": x[2], "l": x[3]}
+    return sum(c * math.prod(vals[v] for v in mono)
+               for c, mono in form.qexp2) // 2
+
+
+def _factors(form, p, x):
+    """QFactors of form at x = (1, n, k, l)."""
+    f = QFactors.one()
+    f.times_sign(-1 if _at(form.parity, x) % 2 else 1)
+    f.times_qpow(_qexp(form, p, x))
+    for side, base, index in form.pochs:
+        poch = f.times_poch if side == NUM else f.div_poch
+        poch(_at(index, x), inverted_base=base < 0)
+    for index in form.binoms:
+        f.times_binom(_at(index, x))
+    return f
+
+
+def summand_factors(knot, n, k, l):
+    """Double-sum summand sigma_k(n) c(k, l) of knot at a point, as QFactors.
 
     Raises NegativeIndex when a numerator Pochhammer index is negative
     (the closed formula is not evaluable there).  A negative denominator
     index gives the conventional zero.
     """
-    f = QFactors.one()
-    if (k + l) % 2 == 0:
-        # (-1)^(k+1) * (-1)^l * (-1 from flipping q^(2l+1)-1)
-        f.times_sign(1)
-    else:
-        f.times_sign(-1)
-    f.times_qpow(k * (k + 3) // 2 + n * k + l * (l + 1) * p
-                 + l * (l - 1) // 2)
-    f.times_poch(n + k, inverted_base=True)
-    f.times_poch(n - 1, inverted_base=True)
-    f.div_poch(n, inverted_base=True)
-    f.div_poch(n - k - 1, inverted_base=True)
-    f.times_binom(2 * l + 1)
-    f.times_poch(k)
-    f.div_poch(k + l + 1)
-    f.div_poch(k - l)
-    return f
-
-
-def fivetwo_summand_factors(n, k, l):
-    """Summand of the 5_2 double sum at an integer point, as QFactors."""
-    f = QFactors.one()
-    if k % 2 == 0:
-        f.times_sign(-1)
-    f.times_qpow((3 * k * k + 5 * k) // 2 + n * k - l * (k + 1))
-    f.times_poch(n + k, inverted_base=True)
-    f.times_poch(n - 1, inverted_base=True)
-    f.times_poch(k, inverted_base=True)
-    f.div_poch(n, inverted_base=True)
-    f.div_poch(n - k - 1, inverted_base=True)
-    f.div_poch(l, inverted_base=True)
-    f.div_poch(k - l, inverted_base=True)
-    return f
-
-
-def sixone_summand_factors(n, k, l):
-    """Summand of the 6_1 double sum at an integer point, as QFactors.
-
-    The inner binomial block uses plain-base Pochhammers, matching the
-    displayed form of this sum (unlike the 5_2 one, which is all in the
-    inverted base).
-    """
-    f = QFactors.one()
-    f.times_qpow(-k * k - k + n * k + l * (k + 1))
-    f.times_poch(n + k, inverted_base=True)
-    f.times_poch(n - 1, inverted_base=True)
-    f.times_poch(k)
-    f.div_poch(n, inverted_base=True)
-    f.div_poch(n - k - 1, inverted_base=True)
-    f.div_poch(l)
-    f.div_poch(k - l)
-    return f
-
-
-def summand_family(knot):
-    if knot.is_named:
-        if knot.name == "5_2":
-            return lambda n, k, l: fivetwo_summand_factors(n, k, l)
-        return lambda n, k, l: sixone_summand_factors(n, k, l)
-    p = knot.twist
-    return lambda n, k, l: twist_summand_factors(p, n, k, l)
+    return _factors(_SUMMAND_FORMS[knot.name or "K_p"],
+                    knot.twist_parameter(), (1, n, k, l))
 
 
 def summand_F(knot, n, k, l):
@@ -148,7 +185,7 @@ def summand_F(knot, n, k, l):
     box {n >= 1, 0 <= l <= k <= n-1}."""
     if n < 1 or l < 0 or k < l or k > n - 1:
         return RatFunc.zero()
-    return summand_family(knot)(n, k, l).to_ratfunc()
+    return summand_factors(knot, n, k, l).to_ratfunc()
 
 
 # assembly of sums of factored values into a polynomial
@@ -180,26 +217,19 @@ def assemble_sum(terms):
 
 
 def masbaum_coeff(p, k, convention="printed"):
-    """Cyclotomic coefficient of K_p at level k, an exact LaurentPoly in q."""
+    """Cyclotomic coefficient of K_p at level k, an exact LaurentPoly in q.
+
+    The habiro flavor is the sum of the level parts c(k, l) over l; the
+    printed one negates it at even k.
+    """
     if k < 0:
         raise ValueError("level k must be nonnegative")
     if convention not in ("printed", "habiro"):
         raise ValueError("convention must be printed or habiro")
-    terms = []
-    base = k * (k + 3) // 2
-    for l in range(k + 1):
-        f = QFactors.one()
-        # (-1)^l from the sum, -1 from writing q^(2l+1)-1 as -(1-q^(2l+1))
-        if l % 2 == 0:
-            f.times_sign(-1)
-        f.times_qpow(base + l * (l + 1) * p + l * (l - 1) // 2)
-        f.times_binom(2 * l + 1)
-        f.times_poch(k)
-        f.div_poch(k + l + 1)
-        f.div_poch(k - l)
-        terms.append(f)
-    c = assemble_sum(terms)
-    if convention == "habiro" and k % 2 == 0:
+    level = LEVEL_PARTS["K_p"][1]
+    c = assemble_sum([_factors(level, p, (1, 0, k, l))
+                      for l in range(k + 1)])
+    if convention == "printed" and k % 2 == 0:
         c = -c
     return c
 
@@ -239,12 +269,8 @@ def colored_jones_multisum(knot, n):
         knot = KnotId.twist_knot(knot)
     if n < 1:
         raise ValueError("color n must be >= 1")
-    fam = summand_family(knot)
-    terms = []
-    for k in range(n):
-        for l in range(k + 1):
-            terms.append(fam(n, k, l))
-    return assemble_sum(terms)
+    return assemble_sum([summand_factors(knot, n, k, l)
+                         for k in range(n) for l in range(k + 1)])
 
 
 # shift structure of the double-sum summand
@@ -264,35 +290,21 @@ class ShiftRatio:
     den: tuple
 
     def to_ratfunc(self):
-        return RatFunc(self._product(self.num, True), self._product(self.den))
-
-    def _product(self, binoms, signed=False):
-        coeff = self.sign if signed else 1
-        out = LaurentPoly.monomial(coeff, **dict(self.mono)) if signed \
-            else LaurentPoly.const(1)
-        one = LaurentPoly.const(1)
-        for a, b, c, d in binoms:
-            out = out * (one - LaurentPoly.monomial(1, q=a, N=b, K=c, L2=d))
-        return out
+        return RatFunc(self.numerator_poly(), self.denominator_poly())
 
     def numerator_poly(self):
-        return self._product(self.num, True)
+        return _times_binomials(
+            LaurentPoly.monomial(self.sign, **dict(self.mono)), self.num)
 
     def denominator_poly(self):
-        return self._product(self.den)
+        return _times_binomials(LaurentPoly.const(1), self.den)
 
-    def value_at(self, n, k, l):
-        """QFactors value at (N, K, L2) = (q^n, q^k, q^l)."""
-        f = QFactors(sign=self.sign)
-        e = 0
-        for name, a in self.mono:
-            e += a * {"q": 1, "N": n, "K": k, "L2": l}[name]
-        f.times_qpow(e)
-        for a, b, c, d in self.num:
-            f.times_binom(a + b * n + c * k + d * l)
-        for a, b, c, d in self.den:
-            f.div_binom(a + b * n + c * k + d * l)
-        return f
+
+def _times_binomials(out, binoms):
+    one = LaurentPoly.const(1)
+    for a, b, c, d in binoms:
+        out = out * (one - LaurentPoly.monomial(1, q=a, N=b, K=c, L2=d))
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,52 +329,39 @@ class SummandSpec:
         return self.l_step.to_ratfunc()
 
 
-_N_STEP = ShiftRatio(
-    sign=1,
-    mono=(("K", 1),),
-    num=((-1, -1, -1, 0), (0, -1, 0, 0)),
-    den=((-1, -1, 0, 0), (0, -1, 1, 0)),
-)
+def shift_ratio(knot, shift):
+    """ShiftRatio F(n + dn, k + dk, l + dl) / F(n, k, l) of knot's summand.
 
-
-def shift_ratios(p):
-    """Closed-form one-step shift quotients for the K_p summand."""
-    # the second numerator binomial steps with k; writing it unstepped
-    # (1 - K) would wrongly annihilate every k >= 1 summand
-    k_step = ShiftRatio(
-        sign=-1,
-        mono=(("q", 2), ("K", 1), ("N", 1)),
-        num=((-1, -1, -1, 0), (1, -1, 1, 0), (1, 0, 1, 0)),
-        den=((2, 0, 1, 1), (1, 0, 1, -1)),
-    )
-    l_step = ShiftRatio(
-        sign=-1,
-        mono=(("q", 2 * p), ("L2", 2 * p + 1)),
-        num=((3, 0, 0, 2), (0, 0, 1, -1)),
-        den=((1, 0, 0, 2), (2, 0, 1, 1)),
-    )
-    return SummandSpec(KnotId.twist_knot(p), _N_STEP, k_step, l_step)
-
-
-def fivetwo_shift_ratios():
-    """Shift quotients of the 5_2 double-sum summand.
-
-    The n-direction quotient coincides with the twist-knot one; the k and
-    l quotients are read off the summand by telescoping its Pochhammers.
+    Read off the summand description: a Pochhammer whose index moves by
+    d contributes a run of |d| binomials, the parity change gives the
+    sign, and the q-exponent change, affine in (n, k, l) because the
+    exponent is quadratic, gives the monomial.
     """
-    k_step = ShiftRatio(
-        sign=-1,
-        mono=(("q", 4), ("K", 3), ("N", 1), ("L2", -1)),
-        num=((-1, -1, -1, 0), (1, -1, 1, 0), (-1, 0, -1, 0)),
-        den=((-1, 0, -1, 1),),
-    )
-    l_step = ShiftRatio(
-        sign=1,
-        mono=(("q", -1), ("K", -1)),
-        num=((0, 0, -1, 1),),
-        den=((-1, 0, 0, -1),),
-    )
-    return SummandSpec(KnotId.named("5_2"), _N_STEP, k_step, l_step)
+    form = _SUMMAND_FORMS[knot.name or "K_p"]
+    p = knot.twist_parameter()
+    d = (0,) + tuple(shift)
+    # the exponent change at the origin and at the three unit points
+    steps = [_qexp(form, p, tuple(a + b for a, b in zip(x, d)))
+             - _qexp(form, p, x) for x in _UNIT_POINTS]
+    mono = [steps[0]] + [e - steps[0] for e in steps[1:]]
+    num, den = [], []
+    for side, base, index in form.pochs:
+        m = _at(index, d)
+        # (x)_(i+m) / (x)_i gains the factors (1 - x^(i+j)) for
+        # 0 < j <= m, or loses those with m < j <= 0
+        c0, cn, ck, cl = index
+        run = [(base * (c0 + j), base * cn, base * ck, base * cl)
+               for j in (range(1, m + 1) if m > 0 else range(m + 1, 1))]
+        (num if (m > 0) == (side == NUM) else den).extend(run)
+    for index in form.binoms:
+        m = _at(index, d)
+        if m:
+            num.append((index[0] + m,) + index[1:])
+            den.append(index)
+    return ShiftRatio(
+        sign=-1 if _at(form.parity, d) % 2 else 1,
+        mono=tuple((v, e) for v, e in zip(("q", "N", "K", "L2"), mono) if e),
+        num=tuple(num), den=tuple(den))
 
 
 def annihilator_generators(knot):
@@ -372,21 +371,18 @@ def annihilator_generators(knot):
     quotient, expanded to LaurentPolys in (q, N, K, L2).
     """
     spec = summand_spec(knot)
-    return [
-        (spec.n_step.denominator_poly(), spec.n_step.numerator_poly(), "n"),
-        (spec.k_step.denominator_poly(), spec.k_step.numerator_poly(), "k"),
-        (spec.l_step.denominator_poly(), spec.l_step.numerator_poly(), "l"),
-    ]
+    return [(r.denominator_poly(), r.numerator_poly(), direction)
+            for r, direction in zip((spec.n_step, spec.k_step, spec.l_step),
+                                    "nkl")]
 
 
 def summand_spec(knot):
+    """The three one-step shift quotients of knot's summand."""
     if not isinstance(knot, KnotId):
         knot = KnotId.twist_knot(knot)
-    if knot.is_named:
-        if knot.name != "5_2":
-            raise ValueError("no shift spec shipped for %s" % knot.label())
-        return fivetwo_shift_ratios()
-    return shift_ratios(knot.twist)
+    return SummandSpec(knot, shift_ratio(knot, (1, 0, 0)),
+                       shift_ratio(knot, (0, 1, 0)),
+                       shift_ratio(knot, (0, 0, 1)))
 
 
 # units and convention bookkeeping

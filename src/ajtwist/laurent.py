@@ -441,6 +441,8 @@ class LaurentPoly:
                     if a > 0:
                         cc = 0
                         break
+                    if a == 0:  # 0^0 = 1, as in substitute
+                        continue
                     raise ZeroDivisionError("0 raised to a negative power")
                 (ev, cv), = val.terms.items()
                 if cv in (1, -1):

@@ -37,7 +37,7 @@ import re
 
 from .laurent import LaurentPoly, RatFunc, InexactDivision, unit_ratio
 from .qseries import QFactors, NegativeIndex, is_zero_sum
-from .jones import KnotId, summand_family
+from .jones import KnotId, NAMED_KNOTS, summand_factors
 from .apoly import a_polynomial
 
 
@@ -127,7 +127,7 @@ def _parse_monomials(tokens, lineno, what):
 
 
 def _parse_knot(token, lineno, col):
-    if token in ("5_2", "6_1"):
+    if token in NAMED_KNOTS:
         return KnotId.named(token)
     m = re.fullmatch(r"K_(-?\d+)", token)
     if m:
@@ -235,8 +235,8 @@ def _coeff_text(poly):
 
 
 def serialize_recurrence(spec):
-    knot = spec.knot.label() if not spec.knot.is_named else spec.knot.name
-    lines = ["recurrence %s kind=%s knot=%s" % (spec.name, spec.kind, knot)]
+    lines = ["recurrence %s kind=%s knot=%s"
+             % (spec.name, spec.kind, spec.knot.label())]
     for t in spec.terms:
         shift = "(%s)" % ",".join(str(x) for x in t.shift)
         lines.append("term shift=%s num= %s den= %s"
@@ -302,14 +302,13 @@ def check_kfree(spec, n_range, mode="interior"):
         raise ValueError("check_kfree wants a kfree spec, got %s" % spec.kind)
     if mode not in ("interior", "full"):
         raise ValueError("mode must be interior or full")
-    fam = summand_family(spec.knot)
     n_lo, n_hi = n_range
     rep = CheckReport(spec.name, mode, n_lo, n_hi)
     for n in range(n_lo, n_hi + 1):
         coeff_cache = _coeffs_at(spec, n)
         for k in range(n):
             for l in range(k + 1):
-                parts = _point_parts(spec, fam, coeff_cache, n, k, l, mode)
+                parts = _point_parts(spec, coeff_cache, n, k, l, mode)
                 if parts is None:
                     rep.skipped += 1
                     continue
@@ -323,7 +322,7 @@ def check_kfree(spec, n_range, mode="interior"):
     return rep
 
 
-def _point_parts(spec, fam, coeffs, n, k, l, mode):
+def _point_parts(spec, coeffs, n, k, l, mode):
     """(coefficient poly, summand QFactors) pairs at one grid point.
 
     None marks a point that interior mode skips."""
@@ -331,7 +330,7 @@ def _point_parts(spec, fam, coeffs, n, k, l, mode):
     for t in spec.terms:
         i, jk, jl = t.shift
         try:
-            f = fam(n + i, k + jk, l + jl)
+            f = summand_factors(spec.knot, n + i, k + jk, l + jl)
         except NegativeIndex:
             if mode == "interior":
                 return None

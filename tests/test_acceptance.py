@@ -12,7 +12,7 @@ import mpmath as mp
 from ajtwist.apoly import (a_polynomial, b_polynomial, cd_coefficients,
                            verify_aj)
 from ajtwist.jones import (KnotId, colored_jones, colored_jones_multisum,
-                           named_form_unit, summand_family, summand_spec)
+                           named_form_unit, summand_factors, summand_spec)
 from ajtwist.laurent import LaurentPoly, RatFunc, parse_poly
 from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, _coeffs_at,
                           _point_parts, check_kfree, compare_with_apoly,
@@ -96,13 +96,13 @@ def test_criterion_04_jones_consistency():
           "(5_2) and +1 (6_1), %.1f s" % took)
 
 
-def _ratio_pair_holds(ratio, fam, point, shifted):
+def _ratio_pair_holds(ratio, knot, point, shifted):
     n, k, l = point
     try:
-        f1 = fam(*shifted)
+        f1 = summand_factors(knot, *shifted)
     except NegativeIndex:
         return None
-    f0 = fam(n, k, l)
+    f0 = summand_factors(knot, n, k, l)
     den = QFactors()
     for aa, bb, cc, dd in ratio.den:
         den.times_binom(aa + bb * n + cc * k + dd * l)
@@ -120,7 +120,6 @@ def test_criterion_05_ratio_identities():
     for p in (-2, -1, 1, 2):
         knot = KnotId.twist_knot(p)
         spec = summand_spec(knot)
-        fam = summand_family(knot)
         checked = 0
         for n in range(1, 8):
             for k in range(n):
@@ -129,7 +128,7 @@ def test_criterion_05_ratio_identities():
                             (spec.n_step, (n + 1, k, l)),
                             (spec.k_step, (n, k + 1, l)),
                             (spec.l_step, (n, k, l + 1))):
-                        held = _ratio_pair_holds(ratio, fam, (n, k, l),
+                        held = _ratio_pair_holds(ratio, knot, (n, k, l),
                                                  shifted)
                         if held is not None:
                             assert held, (p, n, k, l, shifted)
@@ -292,9 +291,7 @@ def _flip_leading(spec, idx, where="num"):
 
 def _residual_at(spec, n, k, l, base=2):
     from fractions import Fraction
-    fam = summand_family(spec.knot)
-    parts = _point_parts(spec, fam, _coeffs_at(spec, n), n, k, l,
-                         "interior")
+    parts = _point_parts(spec, _coeffs_at(spec, n), n, k, l, "interior")
     assert parts is not None
     t = Fraction(base)
     return sum(p.eval_fraction({"q": t}) * f.eval_fraction(t)

@@ -8,7 +8,7 @@ from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, QuadQuotient,
                            h_via_reduction, b_polynomial, recursion_residual,
                            boundary_residual, verify_aj, reciprocity_report)
-from ajtwist.jones import shift_ratios
+from ajtwist.jones import summand_spec
 
 
 M2L = parse_poly("m^2 + l")
@@ -69,7 +69,7 @@ class TestMeridianX:
     def test_n_ratio_forces_it(self):
         # q = 1, N = m^2 in the n-direction ratio, then x at its coupled
         # value, collapses to the longitude eigenvalue l
-        f0 = shift_ratios(2).f0
+        f0 = summand_spec(2).f0
         m2 = LaurentPoly.monomial(1, m=2)
         got = f0.substitute(q=1, N=m2, K=solve_meridian_x())
         assert got == RatFunc(LaurentPoly.var("l"))
@@ -77,7 +77,7 @@ class TestMeridianX:
     def test_k_ratio_forces_quadratic(self):
         # with x generic the k-direction ratio minus 1 clears to a
         # monomial multiple of the defining quadratic m^2 y^2 - a y + m^2
-        f1 = shift_ratios(2).f1
+        f1 = summand_spec(2).f1
         m2 = LaurentPoly.monomial(1, m=2)
         got = f1.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
                             L2=LaurentPoly.var("y"))
@@ -92,7 +92,7 @@ class TestMeridianX:
         # RatFunc takes no polynomial gcds, so the specialized ratio
         # still carries the spectator factor (1 - y^2) on both sides.
         p = 2
-        f2 = shift_ratios(p).f2
+        f2 = summand_spec(p).f2
         m2 = LaurentPoly.monomial(1, m=2)
         got = f2.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
                             L2=LaurentPoly.var("y"))

@@ -1,5 +1,9 @@
 """End-to-end runs of the command line front end, in process."""
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -9,6 +13,8 @@ from ajtwist.apoly import a_polynomial, h_polynomial
 from ajtwist.jones import colored_jones
 from ajtwist.laurent import parse_poly
 from ajtwist.volnum import CertificationError, kashaev_scan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -296,3 +302,31 @@ class TestOutFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("volume = 2.02988")
+
+
+class TestTracedRunner:
+    # perfbench/traced.py wraps each layer where its callers look it up,
+    # so a refactor that moves a lookup would silently drop that span
+    @pytest.mark.parametrize("argv, focus", [
+        (["jones", "--p", "2", "--n", "6", "--habiro-normalize"],
+         "jones.assemble_sum"),
+        (["rec-check", "--fixture", "fivetwo_kfree",
+          "--n-min", "6", "--n-max", "6"], "qseries.is_zero_sum"),
+        (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
+         "apoly.a_polynomial"),
+        (["verify-aj", "--p-min", "-2", "--p-max", "2"],
+         "apoly.a_polynomial"),
+        (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
+         "volnum.jhat"),
+    ], ids=["jones", "rec-check", "rec-q1", "verify-aj", "kashaev"])
+    def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
+        code, out, _ = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced.py"), "0",
+             *argv],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert (result["rc"], result["stdout"]) == (code, out)
+        assert focus in {span[0] for span in result["spans"]}

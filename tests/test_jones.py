@@ -6,10 +6,9 @@ import pytest
 from ajtwist.laurent import LaurentPoly, RatFunc
 from ajtwist.qseries import QFactors, NegativeIndex
 from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
-                           colored_jones_multisum, summand_F, summand_family,
-                           summand_spec, shift_ratios, fivetwo_shift_ratios,
-                           annihilator_generators, named_form_unit, unit_ratio,
-                           sign_convention_report)
+                           colored_jones_multisum, summand_F, summand_factors,
+                           summand_spec, shift_ratio, annihilator_generators,
+                           named_form_unit, unit_ratio, sign_convention_report)
 
 
 def qmono(c=1, **e):
@@ -176,13 +175,13 @@ class TestSummandF:
         assert isinstance(v, RatFunc)
 
 
-def _pair_holds(ratio, fam, point, shifted):
+def _pair_holds(ratio, knot, point, shifted):
     n, k, l = point
     try:
-        f1 = fam(*shifted)
+        f1 = summand_factors(knot, *shifted)
     except NegativeIndex:
         return None
-    f0 = fam(n, k, l)
+    f0 = summand_factors(knot, n, k, l)
     b = QFactors()
     for aa, bb, cc, dd in ratio.den:
         b.times_binom(aa + bb * n + cc * k + dd * l)
@@ -196,7 +195,7 @@ def _pair_holds(ratio, fam, point, shifted):
 
 class TestShiftRatios:
     def test_n_step_closed_form(self):
-        spec = shift_ratios(2)
+        spec = summand_spec(2)
         q1 = LaurentPoly.monomial(1, q=-1)
         N = LaurentPoly.var("N")
         K = LaurentPoly.var("K")
@@ -207,37 +206,38 @@ class TestShiftRatios:
     def test_l_step_sign_is_carried(self):
         # the numerator of the l quotient is negative: dropping its sign
         # breaks annihilation
-        spec = shift_ratios(1)
+        spec = summand_spec(1)
         B, A, label = annihilator_generators(1)[2]
         assert label == "l"
         assert RatFunc(A, B) == spec.f2
-        fam = summand_family(KnotId.twist_knot(1))
+        knot = KnotId.twist_knot(1)
         point, shifted = (4, 2, 1), (4, 2, 2)
-        assert _pair_holds(spec.l_step, fam, point, shifted)
+        assert _pair_holds(spec.l_step, knot, point, shifted)
         flipped = type(spec.l_step)(sign=-spec.l_step.sign,
                                     mono=spec.l_step.mono,
                                     num=spec.l_step.num, den=spec.l_step.den)
-        assert _pair_holds(flipped, fam, point, shifted) is False
+        assert _pair_holds(flipped, knot, point, shifted) is False
 
     def test_k_step_requires_shifted_binomial(self):
         # the third numerator binomial of the k quotient steps with k;
         # the unstepped variant annihilates nothing
-        spec = shift_ratios(1)
+        spec = summand_spec(1)
         assert (1, 0, 1, 0) in spec.k_step.num
         broken = type(spec.k_step)(sign=spec.k_step.sign,
                                    mono=spec.k_step.mono,
                                    num=((-1, -1, -1, 0), (1, -1, 1, 0),
                                         (0, 0, 1, 0)),
                                    den=spec.k_step.den)
-        fam = summand_family(KnotId.twist_knot(1))
-        assert _pair_holds(spec.k_step, fam, (3, 1, 0), (3, 2, 0))
-        assert _pair_holds(broken, fam, (3, 1, 0), (3, 2, 0)) is False
+        knot = KnotId.twist_knot(1)
+        assert _pair_holds(spec.k_step, knot, (3, 1, 0), (3, 2, 0))
+        assert _pair_holds(broken, knot, (3, 1, 0), (3, 2, 0)) is False
 
     def test_all_pairs_on_grid(self):
-        cases = [(shift_ratios(p), KnotId.twist_knot(p)) for p in (-2, 1)]
-        cases.append((fivetwo_shift_ratios(), KnotId.named("5_2")))
-        for spec, knot in cases:
-            fam = summand_family(knot)
+        cases = [KnotId.twist_knot(p) for p in (-2, 1)]
+        cases.append(KnotId.named("5_2"))
+        cases.append(KnotId.named("6_1"))
+        for knot in cases:
+            spec = summand_spec(knot)
             checked = 0
             for n in range(1, 8):
                 for k in range(n):
@@ -246,11 +246,23 @@ class TestShiftRatios:
                                 (spec.n_step, (n + 1, k, l)),
                                 (spec.k_step, (n, k + 1, l)),
                                 (spec.l_step, (n, k, l + 1))):
-                            r = _pair_holds(ratio, fam, (n, k, l), shifted)
+                            r = _pair_holds(ratio, knot, (n, k, l), shifted)
                             if r is not None:
                                 assert r, (knot.label(), n, k, l, shifted)
                                 checked += 1
             assert checked >= 200
+
+    def test_two_steps_are_products_of_one_steps(self):
+        # F(k+2)/F(k) = f1 * f1(K -> qK), F(n+1, k+1)/F = f0 * f1(N -> qN)
+        qk = LaurentPoly.monomial(1, q=1, K=1)
+        qn = LaurentPoly.monomial(1, q=1, N=1)
+        for knot in (KnotId.twist_knot(-2), KnotId.twist_knot(1),
+                     KnotId.named("5_2"), KnotId.named("6_1")):
+            spec = summand_spec(knot)
+            assert shift_ratio(knot, (0, 2, 0)).to_ratfunc() == \
+                spec.f1 * spec.f1.substitute_monomials(K=qk), knot.label()
+            assert shift_ratio(knot, (1, 1, 0)).to_ratfunc() == \
+                spec.f0 * spec.f1.substitute_monomials(N=qn), knot.label()
 
 
 # The one-step shift quotients as shipped in closed form before they were
@@ -310,7 +322,7 @@ class TestGoldenShiftTuples:
 class TestAnnihilatorGenerators:
     def test_pairs_are_ratio_num_den(self):
         for p in (-2, 1, 3):
-            spec = shift_ratios(p)
+            spec = summand_spec(p)
             gens = annihilator_generators(p)
             for (bpoly, apoly, _), rf in zip(gens, (spec.f0, spec.f1,
                                                     spec.f2)):
@@ -318,21 +330,33 @@ class TestAnnihilatorGenerators:
 
     def test_l_step_example_point(self):
         # B*F(n,k,l+1) - A*F(n,k,l) at (6,4,2) for the 5_2 summand
-        B, A, _ = annihilator_generators(KnotId.named("5_2"))[2]
-        fam = summand_family(KnotId.named("5_2"))
+        knot = KnotId.named("5_2")
+        B, A, _ = annihilator_generators(knot)[2]
         n, k, l = 6, 4, 2
         point = {"N": LaurentPoly.monomial(1, q=n),
                  "K": LaurentPoly.monomial(1, q=k),
                  "L2": LaurentPoly.monomial(1, q=l)}
         bval = RatFunc(B.substitute_monomials(**point))
         aval = RatFunc(A.substitute_monomials(**point))
-        lhs = bval * fam(n, k, l + 1).to_ratfunc()
-        rhs = aval * fam(n, k, l).to_ratfunc()
+        lhs = bval * summand_factors(knot, n, k, l + 1).to_ratfunc()
+        rhs = aval * summand_factors(knot, n, k, l).to_ratfunc()
         assert lhs == rhs
 
-    def test_sixone_has_no_pairs(self):
-        with pytest.raises(ValueError):
-            annihilator_generators(KnotId.named("6_1"))
+    def test_sixone_pairs_hold_at_a_point(self):
+        # B*F(shifted) = A*F at (6, 3, 1) in each direction, 6_1 summand
+        knot = KnotId.named("6_1")
+        n, k, l = 6, 3, 1
+        point = {"N": LaurentPoly.monomial(1, q=n),
+                 "K": LaurentPoly.monomial(1, q=k),
+                 "L2": LaurentPoly.monomial(1, q=l)}
+        shifted = {"n": (n + 1, k, l), "k": (n, k + 1, l),
+                   "l": (n, k, l + 1)}
+        f0 = summand_factors(knot, n, k, l).to_ratfunc()
+        for B, A, direction in annihilator_generators(knot):
+            f1 = summand_factors(knot, *shifted[direction]).to_ratfunc()
+            assert f1 != f0
+            assert RatFunc(B.substitute_monomials(**point)) * f1 == \
+                RatFunc(A.substitute_monomials(**point)) * f0, direction
 
 
 class TestNamedFormUnits:

@@ -129,6 +129,12 @@ class TestSubstitution:
         r = p.substitute_monomials(q=1, N=M ** 2)
         assert r == mono(3, m=4) + mono(-1, m=2)
 
+    def test_substitute_monomials_zero(self):
+        # 0^0 = 1 on the terms free of q; q^-1 at 0 has no value
+        assert parse_poly("q + 5").substitute_monomials(q=0) == 5
+        with pytest.raises(ZeroDivisionError):
+            parse_poly("q^-1 + 5").substitute_monomials(q=0)
+
     def test_eval_fraction(self):
         p = Q ** 2 - 1
         assert p.eval_fraction({"q": 3}) == 8

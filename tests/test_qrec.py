@@ -7,7 +7,6 @@ import pytest
 
 from ajtwist.laurent import LaurentPoly, InexactDivision, parse_poly
 from ajtwist.apoly import a_polynomial
-from ajtwist.jones import summand_family
 from ajtwist.qrec import (RecurrenceTerm, RecurrenceSpec,
                           RecurrenceParseError, parse_recurrence,
                           serialize_recurrence, load_recurrence,
@@ -33,8 +32,7 @@ def residual_at(spec, n, k, l, base=2):
     A nonzero value at any rational base already proves the relation
     broken there; the zero direction is check_kfree's job.
     """
-    fam = summand_family(spec.knot)
-    parts = _point_parts(spec, fam, _coeffs_at(spec, n), n, k, l, "interior")
+    parts = _point_parts(spec, _coeffs_at(spec, n), n, k, l, "interior")
     assert parts is not None, "point is not interior"
     t = Fraction(base)
     return sum(p.eval_fraction({"q": t}) * f.eval_fraction(t)
