@@ -281,7 +281,7 @@ class ShiftRatio:
     """sign * monomial * prod (1 - q^a N^b K^c L2^d) / prod (...).
 
     Binomials are 4-tuples (a, b, c, d) of exponents on (q, N, K, L2).
-    The monomial is a dict of variable exponents.
+    The monomial is a tuple of (variable, exponent) pairs.
     """
 
     sign: int
