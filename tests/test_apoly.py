@@ -7,7 +7,8 @@ from ajtwist.laurent import LaurentPoly, RatFunc, parse_poly
 from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, QuadQuotient,
                            h_via_reduction, b_polynomial, recursion_residual,
-                           boundary_residual, verify_aj, reciprocity_report)
+                           boundary_residual, verify_aj, reciprocity_report,
+                           saddle_constraint)
 from ajtwist.jones import summand_spec
 
 
@@ -33,6 +34,27 @@ class TestCD:
     def test_d_factored_form(self):
         _, d = cd_coefficients()
         assert d == parse_poly("m^4") * M2L ** 4
+
+
+class TestGoldenForms:
+    # the constructive route's inputs as literals, so that deriving them
+    # from the shift quotients cannot move them
+    def test_quad_a(self):
+        assert quad_a() == parse_poly("m^4 - x*m^4 + x^2*m^2 + m^2 + 1 - x")
+
+    def test_meridian_x(self):
+        x = solve_meridian_x()
+        assert x.num == parse_poly("l*m^2 + 1")
+        assert x.den == parse_poly("m^2 + l")
+
+    def test_saddle_constraint(self):
+        for p in range(1, 36):
+            assert saddle_constraint(p) == parse_poly(
+                "y^%d + 1 - x*y^%d - x*y" % (2 * p + 1, 2 * p)), p
+            assert saddle_constraint(-p) == parse_poly(
+                "y + y^%d - x - x*y^%d" % (2 * p, 2 * p + 1)), -p
+        with pytest.raises(ValueError):
+            saddle_constraint(0)
 
 
 class TestAPolynomial:

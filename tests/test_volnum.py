@@ -12,7 +12,7 @@ import pytest
 
 from ajtwist import volnum
 from ajtwist.jones import KnotId, colored_jones
-from ajtwist.laurent import parse_poly
+from ajtwist.laurent import LaurentPoly, parse_poly
 from ajtwist.volnum import (CertificationError, bloch_wigner, dilog, jhat,
                             kashaev_scan, optimistic_volume,
                             reduced_eliminant, saddle_solve)
@@ -186,6 +186,14 @@ class TestJhat:
         for args in ((1, 5, 3, 2), (2, 7, 4, 3), (-2, 6, 4, 2)):
             with pytest.raises(CertificationError):
                 volnum._residue_certificate.__wrapped__(*args)
+
+
+class TestGrowthPolys:
+    def test_first_equation_is_pinned(self):
+        x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+        want = y * (1 - x) ** 3 - (1 - x * y) * (y - x)
+        for p in list(range(-6, 0)) + list(range(1, 7)):
+            assert volnum._growth_polys(p)[0] == want, p
 
 
 class TestSaddle:
