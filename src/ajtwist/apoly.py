@@ -6,18 +6,26 @@ with the three-term law
 
     A(p) = c * A(p-1) - d * A(p-2)        (run backward for p < 0)
 
-whose multipliers c, d come from cd_coefficients().
+whose multipliers c, d come from cd_coefficients().  Its data is printed
+here and is the independent reference.
 
-The constructive route never mentions l until the last step.  It lives
-in the rank-2 algebra where a formal unit y satisfies
+The constructive route starts from the summand of the double sum: its
+shift quotients (jones.summand_spec) at q = 1 (ShiftRatio.at_q1), with
+N = m^2, K = x and L2 = y.
 
-    y^2 = (a / m^2) * y - 1,      a = m^4 - x*m^4 + x^2*m^2 + m^2 + 1 - x,
+  k-step   numerator minus denominator is x (y + 1/y - a/m^2), which
+           gives the rank-2 algebra y^2 = (a / m^2) * y - 1 (quad_a);
+  n-step   set equal to l, it pins the coupling value
+           x = (l*m^2 + 1) / (m^2 + l) (solve_meridian_x);
+  l-step   cleared, it is saddle_constraint(p), which reduces in that
+           algebra to (1 - x) y^|p| h_p (h_via_reduction).
 
-builds a tower of Laurent polynomials h_p(m, x) by the same three-term
-shape, substitutes the coupling value x = (l*m^2 + 1) / (m^2 + l), and
-clears denominators.  The result b_polynomial(p) is again a polynomial
-in (l, m), and verify_aj certifies coefficient by coefficient that the
-two routes agree.
+A tower of Laurent polynomials h_p(m, x) in the same three-term shape
+is built from a, the coupling value is substituted and denominators are
+cleared.  The result b_polynomial(p) is again a polynomial in (l, m),
+and verify_aj certifies coefficient by coefficient that the two routes
+agree.  verify_aj reads only the k- and n-steps, which do not depend on
+p; the l-step meets the tower in h_via_reduction.
 
 Everything here is exact integer arithmetic; nothing is numeric.
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .jones import summand_spec
 from .laurent import LaurentPoly, RatFunc, unit_ratio
 
 
@@ -37,12 +46,22 @@ _M2 = _mono(m=2)
 _X = LaurentPoly.var("x")
 _Y = LaurentPoly.var("y")
 _L = LaurentPoly.var("l")
+_BIND = {"N": _M2, "K": _X, "L2": _Y}
 
 
 def quad_a():
-    """The y^1 multiplier (times m^2) of the defining quadratic."""
-    return (_mono(m=4) - _mono(1, x=1, m=4) + _mono(1, x=2, m=2)
-            + _mono(m=2) + 1 - _X)
+    """The y^1 multiplier (times m^2) of the defining quadratic.
+
+    Read off the k-step quotient at q = 1, whose numerator minus
+    denominator must be x (y + 1/y - a/m^2); any other shape raises
+    ArithmeticError.
+    """
+    num, den = summand_spec(1).k_step.at_q1(**_BIND)
+    parts = (num - den).coefficients_in("y")
+    if set(parts) != {-1, 0, 1} or not parts[1] == parts[-1] == _X:
+        raise ArithmeticError("k-step at q = 1 is not x (y + 1/y) plus "
+                              "a part free of y")
+    return -(_M2 * parts[0]).exact_divide(_X)
 
 
 def quad_b():
@@ -100,11 +119,16 @@ def a_polynomial(p):
 def solve_meridian_x():
     """Coupling value of x forced by the n-direction ratio at q = 1.
 
-    Substituting q = 1, N = m^2 into the n-step quotient and equating it
-    to l pins x to (l*m^2 + 1) / (m^2 + l); this single value is what
-    turns the (m, x) tower into polynomials in (l, m).
+    The n-step quotient at q = 1, N = m^2, K = x, set equal to l and
+    cleared, is linear in x and pins it to (l*m^2 + 1) / (m^2 + l);
+    this single value is what turns the (m, x) tower into polynomials
+    in (l, m).
     """
-    return RatFunc(_mono(1, l=1, m=2) + 1, _M2 + _L)
+    num, den = summand_spec(1).n_step.at_q1(**_BIND)
+    cofs = (num - _L * den).cleared().coefficients_in("x")
+    if set(cofs) != {0, 1}:
+        raise ArithmeticError("n-step at q = 1 is not linear in x")
+    return RatFunc(-cofs[0], cofs[1])
 
 
 def h_polynomial(p):
@@ -136,101 +160,45 @@ def h_polynomial(p):
     return newer
 
 
-@dataclass(frozen=True)
-class QuadQuotient:
-    """Element alpha*y + beta of the algebra with y^2 = (a/m^2)y - 1.
+def quad_reduce(poly):
+    """Reduce a LaurentPoly in (m, x, y) modulo y^2 = (a/m^2) y - 1.
 
-    Coefficients are rational functions in (m, x).  The class is closed
-    under products because every y^2 that appears folds back through the
-    defining relation; y is invertible there, with 1/y = (a/m^2) - y.
+    Returns the pair (alpha, beta) of LaurentPolys in (m, x) with
+    poly = alpha*y + beta in that algebra.  a/m^2 is a Laurent
+    polynomial and y is a unit there, 1/y = a/m^2 - y, so no fraction
+    ever forms.
     """
-
-    alpha: RatFunc
-    beta: RatFunc
-
-    @staticmethod
-    def _rat(v):
-        return v if isinstance(v, RatFunc) else RatFunc(v)
-
-    @classmethod
-    def const(cls, v):
-        return cls(RatFunc.zero(), cls._rat(v))
-
-    @classmethod
-    def y(cls):
-        return cls(RatFunc.const(1), RatFunc.zero())
-
-    @classmethod
-    def y_inverse(cls):
-        return cls(RatFunc.const(-1), RatFunc(quad_a(), _M2))
-
-    def __add__(self, other):
-        if not isinstance(other, QuadQuotient):
-            other = QuadQuotient.const(other)
-        return QuadQuotient(self.alpha + other.alpha, self.beta + other.beta)
-
-    def __sub__(self, other):
-        if not isinstance(other, QuadQuotient):
-            other = QuadQuotient.const(other)
-        return QuadQuotient(self.alpha - other.alpha, self.beta - other.beta)
-
-    def __mul__(self, other):
-        if not isinstance(other, QuadQuotient):
-            s = self._rat(other)
-            return QuadQuotient(self.alpha * s, self.beta * s)
-        t = RatFunc(quad_a(), _M2)
-        aa = self.alpha * other.alpha
-        cross = self.alpha * other.beta + other.alpha * self.beta
-        return QuadQuotient(aa * t + cross, self.beta * other.beta - aa)
-
-    __rmul__ = __mul__
-
-    def scale(self, v):
-        s = self._rat(v)
-        return QuadQuotient(self.alpha * s, self.beta * s)
-
-    def is_zero(self):
-        return not self.alpha.num and not self.beta.num
-
-    @classmethod
-    def reduce(cls, p):
-        """Reduce a LaurentPoly in (m, x, y) to its degree-<=1 class."""
-        out = cls.const(0)
-        ypows = {0: cls.const(1)}
-        ydec = None
-        for j, cof in sorted(p.coefficients_in("y").items()):
-            if j >= 0:
-                hi = max(ypows)
-                while hi < j:
-                    ypows[hi + 1] = ypows[hi] * cls.y()
-                    hi += 1
-            else:
-                lo = min(ypows)
-                if ydec is None:
-                    ydec = cls.y_inverse()
-                while lo > j:
-                    ypows[lo - 1] = ypows[lo] * ydec
-                    lo -= 1
-            out = out + ypows[j].scale(cof)
-        return out
+    t = quad_a().exact_divide(_M2)
+    cofs = poly.coefficients_in("y")
+    # y^j as (alpha_j, beta_j), walked up and down from y^0
+    powers = {0: (LaurentPoly.zero(), LaurentPoly.const(1))}
+    for j in range(1, max(cofs, default=0) + 1):
+        a, b = powers[j - 1]
+        powers[j] = (a * t + b, -a)
+    for j in range(-1, min(cofs, default=0) - 1, -1):
+        a, b = powers[j + 1]
+        powers[j] = (-b, a + b * t)
+    alpha = beta = LaurentPoly.zero()
+    for j, cof in cofs.items():
+        a, b = powers[j]
+        alpha += cof * a
+        beta += cof * b
+    return alpha, beta
 
 
 def saddle_constraint(p):
     """Cleared vanishing condition on the l-direction summand ratio.
 
-    For p > 0 this is y^(2p+1) + 1 - x*y^(2p) - x*y; for p < 0 the same
-    relation scaled by y^(2|p|) so no negative power survives.  The
-    quotient-ring reconstruction below and the saddle-point numerics
-    both start from this polynomial.
+    The l-step quotient of K_p at q = 1, K = x, L2 = y, set equal to 1:
+    minus its numerator minus denominator, cleared.  For p > 0 this is
+    y^(2p+1) + 1 - x*y^(2p) - x*y; for p < 0 it is
+    y + y^(2|p|) - x - x*y^(2|p|+1).  The quotient-ring reconstruction
+    below and the saddle-point numerics both start from this polynomial.
     """
     if p == 0:
         raise ValueError("p = 0 has no saddle constraint")
-    if p > 0:
-        return (_mono(1, y=2 * p + 1) + 1 - _mono(1, x=1, y=2 * p)
-                - _mono(1, x=1, y=1))
-    pp = -p
-    return (_mono(1, y=1) + _mono(1, y=2 * pp) - _X
-            - _mono(1, x=1, y=2 * pp + 1))
+    num, den = summand_spec(p).l_step.at_q1(**_BIND)
+    return -(num - den).cleared()
 
 
 def h_via_reduction(p):
@@ -245,22 +213,15 @@ def h_via_reduction(p):
     if p == 0:
         raise ValueError("p = 0 has no reduction to perform")
     pp = abs(p)
-    cofactor = saddle_constraint(p).exact_divide(_Y + 1)
-    got = QuadQuotient.reduce(cofactor)
-
-    want_scale = QuadQuotient.reduce(_mono(1, y=pp)).scale(1 - _X)
-    if want_scale.alpha.num:
-        h = got.alpha / want_scale.alpha
-    else:
-        h = got.beta / want_scale.beta
-    if (got.alpha != want_scale.alpha * h
-            or got.beta != want_scale.beta * h):
+    got_a, got_b = quad_reduce(saddle_constraint(p).exact_divide(_Y + 1))
+    want_a, want_b = (c * (1 - _X) for c in quad_reduce(_mono(1, y=pp)))
+    h = got_a.exact_divide(want_a)
+    if got_b != want_b * h:
         raise ArithmeticError("cofactor is not a scalar multiple of "
                               "(1 - x) y^%d" % pp)
-    direct = h_polynomial(p)
-    if h != RatFunc(direct):
+    if h != h_polynomial(p):
         raise ArithmeticError("reduction and tower disagree at p = %d" % p)
-    return h.num.exact_divide(h.den)
+    return h
 
 
 def b_polynomial(p):
@@ -274,8 +235,8 @@ def b_polynomial(p):
     """
     h = h_polynomial(p)
     deg = 2 * p - 1 if p > 0 else 2 * abs(p)
-    num = _mono(1, l=1, m=2) + 1
-    den = _M2 + _L
+    x = solve_meridian_x()
+    num, den = x.num, x.den
     clear = _mono(1, m=2 * abs(p))
     out = LaurentPoly.zero()
     for j, cof in h.coefficients_in("x").items():
@@ -291,40 +252,6 @@ def b_polynomial(p):
             raise ArithmeticError("negative %s-exponent survived "
                                   "clearing at p = %d" % (v, p))
     return out
-
-
-def recursion_residual(p):
-    """Difference between b_polynomial(p) and its three-term prediction.
-
-    Uses c, d and the neighbors on the zero side of p, mirrored for
-    negative p.  Zero means the constructed sequence obeys the same law
-    as the recursive one at that index.  Only |p| >= 2 has two neighbors
-    on one side.
-    """
-    if -2 < p < 2:
-        raise ValueError("need |p| >= 2")
-    c, d = cd_coefficients()
-    if p > 0:
-        prev, prev2 = b_polynomial(p - 1), b_polynomial(p - 2)
-    else:
-        prev, prev2 = b_polynomial(p + 1), b_polynomial(p + 2)
-    return b_polynomial(p) - (c * prev - d * prev2)
-
-
-def boundary_residual():
-    """Residual of the corrected law at the p = 2 seam.
-
-    The p >= 1 clearing exponents use one factor (m^2 + l) less than the
-    p <= 0 ones, so the plain three-term law breaks exactly once, where
-    the two conventions meet.  There the working relation is
-
-        B(2) = c * B(1) - m^4 (m^2 + l)^3 * B(0)
-
-    and this function returns its residual (zero when all is well).
-    """
-    c, _ = cd_coefficients()
-    d_short = _mono(1, m=4) * (_M2 + _L) ** 3
-    return b_polynomial(2) - (c * b_polynomial(1) - d_short * b_polynomial(0))
 
 
 @dataclass
@@ -370,41 +297,3 @@ def verify_aj(p):
             diff.append({"term": mono.text(), "constructed": cb,
                          "recursive": ca})
     return AjReport(p, False, None, diff)
-
-
-def reciprocity_report(a):
-    """Check the l-reversal / m-inversion palindrome of a polynomial.
-
-    For A(l, m) with l-degree T the diagnostic asks for a single sign s
-    and exponent D with coeff_{T-i}(m) = s * m^D * coeff_i(1/m) for all
-    i.  Returns {"palindromic": bool, "sign": s, "m_power": D} with the
-    latter two None when the property fails.  Reported, not asserted:
-    it holds for the base polynomials and is preserved by inspection of
-    c and d, but it is a diagnostic, not part of any contract.
-    """
-    cofs = a.coefficients_in("l")
-    if not cofs:
-        return {"palindromic": False, "sign": None, "m_power": None}
-    top = max(cofs)
-    bot = min(cofs)
-    sign = None
-    mpow = None
-    for i in range(bot, top + 1):
-        lo = cofs.get(i, LaurentPoly.zero())
-        hi = cofs.get(top + bot - i, LaurentPoly.zero())
-        flipped = LaurentPoly({tuple(-v for v in e): c
-                               for e, c in lo.terms.items()})
-        u = unit_ratio(hi, flipped)
-        if u is None or not u.is_monomial():
-            if not lo and not hi:
-                continue
-            return {"palindromic": False, "sign": None, "m_power": None}
-        e, c = u.leading()
-        if set(u.variables()) - {"m"}:
-            return {"palindromic": False, "sign": None, "m_power": None}
-        d = u.degree("m")
-        if sign is None:
-            sign, mpow = c, d
-        elif (sign, mpow) != (c, d):
-            return {"palindromic": False, "sign": None, "m_power": None}
-    return {"palindromic": True, "sign": sign, "m_power": mpow}

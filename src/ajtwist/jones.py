@@ -16,15 +16,16 @@ selected by the convention argument:
             for the trefoil and figure eight values.
 
 The two flavors do NOT differ by a single global unit, since the sign
-alternates inside the k-sum; sign_convention_report records the facts.
+alternates inside the k-sum.
 
 One description per summand.  Each double-sum summand is the block
 sigma_k(n) (SIGMA) times a level part c(k, l), stored once per knot as
 data in LEVEL_PARTS.  summand_factors, masbaum_coeff and shift_ratio all
 read that data, so every knot, 6_1 included, has closed-form shift
 quotients in (q, N, K, L2) = (q, q^n, q^k, q^l); the annihilator pairs
-are their (denominator, numerator) pairs.  Only the tests consume the
-pairs so far.
+are their (denominator, numerator) pairs.  ShiftRatio.at_q1 takes a
+quotient to q = 1; the A-polynomial construction (apoly) and the growth
+equations (volnum) are read off those q = 1 quotients.
 """
 
 from __future__ import annotations
@@ -180,14 +181,6 @@ def summand_factors(knot, n, k, l):
                     knot.twist_parameter(), (1, n, k, l))
 
 
-def summand_F(knot, n, k, l):
-    """Summand value as a RatFunc, clamped to zero outside the support
-    box {n >= 1, 0 <= l <= k <= n-1}."""
-    if n < 1 or l < 0 or k < l or k > n - 1:
-        return RatFunc.zero()
-    return summand_factors(knot, n, k, l).to_ratfunc()
-
-
 # assembly of sums of factored values into a polynomial
 
 
@@ -299,6 +292,24 @@ class ShiftRatio:
     def denominator_poly(self):
         return _times_binomials(LaurentPoly.const(1), self.den)
 
+    def at_q1(self, **bind):
+        """(numerator, denominator) at q = 1, as LaurentPolys.
+
+        Every binomial and the monomial lose their q-exponent, binomials
+        that then coincide on both sides cancel, and bind sends N, K and
+        L2 to monomials (substitute_monomials).
+        """
+        num = Counter((0,) + b[1:] for b in self.num)
+        den = Counter((0,) + b[1:] for b in self.den)
+        shared = num & den
+        mono = LaurentPoly.monomial(
+            self.sign, **{v: e for v, e in self.mono if v != "q"})
+        return (_times_binomials(mono, (num - shared).elements())
+                .substitute_monomials(**bind),
+                _times_binomials(LaurentPoly.const(1),
+                                 (den - shared).elements())
+                .substitute_monomials(**bind))
+
 
 def _times_binomials(out, binoms):
     one = LaurentPoly.const(1)
@@ -385,7 +396,7 @@ def summand_spec(knot):
                        shift_ratio(knot, (0, 0, 1)))
 
 
-# units and convention bookkeeping
+# units between presentations
 
 
 def named_form_unit(name, n_max=8):
@@ -412,36 +423,3 @@ def named_form_unit(name, n_max=8):
                 "unit between %s and %s moved at n = %d: %s vs %s"
                 % (name, ref.label(), n, u.text(), unit.text()))
     return unit
-
-
-def sign_convention_report(p_values=(-2, -1, 1, 2), n_max=4):
-    """Computed facts about the two cyclotomic sign conventions."""
-    classical = {
-        # mirror trefoil (p = 1, n = 2) and figure eight (p = -1, n = 2)
-        (1, 2): LaurentPoly.monomial(1, q=1) + LaurentPoly.monomial(1, q=3)
-        - LaurentPoly.monomial(1, q=4),
-        (-1, 2): LaurentPoly.monomial(1, q=2) - LaurentPoly.monomial(1, q=1)
-        + 1 - LaurentPoly.monomial(1, q=-1) + LaurentPoly.monomial(1, q=-2),
-    }
-    report = {
-        "printed_at_color_one": colored_jones(1, 1).text(),
-        "habiro_matches_multisum": True,
-        "printed_matches_multisum_up_to_unit": True,
-        "habiro_reproduces_classical_values": True,
-        "per_knot": {},
-    }
-    for p in p_values:
-        for n in range(1, n_max + 1):
-            ms = colored_jones_multisum(KnotId.twist_knot(p), n)
-            hab = colored_jones(p, n, "habiro")
-            pr = colored_jones(p, n, "printed")
-            if hab != ms:
-                report["habiro_matches_multisum"] = False
-            if unit_ratio(pr, ms) is None:
-                report["printed_matches_multisum_up_to_unit"] = False
-            if (p, n) in classical and ms != classical[(p, n)]:
-                report["habiro_reproduces_classical_values"] = False
-        report["per_knot"]["K_%d" % p] = {
-            "habiro_equals_multisum": hab == ms,
-        }
-    return report

@@ -272,6 +272,11 @@ class LaurentPoly:
         out.terms = t
         return out
 
+    def cleared(self):
+        """self times the least monomial that leaves no negative exponent."""
+        return self.shift_exponents(
+            [-min(0, self.var_range(v)[0]) for v in VARS])
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: ec[0], reverse=True)
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .apoly import saddle_constraint
-from .jones import KnotId
+from .jones import KnotId, summand_spec
 from .laurent import LaurentPoly, InexactDivision
 
 GUARD_BITS = 32
@@ -311,15 +311,15 @@ class SaddleSolution:
 def _growth_polys(p):
     """The two cleared growth equations as polynomials in x and y.
 
-    The first is knot independent: y (1 - x)^3 - (1 - x y)(y - x).
-    The second is the l-direction constraint shared with the
-    A-polynomial construction.
+    The first is the k-step quotient of the summand at q = 1, N = 1,
+    K = x, L2 = y, set equal to 1: numerator minus denominator, cleared.
+    It is knot independent, y (1 - x)^3 - (1 - x y)(y - x), and keeps
+    the factor x that the eliminant carries.  The second is the
+    l-direction constraint shared with the A-polynomial construction.
     """
-    x = LaurentPoly.var("x")
-    y = LaurentPoly.var("y")
-    one = LaurentPoly.const(1)
-    p1 = y * (one - x) ** 3 - (one - x * y) * (y - x)
-    return p1, saddle_constraint(p)
+    num, den = summand_spec(p).k_step.at_q1(
+        N=1, K=LaurentPoly.var("x"), L2=LaurentPoly.var("y"))
+    return (num - den).cleared(), saddle_constraint(p)
 
 
 def _bareiss_det(mat):

@@ -1,15 +1,16 @@
+import dataclasses
 from fractions import Fraction
 import hashlib
 
 import pytest
 
 from ajtwist.laurent import LaurentPoly, RatFunc, parse_poly
+from ajtwist import jones
 from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
-                           solve_meridian_x, h_polynomial, QuadQuotient,
-                           h_via_reduction, b_polynomial, recursion_residual,
-                           boundary_residual, verify_aj, reciprocity_report,
+                           solve_meridian_x, h_polynomial, quad_reduce,
+                           h_via_reduction, b_polynomial, verify_aj,
                            saddle_constraint)
-from ajtwist.jones import summand_spec
+from ajtwist.jones import NUM, summand_spec
 
 
 M2L = parse_poly("m^2 + l")
@@ -151,27 +152,24 @@ class TestHPolynomial:
 
 
 class TestQuadQuotient:
+    # reduction into the quotient algebra y^2 = (a/m^2) y - 1
+    T = quad_a().exact_divide(parse_poly("m^2"))
+    Y = LaurentPoly.var("y")
+
     def test_y_squared_folds(self):
-        y = QuadQuotient.y()
-        y2 = y * y
-        assert y2.alpha == RatFunc(quad_a(), parse_poly("m^2"))
-        assert y2.beta == RatFunc.const(-1)
+        assert quad_reduce(self.Y ** 2) == (self.T, -1)
 
     def test_y_inverse(self):
-        prod = QuadQuotient.y() * QuadQuotient.y_inverse()
-        assert prod.alpha == RatFunc.zero()
-        assert prod.beta == RatFunc.const(1)
+        # y * (a/m^2 - y) is 1 in the algebra
+        assert quad_reduce(self.Y * (self.T - self.Y)) == (0, 1)
 
     def test_relation_reduces_to_zero(self):
-        rel = (parse_poly("m^2") * (LaurentPoly.var("y") ** 2 + 1)
-               - quad_a() * LaurentPoly.var("y"))
-        assert QuadQuotient.reduce(rel).is_zero()
-        assert QuadQuotient.reduce(rel * parse_poly("y^3 - x*y + m^2")) \
-            .is_zero()
+        rel = self.Y ** 2 - self.T * self.Y + 1
+        for cofactor in ("1", "y^3 - x*y + m^2", "y^-4 + x"):
+            assert quad_reduce(rel * parse_poly(cofactor)) == (0, 0)
 
     def test_reduce_handles_negative_powers(self):
-        got = QuadQuotient.reduce(LaurentPoly.monomial(1, y=-1))
-        assert got == QuadQuotient.y_inverse()
+        assert quad_reduce(LaurentPoly.monomial(1, y=-1)) == (-1, self.T)
 
 
 class TestHViaReduction:
@@ -202,23 +200,11 @@ class TestBPolynomial:
 
 
 class TestRecursionLaw:
-    def test_clean_range(self):
-        for p in range(3, 7):
-            assert recursion_residual(p) == 0, p
-        for p in range(-2, -7, -1):
-            assert recursion_residual(p) == 0, p
-
     def test_seam_defect_is_pinned(self):
         # at p = 2 the plain law fails by exactly one clearing factor
-        r = recursion_residual(2)
-        assert r != 0
+        c, d = cd_coefficients()
+        r = b_polynomial(2) - (c * b_polynomial(1) - d * b_polynomial(0))
         assert r == parse_poly("m^4") * M2L ** 3 * parse_poly("m^2 + l - 1")
-        assert boundary_residual() == 0
-
-    def test_rejects_inner_p(self):
-        for p in (-1, 0, 1):
-            with pytest.raises(ValueError):
-                recursion_residual(p)
 
 
 class TestVerifyAj:
@@ -234,16 +220,34 @@ class TestVerifyAj:
         assert d == {"p": 1, "equal": True, "unit": "1", "diff": []}
 
 
-class TestReciprocity:
-    def test_holds_on_sweep(self):
-        for p in range(-4, 5):
-            rep = reciprocity_report(a_polynomial(p))
-            assert rep["palindromic"], p
-            assert rep["sign"] == 1
+class TestChainReadsSummand:
+    # the constructive route is read off the summand description, so a
+    # wrong summand must break it
+    FORM = jones._SUMMAND_FORMS["K_p"]
 
-    def test_detects_violation(self):
-        broken = parse_poly("l^2 + l*m^2 + m^6")
-        assert reciprocity_report(broken)["palindromic"] is False
+    def mutate(self, monkeypatch, **changes):
+        monkeypatch.setitem(jones._SUMMAND_FORMS, "K_p",
+                            dataclasses.replace(self.FORM, **changes))
+
+    def test_level_pochhammer_breaks_verify_aj(self, monkeypatch):
+        # the level part's numerator (q)_k becomes (q)_(2k)
+        level = (NUM, 1, (0, 0, 1, 0))
+        assert level in self.FORM.pochs
+        self.mutate(monkeypatch, pochs=tuple(
+            (NUM, 1, (0, 0, 2, 0)) if poch == level else poch
+            for poch in self.FORM.pochs))
+        try:
+            rep = verify_aj(2)
+        except ArithmeticError:
+            return
+        assert not rep.equal
+
+    def test_twist_shift_breaks_reduction(self, monkeypatch):
+        # p l(l+1) gains l(l+1): the l-step is that of K_(p+1)
+        self.mutate(monkeypatch,
+                    qexp2=self.FORM.qexp2 + ((2, "ll"), (2, "l")))
+        with pytest.raises(ArithmeticError):
+            h_via_reduction(2)
 
 
 class TestGoldenDigest:

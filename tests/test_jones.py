@@ -3,12 +3,12 @@ import hashlib
 
 import pytest
 
-from ajtwist.laurent import LaurentPoly, RatFunc
+from ajtwist.laurent import InexactDivision, LaurentPoly, RatFunc
 from ajtwist.qseries import QFactors, NegativeIndex
 from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
-                           colored_jones_multisum, summand_F, summand_factors,
+                           colored_jones_multisum, summand_factors,
                            summand_spec, shift_ratio, annihilator_generators,
-                           named_form_unit, unit_ratio, sign_convention_report)
+                           named_form_unit, unit_ratio)
 
 
 def qmono(c=1, **e):
@@ -147,19 +147,13 @@ class TestColoredJones:
 
 
 class TestSummandF:
-    def test_support_clamp(self):
-        knot = KnotId.twist_knot(2)
-        assert summand_F(knot, 0, 0, 0) == RatFunc.zero()
-        assert summand_F(knot, 3, 3, 0) == RatFunc.zero()
-        assert summand_F(knot, 3, 1, 2) == RatFunc.zero()
-        assert summand_F(knot, 3, 1, -1) == RatFunc.zero()
-
     def test_base_point(self):
         # F(1, 0, 0) = 1 for every twist parameter
-        for p in (-2, -1, 1, 2):
-            assert summand_F(KnotId.twist_knot(p), 1, 0, 0) == 1
-        assert summand_F(KnotId.named("5_2"), 1, 0, 0) == -1
-        assert summand_F(KnotId.named("6_1"), 1, 0, 0) == 1
+        knots = [KnotId.twist_knot(p) for p in (-2, -1, 1, 2)]
+        knots += [KnotId.named("5_2"), KnotId.named("6_1")]
+        values = [summand_factors(knot, 1, 0, 0).to_ratfunc()
+                  for knot in knots]
+        assert values == [1, 1, 1, 1, -1, 1]
 
     def test_sums_to_multisum(self):
         knot = KnotId.twist_knot(-2)
@@ -167,11 +161,12 @@ class TestSummandF:
             total = RatFunc.zero()
             for k in range(n):
                 for l in range(k + 1):
-                    total = total + summand_F(knot, n, k, l)
+                    total = total + summand_factors(
+                        knot, n, k, l).to_ratfunc()
             assert total == RatFunc(colored_jones_multisum(knot, n))
 
     def test_values_are_rational_not_polynomial(self):
-        v = summand_F(KnotId.twist_knot(2), 4, 2, 1)
+        v = summand_factors(KnotId.twist_knot(2), 4, 2, 1).to_ratfunc()
         assert isinstance(v, RatFunc)
 
 
@@ -319,6 +314,39 @@ class TestGoldenShiftTuples:
         self._check(KnotId.named("5_2"), GOLDEN_FIVETWO)
 
 
+def _divides(b, poly):
+    try:
+        poly.exact_divide(b)
+    except InexactDivision:
+        return False
+    return True
+
+
+class TestAtQ1:
+    def test_twist_l_step_cancels_its_spectator(self):
+        # (1 - q^3 L2^2) over (1 - q L2^2) both become (1 - L2^2)
+        step = summand_spec(2).l_step
+        assert (3, 0, 0, 2) in step.num and (1, 0, 0, 2) in step.den
+        K, L2 = LaurentPoly.var("K"), LaurentPoly.var("L2")
+        assert step.at_q1() == (K * L2 ** 4 - L2 ** 5, 1 - K * L2)
+        x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+        assert step.at_q1(K=x, L2=y) == (x * y ** 4 - y ** 5, 1 - x * y)
+
+    def test_no_binomial_left_on_both_sides(self):
+        knots = [KnotId.twist_knot(p) for p in range(-4, 5)]
+        knots += [KnotId.named("5_2"), KnotId.named("6_1")]
+        for knot in knots:
+            spec = summand_spec(knot)
+            for step in (spec.n_step, spec.k_step, spec.l_step):
+                num, den = step.at_q1()
+                assert num and den
+                assert "q" not in num.variables() + den.variables()
+                for b in set(step.num + step.den):
+                    binom = 1 - qmono(N=b[1], K=b[2], L2=b[3])
+                    assert not (_divides(binom, num)
+                                and _divides(binom, den)), (knot, b)
+
+
 class TestAnnihilatorGenerators:
     def test_pairs_are_ratio_num_den(self):
         for p in (-2, 1, 3):
@@ -377,16 +405,6 @@ class TestUnitRatio:
         assert unit_ratio(a, a + 1) is None
         assert unit_ratio(2 * a, a) is None
         assert unit_ratio(a, LaurentPoly.zero()) is None
-
-
-class TestSignConventionReport:
-    def test_report_facts(self):
-        rep = sign_convention_report(p_values=(-1, 1), n_max=3)
-        assert rep["printed_at_color_one"] == "-1"
-        assert rep["habiro_matches_multisum"] is True
-        assert rep["habiro_reproduces_classical_values"] is True
-        # the printed convention is NOT a unit multiple of the double sum
-        assert rep["printed_matches_multisum_up_to_unit"] is False
 
 
 class TestGoldenDigest:
