@@ -58,7 +58,7 @@ def quad_a():
     """
     num, den = summand_spec(1).k_step.at_q1(**_BIND)
     parts = (num - den).coefficients_in("y")
-    if set(parts) != {-1, 0, 1} or not parts[1] == parts[-1] == _X:
+    if set(parts) != {-1, 0, 1} or parts[1] != _X or parts[-1] != _X:
         raise ArithmeticError("k-step at q = 1 is not x (y + 1/y) plus "
                               "a part free of y")
     return -(_M2 * parts[0]).exact_divide(_X)
@@ -202,24 +202,20 @@ def saddle_constraint(p):
 
 
 def h_via_reduction(p):
-    """Rebuild h_p by quotient-ring reduction and certify it.
+    """Certify h_p against the l-step by quotient-ring reduction.
 
     saddle_constraint(p) is exactly divisible by (y + 1); the cofactor,
     reduced to the degree-<=1 class, must land on (1 - x) * [y^|p|] *
-    h_p.  The h extracted from that equation is checked against
-    h_polynomial(p) and returned.  Any mismatch raises ArithmeticError,
-    since it would mean the tower and the quotient algebra disagree.
+    h_p with h_p = h_polynomial(p), which is returned.  Any mismatch
+    raises ArithmeticError, since it would mean the tower and the
+    quotient algebra disagree.
     """
     if p == 0:
         raise ValueError("p = 0 has no reduction to perform")
-    pp = abs(p)
-    got_a, got_b = quad_reduce(saddle_constraint(p).exact_divide(_Y + 1))
-    want_a, want_b = (c * (1 - _X) for c in quad_reduce(_mono(1, y=pp)))
-    h = got_a.exact_divide(want_a)
-    if got_b != want_b * h:
-        raise ArithmeticError("cofactor is not a scalar multiple of "
-                              "(1 - x) y^%d" % pp)
-    if h != h_polynomial(p):
+    got = quad_reduce(saddle_constraint(p).exact_divide(_Y + 1))
+    h = h_polynomial(p)
+    want = tuple(c * (1 - _X) * h for c in quad_reduce(_mono(1, y=abs(p))))
+    if got != want:
         raise ArithmeticError("reduction and tower disagree at p = %d" % p)
     return h
 
