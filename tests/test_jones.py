@@ -420,3 +420,19 @@ class TestGoldenDigest:
                   for name in ("5_2", "6_1") for n in range(1, 9)]
         text = "".join(poly.text() + "\n" for poly in polys)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+    # the same over the colors the benchmark requests, the printed
+    # convention included, and the named double sums at n = 10
+    WORKLOAD_DIGEST = ("864639a64f44699c0c47035e5f33c2e3"
+                       "2a4031cf9b8c811c9b37e0d977f21e58")
+
+    def test_workload_sizes_are_unchanged(self):
+        polys = [colored_jones(p, n, "habiro")
+                 for p, n in ((1, 16), (-1, 16), (3, 11), (-3, 11),
+                              (4, 10), (-4, 10), (-2, 20))]
+        polys += [colored_jones(p, 11, "printed") for p in (2, -3)]
+        polys += [colored_jones_multisum(KnotId.named(name), 10)
+                  for name in ("5_2", "6_1")]
+        text = "".join(poly.text() + "\n" for poly in polys)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.WORKLOAD_DIGEST
