@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import math
 
 from .laurent import LaurentPoly, RatFunc, unit_ratio
-from .qseries import QFactors, clear_denominators, times_binoms
+from .qseries import (DENSE_ZERO, QFactors, clear_denominators, dense_add,
+                      dense_divide_binoms, dense_mul, dense_times_binoms,
+                      from_dense, to_dense)
 
 
 # the summand description
@@ -191,19 +193,19 @@ def assemble_sum(terms):
     qseries.clear_denominators), cancels the factors C and D share, and
     divides out, raising InexactDivision if the sum is not a Laurent
     polynomial.  The quotient C' * R / D' is unique, so the cancellation
-    does not change the result.
+    does not change the result.  All of it runs on dense values; a sum
+    that cancels to zero is the empty value, which divides to zero.
     """
     live = [t for t in terms if not t.zero]
     if not live:
         return LaurentPoly.zero()
     den_all, common, rests = clear_denominators(live)
     shared = common & den_all
-    total = LaurentPoly.zero()
+    total = DENSE_ZERO
     for t, rest in zip(live, rests):
-        total = total + times_binoms(LaurentPoly.monomial(t.sign, q=t.qpow),
-                                     rest)
-    return times_binoms(total, common - shared).exact_divide(
-        times_binoms(LaurentPoly.const(1), den_all - shared))
+        total = dense_add(total, dense_times_binoms((t.qpow, [t.sign]), rest))
+    return from_dense(dense_divide_binoms(
+        dense_times_binoms(total, common - shared), den_all - shared))
 
 
 # cyclotomic route
@@ -236,9 +238,11 @@ def sigma_basis(k, n):
     then contains i = 0)."""
     if k < 0:
         raise ValueError("level k must be nonnegative")
+    if k >= n:
+        return LaurentPoly.zero()
     span = Counter(range(n - k, n + k + 1))
     del span[n]
-    return times_binoms(LaurentPoly.monomial(1, q=-k * n), span)
+    return from_dense(dense_times_binoms((-k * n, [1]), span))
 
 
 def colored_jones(p, n, convention="printed"):
@@ -250,10 +254,12 @@ def colored_jones(p, n, convention="printed"):
         p = p.twist
     if n < 1:
         raise ValueError("color n must be >= 1")
-    total = LaurentPoly.zero()
+    total = DENSE_ZERO
     for k in range(n):
-        total = total + masbaum_coeff(p, k, convention) * sigma_basis(k, n)
-    return total
+        total = dense_add(total, dense_mul(
+            to_dense(masbaum_coeff(p, k, convention)),
+            to_dense(sigma_basis(k, n))))
+    return from_dense(total)
 
 
 def colored_jones_multisum(knot, n):

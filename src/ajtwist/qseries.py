@@ -1,4 +1,4 @@
-"""q-Pochhammer products and a factored value type.
+"""q-Pochhammer products, a factored value type and a dense q kernel.
 
 The polynomial builders return LaurentPolys.  QFactors is the workhorse
 for summand evaluation at integer lattice points: it keeps a value of the
@@ -11,9 +11,17 @@ owns the clearing of a sum of such values over its union denominator
 (clear_denominators) for both consumers: is_zero_sum checks the cleared
 sum against zero with an exact one-point integer certificate, which is
 how the recurrence checks stay both exact and fast, and
-jones.assemble_sum expands it into a Laurent polynomial.  Every
-expanded product of (1 - q^j) factors, jones.sigma_basis included, goes
-through times_binoms.
+jones.assemble_sum expands it into a Laurent polynomial.
+
+Every value in q alone that gets expanded, jones.sigma_basis and the
+colored Jones sums included, is held densely: (lo, [c_lo, c_lo+1, ...])
+is sum_i c_i q^(lo + i), trimmed so that both end coefficients are
+nonzero, with (0, []) for zero.  to_dense and from_dense convert from
+and to a q-only LaurentPoly; dense_times_binoms and dense_divide_binoms
+multiply and exactly divide by a product of (1 - q^j), dense_mul
+multiplies two values by Kronecker substitution, and dense_add adds
+them.  qpoch, inv_qpoch and qpoch_base stay sparse, as independent
+oracles for the tests.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 import operator
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import NV, InexactDivision, LaurentPoly, RatFunc
 
 
 class NegativeIndex(ValueError):
@@ -170,9 +179,9 @@ class QFactors:
     def to_ratfunc(self):
         if self.zero:
             return RatFunc.zero()
-        top = times_binoms(LaurentPoly.monomial(self.sign, q=self.qpow),
-                           self.num)
-        return RatFunc(top, times_binoms(LaurentPoly.const(1), self.den))
+        top = dense_times_binoms((self.qpow, [self.sign]), self.num)
+        return RatFunc(from_dense(top),
+                       from_dense(dense_times_binoms(DENSE_ONE, self.den)))
 
     def to_poly(self):
         return self.to_ratfunc().as_poly()
@@ -215,12 +224,134 @@ class QFactors:
                         self.num + other.num, self.den + other.den)
 
 
-def times_binoms(poly, js):
-    """poly * prod (1 - q^j) over the multiset js, expanded."""
-    one = LaurentPoly.const(1)
-    for j in sorted(js.elements()):
-        poly = poly * (one - LaurentPoly.monomial(1, q=j))
-    return poly
+# the dense kernel
+
+DENSE_ZERO = (0, [])
+DENSE_ONE = (0, [1])
+
+# q is the first of laurent.VARS, so a q-only exponent tuple is (e,) + this
+_NOT_Q = (0,) * (NV - 1)
+
+
+def _trimmed(lo, coeffs):
+    start, end = 0, len(coeffs)
+    while start < end and not coeffs[start]:
+        start += 1
+    if start == end:
+        return DENSE_ZERO
+    while not coeffs[end - 1]:
+        end -= 1
+    return lo + start, coeffs[start:end]
+
+
+def to_dense(poly):
+    """The dense form of a LaurentPoly in q alone."""
+    coeffs = poly.univariate_coefficients("q")
+    if not coeffs:
+        return DENSE_ZERO
+    lo = min(coeffs)
+    out = [0] * (max(coeffs) - lo + 1)
+    for a, c in coeffs.items():
+        out[a - lo] = c
+    return lo, out
+
+
+def from_dense(value):
+    """The LaurentPoly in q of a dense value."""
+    lo, coeffs = value
+    return LaurentPoly({(lo + i,) + _NOT_Q: c
+                        for i, c in enumerate(coeffs) if c})
+
+
+def dense_add(a, b):
+    """a + b, each placed at its offset in one list."""
+    if not a[1]:
+        return b
+    if not b[1]:
+        return a
+    lo = min(a[0], b[0])
+    out = [0] * (max(a[0] + len(a[1]), b[0] + len(b[1])) - lo)
+    for start, coeffs in a, b:
+        at = start - lo
+        out[at:at + len(coeffs)] = [
+            x + y for x, y in zip(out[at:at + len(coeffs)], coeffs)]
+    return _trimmed(lo, out)
+
+
+def dense_times_binoms(value, js):
+    """value * prod (1 - q^j) over the multiset js, all j >= 1.
+
+    One pass per factor: out[i + j] -= c[i].  The end coefficients of
+    the product are c_lo and -c_hi, so the result stays trimmed.
+    """
+    lo, coeffs = value
+    if not coeffs:
+        return DENSE_ZERO
+    for j in js.elements():
+        pad = [0] * j
+        coeffs = [x - y for x, y in zip(coeffs + pad, pad + coeffs)]
+    return lo, coeffs
+
+
+def dense_divide_binoms(value, js):
+    """value / prod (1 - q^j) over the multiset js, all j >= 1.
+
+    Raises InexactDivision unless the quotient is a Laurent polynomial.
+    Per factor, a = b (1 - q^j) gives b_i = a_i + b_(i-j): each residue
+    class i mod j of b is a running sum of a's.  The quotient is j
+    shorter than a, and the top j coefficients of a must then cancel,
+    a_i + b_(i-j) = 0, with b_(i-j) = 0 below index 0.
+    """
+    lo, coeffs = value
+    for j in js.elements():
+        if not coeffs:
+            return DENSE_ZERO
+        n = len(coeffs) - j
+        if n <= 0:
+            # a nonzero multiple of (1 - q^j) has at least j + 1 terms
+            raise InexactDivision("not divisible by 1 - q^%d" % j)
+        quot = coeffs[:n]
+        for r in range(min(j, n)):
+            quot[r::j] = accumulate(quot[r::j])
+        # for j > n, the b_(i-j) below index 0 are zero; a slice
+        # quot[n - j:] would wrap around to the end of the list
+        below = quot[n - j:] if n >= j else [0] * (j - n) + quot
+        if any(x + y for x, y in zip(coeffs[n:], below)):
+            raise InexactDivision("not divisible by 1 - q^%d" % j)
+        coeffs = quot
+    return lo, coeffs
+
+
+def _pack(coeffs, width):
+    """sum_i c_i 2^(8 width i), each |c_i| < 2^(8 width)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little")
+                   for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little")
+                   for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def dense_mul(a, b):
+    """a * b by Kronecker substitution.
+
+    With t = 2^(8 width), both values are packed as integers at q = t
+    and multiplied as Python ints (CPython uses Karatsuba).  Every
+    coefficient of the product lies in [-B, B], B = l1(a) l1(b), and t
+    is chosen with t/2 > B, so the product's balanced base-t digits are
+    exactly its coefficients.  They are read off by adding t/2 to every
+    digit, which makes them all nonnegative, and cutting the bytes.
+    """
+    if not a[1] or not b[1]:
+        return DENSE_ZERO
+    bound = sum(map(abs, a[1])) * sum(map(abs, b[1]))
+    width = (bound.bit_length() + 8) // 8
+    size = len(a[1]) + len(b[1]) - 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    raw = (_pack(a[1], width) * _pack(b[1], width) + offset).to_bytes(
+        width * size, "little")
+    return a[0] + b[0], [int.from_bytes(raw[i:i + width], "little") - half
+                         for i in range(0, width * size, width)]
 
 
 def clear_denominators(qfs):

@@ -310,6 +310,8 @@ class TestTracedRunner:
     @pytest.mark.parametrize("argv, focus", [
         (["jones", "--p", "2", "--n", "6", "--habiro-normalize"],
          "jones.assemble_sum"),
+        (["jones", "--knot", "5_2", "--form", "multisum", "--n", "6"],
+         "jones.assemble_sum"),
         (["rec-check", "--fixture", "fivetwo_kfree",
           "--n-min", "6", "--n-max", "6"], "qseries.is_zero_sum"),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
@@ -318,7 +320,7 @@ class TestTracedRunner:
          "apoly.a_polynomial"),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
          "volnum.jhat"),
-    ], ids=["jones", "rec-check", "rec-q1", "verify-aj", "kashaev"])
+    ], ids=["jones", "jones-multisum", "rec-check", "rec-q1", "verify-aj", "kashaev"])
     def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run(

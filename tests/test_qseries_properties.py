@@ -1,8 +1,11 @@
-"""Property tests for the exact zero certificate in qseries.is_zero_sum
-and for the clearing and expansion in jones.assemble_sum.
+"""Property tests for the exact zero certificate in qseries.is_zero_sum,
+for the clearing and expansion in jones.assemble_sum, and for the dense
+q kernel under both.
 
 The oracle is RatFunc arithmetic on the fully expanded parts, which
-shares no code with the certificate's integer evaluation.
+shares no code with the certificate's integer evaluation; the dense
+kernel is checked against the sparse LaurentPoly multiply and
+exact_divide.
 """
 from collections import Counter
 
@@ -14,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ajtwist.jones import assemble_sum
 from ajtwist.laurent import InexactDivision, LaurentPoly, RatFunc
-from ajtwist.qseries import QFactors, is_zero_sum
+from ajtwist.qseries import (QFactors, dense_divide_binoms, dense_mul,
+                             dense_times_binoms, from_dense, is_zero_sum,
+                             to_dense)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 ONE = LaurentPoly.const(1)
@@ -233,6 +238,8 @@ qfactor_lists = st.lists(qfactors() | st.builds(QFactors.make_zero),
 @example([QFactors.make_zero()])
 @example([QFactors.one().div_binom(1)])
 @example([QFactors(num=Counter({1: 1}), den=Counter({1: 1}))])
+@example([QFactors(num=Counter({1: 1}), den=Counter({2: 1})),
+          QFactors(sign=-1, num=Counter({1: 1}), den=Counter({2: 1}))])
 def test_assemble_sum_agrees_with_expansion(qfs):
     oracle = sum((binom_ratfunc(qf) for qf in qfs), RatFunc.zero())
     try:
@@ -242,3 +249,58 @@ def test_assemble_sum_agrees_with_expansion(qfs):
             assemble_sum(qfs)
         return
     assert assemble_sum(qfs) == want
+
+
+# the dense kernel, against the sparse LaurentPoly arithmetic
+
+# interior gaps come from the sparse exponent draw, single terms and the
+# empty value from its size; some coefficients exceed 2^64
+wide_coeffs = (st.integers(-3, 3).filter(bool)
+               | st.integers(-2 ** 70, 2 ** 70).filter(bool))
+dense_polys = st.dictionaries(st.integers(-6, 12), wide_coeffs,
+                              max_size=8).map(_poly)
+binom_indices = st.lists(st.integers(1, 7), max_size=4).map(Counter)
+
+
+def binom_product(js):
+    out = ONE
+    for j in js.elements():
+        out = out * (ONE - LaurentPoly.monomial(1, q=j))
+    return out
+
+
+@SETTINGS
+@given(dense_polys, dense_polys)
+@example(LaurentPoly.zero(), _poly({0: 1}))
+@example(_poly({-3: 2 ** 70}), _poly({5: -(2 ** 70), 9: 1}))
+def test_dense_product_matches_sparse(a, b):
+    assert from_dense(dense_mul(to_dense(a), to_dense(b))) == a * b
+    assert from_dense(to_dense(a)) == a
+
+
+@SETTINGS
+@given(dense_polys, binom_indices)
+def test_dense_binoms_match_sparse_and_divide_back(a, js):
+    prod = dense_times_binoms(to_dense(a), js)
+    assert from_dense(prod) == a * binom_product(js)
+    assert from_dense(dense_divide_binoms(prod, js)) == a
+
+
+@SETTINGS
+@given(dense_polys, st.integers(1, 7))
+# (1 + q) / (1 - q^2): the dividend is no longer than the divisor
+@example(_poly({0: 1, 1: 1}), 2)
+# (1 - q - q^2) / (1 - q^2): j < len < 2j, where the cancellation check
+# must read zeros below index 0 and not wrap to the end of the quotient
+@example(_poly({0: 1, 1: -1, 2: -1}), 2)
+@example(ONE, 3)
+@example(LaurentPoly.zero(), 2)
+def test_dense_division_matches_exact_divide(a, j):
+    js = Counter({j: 1})
+    try:
+        want = a.exact_divide(binom_product(js))
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            dense_divide_binoms(to_dense(a), js)
+        return
+    assert from_dense(dense_divide_binoms(to_dense(a), js)) == want
