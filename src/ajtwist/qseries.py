@@ -181,7 +181,7 @@ class QFactors:
             return RatFunc.zero()
         top = dense_times_binoms((self.qpow, [self.sign]), self.num)
         return RatFunc(from_dense(top),
-                       from_dense(dense_times_binoms(DENSE_ONE, self.den)))
+                       from_dense(dense_times_binoms((0, [1]), self.den)))
 
     def to_poly(self):
         return self.to_ratfunc().as_poly()
@@ -227,7 +227,6 @@ class QFactors:
 # the dense kernel
 
 DENSE_ZERO = (0, [])
-DENSE_ONE = (0, [1])
 
 # q is the first of laurent.VARS, so a q-only exponent tuple is (e,) + this
 _NOT_Q = (0,) * (NV - 1)

@@ -320,7 +320,8 @@ class TestTracedRunner:
          "apoly.a_polynomial"),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
          "volnum.jhat"),
-    ], ids=["jones", "jones-multisum", "rec-check", "rec-q1", "verify-aj", "kashaev"])
+    ], ids=["jones", "jones-multisum", "rec-check", "rec-q1", "verify-aj",
+            "kashaev"])
     def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run(

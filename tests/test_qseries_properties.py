@@ -186,19 +186,20 @@ def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
     assert not is_zero_sum(parts)[0]
 
 
+def binom_product(js):
+    """prod (1 - q^j) over the multiset js, expanded here."""
+    out = ONE
+    for j in js.elements():
+        out = out * (ONE - LaurentPoly.monomial(1, q=j))
+    return out
+
+
 def binom_ratfunc(qf):
     """qf as a RatFunc, with its (1 - q^j) products expanded here."""
     if qf.zero:
         return RatFunc.zero()
-
-    def product(js):
-        out = ONE
-        for j in js.elements():
-            out = out * (ONE - LaurentPoly.monomial(1, q=j))
-        return out
-
-    top = LaurentPoly.monomial(qf.sign, q=qf.qpow) * product(qf.num)
-    return RatFunc(top, product(qf.den))
+    top = LaurentPoly.monomial(qf.sign, q=qf.qpow) * binom_product(qf.num)
+    return RatFunc(top, binom_product(qf.den))
 
 
 @st.composite
@@ -260,13 +261,6 @@ wide_coeffs = (st.integers(-3, 3).filter(bool)
 dense_polys = st.dictionaries(st.integers(-6, 12), wide_coeffs,
                               max_size=8).map(_poly)
 binom_indices = st.lists(st.integers(1, 7), max_size=4).map(Counter)
-
-
-def binom_product(js):
-    out = ONE
-    for j in js.elements():
-        out = out * (ONE - LaurentPoly.monomial(1, q=j))
-    return out
 
 
 @SETTINGS
