@@ -1,4 +1,5 @@
 """End-to-end runs of the command line front end, in process."""
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -180,6 +181,23 @@ class TestRecCheck:
         assert err.startswith("not certified: ")
         assert "n = 6" in err
 
+    # sha256 of json [rc, stdout, stderr]: the interior run certifies
+    # every residual zero, the full run lists the nonzero ones
+    @pytest.mark.parametrize("argv, digest", [
+        (["--n-min", "6", "--n-max", "9"],
+         "4f3a62bd78fa22ed179c708c0d27abbf"
+         "ef1bea2fe6417f635b6b45c7f4cc254e"),
+        (["--n-min", "1", "--n-max", "6", "--mode", "full"],
+         "688bb4ed1a0a137c2dc80cdadb703cfa"
+         "5246edf880509e2acd235ead94775042"),
+    ], ids=["interior", "full"])
+    def test_golden_output(self, capsys, argv, digest):
+        result = run(capsys, "rec-check", "--fixture", "fivetwo_kfree",
+                     *argv)
+        assert result[0] == (1 if "full" in argv else 0)
+        text = json.dumps(result)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestRecQ1:
     def test_fivetwo_agrees_at_two(self, capsys):
@@ -314,14 +332,19 @@ class TestTracedRunner:
          "jones.assemble_sum"),
         (["rec-check", "--fixture", "fivetwo_kfree",
           "--n-min", "6", "--n-max", "6"], "qseries.is_zero_sum"),
+        # three residuals of this grid are nonzero, so the trace runs the
+        # decode path of qseries.cleared_sum
+        (["rec-check", "--fixture", "fivetwo_kfree",
+          "--n-min", "1", "--n-max", "3", "--mode", "full"],
+         "qseries.is_zero_sum"),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
          "apoly.a_polynomial"),
         (["verify-aj", "--p-min", "-2", "--p-max", "2"],
          "apoly.a_polynomial"),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
          "volnum.jhat"),
-    ], ids=["jones", "jones-multisum", "rec-check", "rec-q1", "verify-aj",
-            "kashaev"])
+    ], ids=["jones", "jones-multisum", "rec-check", "rec-check-full",
+            "rec-q1", "verify-aj", "kashaev"])
     def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run(
