@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import math
 
 from .laurent import LaurentPoly, RatFunc, unit_ratio
-from .qseries import (DENSE_ZERO, QFactors, clear_denominators, dense_add,
-                      dense_divide_binoms, dense_mul, dense_times_binoms,
-                      from_dense, to_dense)
+from .qseries import (QFactors, cleared_sum, dense_divide_binoms, dense_dot,
+                      dense_times_binoms, from_dense, to_dense)
 
 
 # the summand description
@@ -189,23 +188,18 @@ def summand_factors(knot, n, k, l):
 def assemble_sum(terms):
     """Exact LaurentPoly value of a sum of QFactors.
 
-    Clears the sum over its union denominator (D * S = C * R, see
-    qseries.clear_denominators), cancels the factors C and D share, and
+    Expands the sum cleared over its union denominator (D * S = C * R,
+    see qseries.cleared_sum), cancels the factors C and D share, and
     divides out, raising InexactDivision if the sum is not a Laurent
     polynomial.  The quotient C' * R / D' is unique, so the cancellation
     does not change the result.  All of it runs on dense values; a sum
     that cancels to zero is the empty value, which divides to zero.
     """
-    live = [t for t in terms if not t.zero]
-    if not live:
-        return LaurentPoly.zero()
-    den_all, common, rests = clear_denominators(live)
+    residual, _, den_all, common = cleared_sum([((0, [1]), t)
+                                                for t in terms])
     shared = common & den_all
-    total = DENSE_ZERO
-    for t, rest in zip(live, rests):
-        total = dense_add(total, dense_times_binoms((t.qpow, [t.sign]), rest))
     return from_dense(dense_divide_binoms(
-        dense_times_binoms(total, common - shared), den_all - shared))
+        dense_times_binoms(residual, common - shared), den_all - shared))
 
 
 # cyclotomic route
@@ -254,12 +248,9 @@ def colored_jones(p, n, convention="printed"):
         p = p.twist
     if n < 1:
         raise ValueError("color n must be >= 1")
-    total = DENSE_ZERO
-    for k in range(n):
-        total = dense_add(total, dense_mul(
-            to_dense(masbaum_coeff(p, k, convention)),
-            to_dense(sigma_basis(k, n))))
-    return from_dense(total)
+    return from_dense(dense_dot([(to_dense(masbaum_coeff(p, k, convention)),
+                                  to_dense(sigma_basis(k, n)))
+                                 for k in range(n)]))
 
 
 def colored_jones_multisum(knot, n):

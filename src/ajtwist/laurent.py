@@ -605,14 +605,13 @@ def parse_poly(text):
             raise PolyParseError("dangling sign", p)
         coeff = sign
         exps = {}
-        expect_factor = True
-        first = True
+        # factors joined by *, each * followed by a factor
         while True:
             kind, val, p = peek()
-            if kind == 1 and expect_factor:
+            if kind == 1:
                 coeff *= int(val)
                 i += 1
-            elif kind == 2 and expect_factor:
+            elif kind == 2:
                 if val not in VAR_INDEX:
                     raise PolyParseError("unknown variable %r" % val, p)
                 i += 1
@@ -622,17 +621,14 @@ def parse_poly(text):
                     i += 1
                     a = parse_exponent()
                 exps[val] = exps.get(val, 0) + a
-            elif first:
-                raise PolyParseError("expected a term", p)
             else:
-                break
-            first = False
+                raise PolyParseError("expected a factor", p)
             kind, val, p = peek()
-            if kind == 4:
-                i += 1
-                expect_factor = True
-            else:
+            if kind != 4:
                 break
+            i += 1
+        if kind not in (0, 5, 6):
+            raise PolyParseError("expected + or - after a term", p)
         result = result + LaurentPoly.monomial(coeff, **exps)
     return result
 

@@ -6,22 +6,25 @@ shape
 
     sign * q^e * prod (1 - q^j) / prod (1 - q^j)      (j >= 1)
 
-as multisets of indices instead of expanding anything.  This module
-owns the clearing of a sum of such values over its union denominator
-(clear_denominators) for both consumers: is_zero_sum checks the cleared
-sum against zero with an exact one-point integer certificate, which is
-how the recurrence checks stay both exact and fast, and
-jones.assemble_sum expands it into a Laurent polynomial.
+as multisets of indices instead of expanding anything.
 
 Every value in q alone that gets expanded, jones.sigma_basis and the
 colored Jones sums included, is held densely: (lo, [c_lo, c_lo+1, ...])
 is sum_i c_i q^(lo + i), trimmed so that both end coefficients are
 nonzero, with (0, []) for zero.  to_dense and from_dense convert from
 and to a q-only LaurentPoly; dense_times_binoms and dense_divide_binoms
-multiply and exactly divide by a product of (1 - q^j), dense_mul
-multiplies two values by Kronecker substitution, and dense_add adds
-them.  qpoch, inv_qpoch and qpoch_base stay sparse, as independent
-oracles for the tests.
+multiply and exactly divide by a product of (1 - q^j).
+
+Sums are expanded in one step, by Kronecker substitution: each value is
+packed as the integer it takes at a power of two wide enough for the
+sum's coefficient bound, the sum is formed in int arithmetic, and its
+balanced digits are the coefficients.  cleared_sum does this for a sum
+of values times QFactors, cleared over its union denominator
+(clear_denominators); is_zero_sum is its exact zero test, which is how
+the recurrence checks stay both exact and fast, and jones.assemble_sum
+divides its result back out.  dense_dot does it for a sum of products,
+the cyclotomic colored Jones sum.  qpoch, inv_qpoch and qpoch_base stay
+sparse, as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -262,21 +265,6 @@ def from_dense(value):
                         for i, c in enumerate(coeffs) if c})
 
 
-def dense_add(a, b):
-    """a + b, each placed at its offset in one list."""
-    if not a[1]:
-        return b
-    if not b[1]:
-        return a
-    lo = min(a[0], b[0])
-    out = [0] * (max(a[0] + len(a[1]), b[0] + len(b[1])) - lo)
-    for start, coeffs in a, b:
-        at = start - lo
-        out[at:at + len(coeffs)] = [
-            x + y for x, y in zip(out[at:at + len(coeffs)], coeffs)]
-    return _trimmed(lo, out)
-
-
 def dense_times_binoms(value, js):
     """value * prod (1 - q^j) over the multiset js, all j >= 1.
 
@@ -321,36 +309,63 @@ def dense_divide_binoms(value, js):
     return lo, coeffs
 
 
+# The Kronecker codec: a dense value is packed as the integer it takes at
+# q = 2^(8 width), its coefficients the balanced digits, each inside
+# (-h, h) with h = 2^(8 width - 1).  Adding h to every digit makes it a
+# nonnegative byte string; _offset is what that adds to the integer.
+
+
+def _width(bound):
+    """The smallest byte width w with 2^(8w - 1) > bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _offset(width, size):
+    half = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(half * size, "little")
+
+
 def _pack(coeffs, width):
-    """sum_i c_i 2^(8 width i), each |c_i| < 2^(8 width)."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little")
-                   for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little")
-                   for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def dense_mul(a, b):
-    """a * b by Kronecker substitution.
-
-    With t = 2^(8 width), both values are packed as integers at q = t
-    and multiplied as Python ints (CPython uses Karatsuba).  Every
-    coefficient of the product lies in [-B, B], B = l1(a) l1(b), and t
-    is chosen with t/2 > B, so the product's balanced base-t digits are
-    exactly its coefficients.  They are read off by adding t/2 to every
-    digit, which makes them all nonnegative, and cutting the bytes.
-    """
-    if not a[1] or not b[1]:
-        return DENSE_ZERO
-    bound = sum(map(abs, a[1])) * sum(map(abs, b[1]))
-    width = (bound.bit_length() + 8) // 8
-    size = len(a[1]) + len(b[1]) - 1
+    """sum_i c_i 2^(8 width i), each |c_i| < 2^(8 width - 1)."""
     half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
-    raw = (_pack(a[1], width) * _pack(b[1], width) + offset).to_bytes(
-        width * size, "little")
-    return a[0] + b[0], [int.from_bytes(raw[i:i + width], "little") - half
-                         for i in range(0, width * size, width)]
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _offset(width, len(coeffs))
+
+
+def _unpack(n, width, lo):
+    """The dense value at offset lo whose coefficients are the balanced
+    base-2^(8 width) digits of n.
+
+    With d_k the top nonzero digit, |n| lies between 2^(8 width k - 1)
+    and 2^(8 width (k + 1) - 1), so the bit length of |n| gives k.
+    """
+    if not n:
+        return DENSE_ZERO
+    size = abs(n).bit_length() // (8 * width) + 1
+    half = 1 << (8 * width - 1)
+    raw = (n + _offset(width, size)).to_bytes(width * size, "little")
+    return _trimmed(lo, [int.from_bytes(raw[i:i + width], "little") - half
+                         for i in range(0, width * size, width)])
+
+
+def dense_dot(pairs):
+    """sum_i a_i * b_i over (a_i, b_i) pairs of dense values.
+
+    Every product is packed and multiplied as a Python int (CPython uses
+    Karatsuba) and shifted to its offset, and the sum is decoded once.
+    The coefficient 1-norm is submultiplicative, so every coefficient of
+    the sum lies in [-B, B] with B = sum_i l1(a_i) l1(b_i), and the width
+    puts B below half the base: the digits decode as in cleared_sum.
+    """
+    live = [(a, b) for a, b in pairs if a[1] and b[1]]
+    if not live:
+        return DENSE_ZERO
+    width = _width(sum(sum(map(abs, a[1])) * sum(map(abs, b[1]))
+                       for a, b in live))
+    lo = min(a[0] + b[0] for a, b in live)
+    total = sum((_pack(a[1], width) * _pack(b[1], width))
+                << 8 * width * (a[0] + b[0] - lo) for a, b in live)
+    return _unpack(total, width, lo)
 
 
 def clear_denominators(qfs):
@@ -379,68 +394,64 @@ def clear_denominators(qfs):
     return den_all, common, rests
 
 
-def certificate_base(l1_bound):
-    """Smallest power of two t with t >= 2*l1_bound + 2.
+def cleared_sum(parts):
+    """The cleared residual R of S = sum_i v_i * qf_i, expanded.
 
-    For an integer Laurent polynomial R with coefficient 1-norm <= B,
-    the balanced base-t digit expansion of t^shift * R(t) is unique once
-    t >= 2B + 2, so R(t) = 0 forces R = 0.
-    """
-    t = 4
-    need = 2 * l1_bound + 2
-    while t < need:
-        t <<= 1
-    return t
-
-
-def is_zero_sum(parts):
-    """Exact zero test for S = sum_i poly_i(q) * qf_i.
-
-    parts is a list of (LaurentPoly in q alone, QFactors) pairs.  Returns
-    (is_zero, base), where base = 2^b is the point the certificate
-    evaluated at.  Parts with a zero poly or a zero QFactors are dropped
-    first.
+    parts is a list of (dense value v_i, QFactors qf_i) pairs; those
+    with an empty value or a zero QFactors are dropped first.  Returns
+    (R, base, den_all, common): R dense, base the power of two it was
+    evaluated at, and den_all and common as clear_denominators gives
+    them (empty when no part is left).
 
     Clearing and dividing out.  clear_denominators gives the union
     denominator product D, the common factor C and the multisets rest_i
     with D * S = C * R, where
 
-        R = sum_i sign_i q^qpow_i poly_i prod_{j in rest_i} (1 - q^j).
+        R = sum_i sign_i q^qpow_i v_i prod_{j in rest_i} (1 - q^j).
 
     D and C are nonzero in the integral domain Z[q, 1/q], so S = 0
     exactly when R = 0.
 
     The bound.  The coefficient 1-norm is submultiplicative and
     (1 - q^j) has 1-norm 2, so every coefficient of R lies in [-B, B]
-    with B = sum_i l1(poly_i) * 2^|rest_i|.
+    with B = sum_i l1(v_i) * 2^|rest_i|.
 
-    The evaluation.  t = certificate_base(B) >= 2B + 2.  With lo the
-    smallest exponent of any q^qpow_i poly_i, t^-lo R(t) is an integer
-    whose balanced base-t digits are exactly the coefficients of R, since
-    each lies strictly inside (-t/2, t/2).  That expansion is unique, so
-    t^-lo R(t) = 0 forces every coefficient of R to vanish.  The shift by
-    lo leaves only nonnegative powers of t = 2^b, so everything is plain
-    int arithmetic: c * t^(a - lo) is c << b*(a - lo), and (1 - t^j)^m is
-    (1 - (1 << b*j)) ** m.
+    The evaluation.  base = 2^(8 w), w = _width(B), so base/2 > B and
+    base >= 2B + 2.  With lo the smallest exponent of any q^qpow_i v_i,
+    base^-lo R(base) is an integer whose balanced base digits are
+    exactly the coefficients of R, since each lies strictly inside
+    (-base/2, base/2).  That expansion is unique, so the integer is 0
+    exactly when R = 0, and otherwise _unpack reads R off its bytes.
+    The shift by lo leaves only nonnegative powers of base, so
+    everything is plain int arithmetic: v_i packs with _pack, q^a is a
+    shift by 8w*a bits, and a factor (1 - q^j) is val -= val << 8w*j.
     """
-    live = [(poly, qf) for poly, qf in parts if poly and not qf.zero]
+    live = [(v, qf) for v, qf in parts if v[1] and not qf.zero]
     if not live:
-        return True, certificate_base(0)
-    _, _, rests = clear_denominators([qf for _, qf in live])
-    terms = []
-    bound = 0
-    for (poly, qf), rest in zip(live, rests):
-        coeffs = {a + qf.qpow: qf.sign * c
-                  for a, c in poly.univariate_coefficients("q").items()}
-        bound += sum(map(abs, coeffs.values())) << sum(rest.values())
-        terms.append((coeffs, rest))
-    t = certificate_base(bound)
-    b = t.bit_length() - 1
-    lo = min(min(coeffs) for coeffs, _ in terms)
+        return DENSE_ZERO, 1 << 8 * _width(0), Counter(), Counter()
+    den_all, common, rests = clear_denominators([qf for _, qf in live])
+    width = _width(sum(sum(map(abs, v[1])) << sum(rest.values())
+                       for (v, _), rest in zip(live, rests)))
+    bits = 8 * width
+    lo = min(v[0] + qf.qpow for v, qf in live)
     total = 0
-    for coeffs, rest in terms:
-        val = sum(c << b * (a - lo) for a, c in coeffs.items())
-        for j, m in rest.items():
-            val *= (1 - (1 << b * j)) ** m
+    for (v, qf), rest in zip(live, rests):
+        val = (qf.sign * _pack(v[1], width)) << bits * (v[0] + qf.qpow - lo)
+        for j in rest.elements():
+            val -= val << bits * j
         total += val
-    return total == 0, t
+    return _unpack(total, width, lo), 1 << bits, den_all, common
+
+
+def is_zero_sum(parts):
+    """Exact zero test for S = sum_i poly_i(q) * qf_i.
+
+    parts is a list of (LaurentPoly in q alone, QFactors) pairs.  Returns
+    (is_zero, base), where base, a power of two at least 2B + 2, is the
+    point the certificate evaluated at (see cleared_sum).
+    """
+    # cleared_sum drops a zero QFactors too; skipping it here first
+    # spares converting its poly
+    residual, base, _, _ = cleared_sum([(to_dense(poly), qf)
+                                        for poly, qf in parts if not qf.zero])
+    return not residual[1], base

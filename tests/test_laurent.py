@@ -226,6 +226,10 @@ class TestTextAndJson:
             parse_poly("q^")
         with pytest.raises(PolyParseError):
             parse_poly("q +")
+        # a term ends at +, - or the end; a * takes a factor after it
+        for text in ("3 q", "2 3", "q*", "2*-q"):
+            with pytest.raises(PolyParseError):
+                parse_poly(text)
 
 
 class TestRingProperties:

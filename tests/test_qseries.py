@@ -5,7 +5,7 @@ import pytest
 
 from ajtwist.laurent import LaurentPoly, RatFunc
 from ajtwist.qseries import (qpoch, inv_qpoch, qpoch_base, QFactors,
-                             NegativeIndex, certificate_base, is_zero_sum)
+                             NegativeIndex, is_zero_sum)
 
 
 Q = LaurentPoly.var("q")
@@ -110,12 +110,6 @@ class TestQFactors:
 
 
 class TestZeroCertificate:
-    def test_base_is_power_of_two(self):
-        for b in (0, 1, 5, 100, 10 ** 6):
-            t = certificate_base(b)
-            assert t >= 2 * b + 2
-            assert t & (t - 1) == 0
-
     def test_telescoping_sum_is_zero(self):
         # (q)_{n+1} - (q)_n + q^{n+1} (q)_n = 0
         n = 5

@@ -17,9 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ajtwist.jones import assemble_sum
 from ajtwist.laurent import InexactDivision, LaurentPoly, RatFunc
-from ajtwist.qseries import (QFactors, dense_divide_binoms, dense_mul,
-                             dense_times_binoms, from_dense, is_zero_sum,
-                             to_dense)
+from ajtwist.qseries import (QFactors, cleared_sum, dense_divide_binoms,
+                             dense_dot, dense_times_binoms, from_dense,
+                             is_zero_sum, to_dense)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 ONE = LaurentPoly.const(1)
@@ -128,6 +128,10 @@ def test_agrees_with_expansion(parts, data):
 
 @SETTINGS
 @given(any_parts | zero_sums())
+# R = (1 - q)^10 + (1 - q^2) has the coefficient C(10, 5) = 252, which
+# only the 2^|rest_i| factor of the bound makes room for
+@example([(ONE, QFactors(num=Counter({1: 10}))),
+          (ONE, QFactors(num=Counter({2: 1})))])
 def test_base_bounds_the_reduced_residual(parts):
     # the docstring's residual R = D * S / C, expanded independently;
     # R(base) = 0 forces R = 0 only when base >= 2 * l1(R) + 2
@@ -144,6 +148,8 @@ def test_base_bounds_the_reduced_residual(parts):
     residual = (expanded(parts) * scale).as_poly()
     l1 = sum(abs(c) for c in residual.terms.values())
     assert is_zero_sum(parts)[1] >= 2 * l1 + 2
+    dense = [(to_dense(poly), qf) for poly, qf in parts]
+    assert from_dense(cleared_sum(dense)[0]) == residual
 
 
 @SETTINGS
@@ -263,13 +269,28 @@ dense_polys = st.dictionaries(st.integers(-6, 12), wide_coeffs,
 binom_indices = st.lists(st.integers(1, 7), max_size=4).map(Counter)
 
 
+@st.composite
+def canceling_pairs(draw):
+    """Pairs whose products sum to zero: each pair next to its negation."""
+    pairs = draw(st.lists(st.tuples(dense_polys, dense_polys), max_size=3))
+    return draw(st.permutations(pairs + [(-a, b) for a, b in pairs]))
+
+
 @SETTINGS
-@given(dense_polys, dense_polys)
-@example(LaurentPoly.zero(), _poly({0: 1}))
-@example(_poly({-3: 2 ** 70}), _poly({5: -(2 ** 70), 9: 1}))
-def test_dense_product_matches_sparse(a, b):
-    assert from_dense(dense_mul(to_dense(a), to_dense(b))) == a * b
-    assert from_dense(to_dense(a)) == a
+@given(st.lists(st.tuples(dense_polys, dense_polys), max_size=4)
+       | canceling_pairs())
+@example([])
+@example([(LaurentPoly.zero(), _poly({0: 1}))])
+@example([(_poly({-3: 2 ** 70}), _poly({5: -(2 ** 70), 9: 1}))])
+# each product stays below 2^7 but the sum does not: the width must
+# come from the summed bound, not from the largest product
+@example([(_poly({0: 127}), ONE), (_poly({0: 127}), ONE)])
+def test_dense_dot_matches_sparse(pairs):
+    want = sum((a * b for a, b in pairs), LaurentPoly.zero())
+    got = dense_dot([(to_dense(a), to_dense(b)) for a, b in pairs])
+    assert from_dense(got) == want
+    for a, _ in pairs:
+        assert from_dense(to_dense(a)) == a
 
 
 @SETTINGS
