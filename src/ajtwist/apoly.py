@@ -226,20 +226,42 @@ def b_polynomial(p):
     deg_x h_p is 2p - 1 for p > 0 and 2|p| for p <= 0, and the m-order
     is bounded by |p| below; multiplying by (m^2 + l)^deg * m^(2|p|)
     while substituting x = (l m^2 + 1)/(m^2 + l) therefore lands in the
-    polynomial ring.  The assembly below does the substitution
-    x-coefficient by x-coefficient so no rational function ever forms.
+    polynomial ring.
+
+    The substitution is done x-coefficient by x-coefficient, so no
+    rational function ever forms, in homogeneous Horner form: with
+    x = num/den and h_p = sum_j cof_j x^j,
+
+        acc = acc * num + cof_j * den^(deg - j)    for j = deg, ..., 0
+
+    leaves sum_j cof_j num^j den^(deg - j), which is multiplied by the
+    monomial m^(2|p|) once at the end.  Each step needs the next power
+    of den, so that power is kept and multiplied by den once per step:
+    one product with num and one with den per x-degree.  Raising num^j
+    and den^(deg - j) afresh for every j repeats a power ladder per
+    coefficient, on operands that grow with p, and costs about three
+    times the term pairs at p = 19.  Every x-degree of h_p is checked
+    against the window 0..deg before the loop, so none can fall outside
+    it unseen.
     """
     h = h_polynomial(p)
     deg = 2 * p - 1 if p > 0 else 2 * abs(p)
     x = solve_meridian_x()
     num, den = x.num, x.den
-    clear = _mono(1, m=2 * abs(p))
-    out = LaurentPoly.zero()
-    for j, cof in h.coefficients_in("x").items():
+    cofs = h.coefficients_in("x")
+    for j in cofs:
         if j < 0 or j > deg:
             raise ArithmeticError("x-degree %d outside the clearing "
                                   "window at p = %d" % (j, p))
-        out += cof * clear * num ** j * den ** (deg - j)
+    out = LaurentPoly.zero()
+    den_power = LaurentPoly.const(1)
+    for j in range(deg, -1, -1):
+        out = out * num
+        if j in cofs:
+            out += cofs[j] * den_power
+        if j:
+            den_power = den_power * den
+    out = out * _mono(1, m=2 * abs(p))
     for v in out.variables():
         if v not in ("l", "m"):
             raise ArithmeticError("unexpected variable %s" % v)

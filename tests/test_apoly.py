@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from ajtwist.laurent import LaurentPoly, RatFunc, parse_poly
-from ajtwist import jones
+from ajtwist.laurent import VARS, LaurentPoly, RatFunc, parse_poly
+from ajtwist import apoly, jones
 from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, quad_reduce,
                            h_via_reduction, b_polynomial, verify_aj,
@@ -199,6 +199,112 @@ class TestBPolynomial:
             assert b.var_range("m")[0] >= 0
 
 
+def b_by_powers(p, h):
+    # the plain assembly sum_j cof_j m^(2|p|) num^j den^(deg - j), each
+    # power raised afresh, as an oracle for the Horner form
+    deg = 2 * p - 1 if p > 0 else 2 * abs(p)
+    x = solve_meridian_x()
+    clear = LaurentPoly.monomial(1, m=2 * abs(p))
+    out = LaurentPoly.zero()
+    for j, cof in h.coefficients_in("x").items():
+        out += cof * clear * x.num ** j * x.den ** (deg - j)
+    return out
+
+
+class TestBAssembly:
+    # b_polynomial assembles in Horner form; these pin it to the plain
+    # sum and to its guards on the x-degrees of h
+    def patch_h(self, monkeypatch, h):
+        monkeypatch.setattr(apoly, "h_polynomial", lambda p: h)
+
+    def test_matches_plain_sum(self):
+        for p in range(-8, 9):
+            assert b_polynomial(p) == b_by_powers(p, h_polynomial(p)), p
+
+    def test_x_degree_above_window_raises(self, monkeypatch):
+        # deg is 3 at p = 2: a loop over the window alone would drop x^4
+        self.patch_h(monkeypatch, h_polynomial(2) + parse_poly("x^4*m^2"))
+        with pytest.raises(ArithmeticError, match="x-degree 4"):
+            b_polynomial(2)
+
+    def test_x_degree_below_window_raises(self, monkeypatch):
+        self.patch_h(monkeypatch, h_polynomial(2) + parse_poly("x^-1"))
+        with pytest.raises(ArithmeticError, match="x-degree -1"):
+            b_polynomial(2)
+
+    def test_window_checked_at_p_zero(self, monkeypatch):
+        # deg is 0 at p = 0, so any x-term is outside
+        self.patch_h(monkeypatch, LaurentPoly.var("x"))
+        with pytest.raises(ArithmeticError, match="x-degree 1"):
+            b_polynomial(0)
+
+    def test_edge_shapes(self):
+        # p = 0: deg 0, nothing to substitute; p = 1: one Horner step
+        assert b_polynomial(0) == b_by_powers(0, h_polynomial(0)) == 1
+        assert b_polynomial(1) == b_by_powers(1, h_polynomial(1))
+
+    def test_missing_top_coefficient(self, monkeypatch):
+        # no x^deg term: the accumulator is still zero after the first
+        # step, and the lower terms must keep their full den powers
+        h = h_polynomial(3)
+        cofs = h.coefficients_in("x")
+        top = cofs.pop(5)
+        assert top and set(cofs) == {0, 1, 2, 3, 4}
+        h = h - top * LaurentPoly.var("x", 5)
+        self.patch_h(monkeypatch, h)
+        assert b_polynomial(3) == b_by_powers(3, h)
+
+    def test_negative_exponent_after_clearing_raises(self, monkeypatch):
+        # an m-order below -|p| survives the m^(2|p|) factor
+        self.patch_h(monkeypatch, parse_poly("m^-3"))
+        with pytest.raises(ArithmeticError, match="negative m-exponent"):
+            b_polynomial(1)
+
+    def test_product_cost(self, monkeypatch):
+        # term pairs over every product in b_polynomial(19), counted as
+        # the benchmark's trace counts them; raising num^j and
+        # den^(deg - j) afresh for each j took 382,227
+        mul = LaurentPoly.__mul__
+        pairs = [0]
+
+        def counted(a, b):
+            pairs[0] += len(a.terms) * (
+                len(b.terms) if isinstance(b, LaurentPoly) else 1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+        b_polynomial(19)
+        assert 0 < pairs[0] <= 382227 // 2
+
+
+class TestBSympyOracle:
+    # x = (l m^2 + 1)/(m^2 + l) substituted into h_p and cleared in
+    # sympy's field Q(l, m), independent of the LaurentPoly kernel and
+    # of the assembly
+    def test_matches_substitution(self):
+        sp = pytest.importorskip("sympy")
+        field, l, m = sp.field("l,m", sp.ZZ)
+        env = {"l": l, "m": m, "x": (l * m ** 2 + 1) / (m ** 2 + l)}
+
+        def value(poly):
+            out = field(0)
+            for e, c in poly.terms.items():
+                term = field(c)
+                for v, k in zip(VARS, e):
+                    if k:
+                        term *= env[v] ** k
+                out += term
+            return out
+
+        for p in (-3, -2, 2, 3, 5):
+            deg = 2 * p - 1 if p > 0 else 2 * abs(p)
+            want = (value(h_polynomial(p)) * m ** (2 * abs(p))
+                    * (m ** 2 + l) ** deg)
+            assert want.denom == 1, p
+            assert value(b_polynomial(p)) == want, p
+
+
 class TestRecursionLaw:
     def test_seam_defect_is_pinned(self):
         # at p = 2 the plain law fails by exactly one clearing factor
@@ -261,4 +367,18 @@ class TestGoldenDigest:
         text = "".join(build(p).text() + "\n"
                        for build in (a_polynomial, b_polynomial, h_polynomial)
                        for p in range(-6, 7))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+class TestWorkloadBDigest:
+    # sha256 over the text of B(p) at the p the verify-aj benchmark
+    # reaches, one per line; the -6..6 digest above does not reach the
+    # Horner loop's long runs
+    DIGEST = ("650776dca50563174aedb9183154e79a"
+              "1c0aafd47212d01e82a4aa76fcb33815")
+
+    def test_text_is_unchanged(self):
+        text = "".join(b_polynomial(p).text() + "\n"
+                       for p in (-30, -19, -17, -15, -13, -11,
+                                 11, 13, 15, 17, 19, 30))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
