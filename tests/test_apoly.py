@@ -218,30 +218,19 @@ class TestBAssembly:
         monkeypatch.setattr(apoly, "h_polynomial", lambda p: h)
 
     def test_matches_plain_sum(self):
+        # p = 0 has deg 0 and p = 1 a single Horner step
         for p in range(-8, 9):
             assert b_polynomial(p) == b_by_powers(p, h_polynomial(p)), p
 
-    def test_x_degree_above_window_raises(self, monkeypatch):
-        # deg is 3 at p = 2: a loop over the window alone would drop x^4
-        self.patch_h(monkeypatch, h_polynomial(2) + parse_poly("x^4*m^2"))
-        with pytest.raises(ArithmeticError, match="x-degree 4"):
-            b_polynomial(2)
-
-    def test_x_degree_below_window_raises(self, monkeypatch):
-        self.patch_h(monkeypatch, h_polynomial(2) + parse_poly("x^-1"))
-        with pytest.raises(ArithmeticError, match="x-degree -1"):
-            b_polynomial(2)
-
-    def test_window_checked_at_p_zero(self, monkeypatch):
-        # deg is 0 at p = 0, so any x-term is outside
-        self.patch_h(monkeypatch, LaurentPoly.var("x"))
-        with pytest.raises(ArithmeticError, match="x-degree 1"):
-            b_polynomial(0)
-
-    def test_edge_shapes(self):
-        # p = 0: deg 0, nothing to substitute; p = 1: one Horner step
-        assert b_polynomial(0) == b_by_powers(0, h_polynomial(0)) == 1
-        assert b_polynomial(1) == b_by_powers(1, h_polynomial(1))
+    @pytest.mark.parametrize("p, extra, j", [
+        (2, "x^4*m^2", 4),   # deg is 3: a loop over 0..deg would drop it
+        (2, "x^-1", -1),
+        (0, "x", 1),         # deg is 0: any x-term is outside
+    ])
+    def test_x_degree_outside_window_raises(self, monkeypatch, p, extra, j):
+        self.patch_h(monkeypatch, h_polynomial(p) + parse_poly(extra))
+        with pytest.raises(ArithmeticError, match="x-degree %d " % j):
+            b_polynomial(p)
 
     def test_missing_top_coefficient(self, monkeypatch):
         # no x^deg term: the accumulator is still zero after the first
