@@ -84,8 +84,9 @@ def _jhat_pole_cancel(p, n):
     with F = k + l(l+1)p + l(l-1)/2; signs chosen so the k-sum
     telescopes at roots of unity.  For k + l + 1 >= n the denominator
     vanishes simply, the residues across the l-range cancel (certified
-    by _residue_certificate), and the finite part is assembled from
-    log-derivative prefix arrays, O(1) per term after O(n) setup.
+    once per level by _residue_certificate, in O(n^2) integer steps),
+    and the finite part is assembled from log-derivative prefix arrays,
+    O(1) per term after O(n) setup.
     """
     w = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
     v = [1 - w[j % n] for j in range(2 * n)]
@@ -147,27 +148,19 @@ def _residue_certificate(p, n, k, l0):
     Clearing the common nonvanishing Pochhammer content from the
     residues at q = exp(2*pi*i/n) leaves, for each singular l,
 
-        (-1)^l q^F (1 - q^(2l+1))
-            prod_{j=k-l+1}^{k-l0} (1 - q^j)
-            prod_{j=k+l+2}^{2k+1} (1 - q^j)
+        c_l A_l B_l,    c_l = (-1)^l q^F (1 - q^(2l+1)),
+        A_l = prod_{j=k-l+1}^{k-l0} (1 - q^j),
+        B_l = prod_{j=k+l+2}^{2k+1} (1 - q^j),
 
     and the sum over l must vanish at every primitive n-th root of
-    unity.  Exponents are folded modulo n (q^n == 1 there) and the
-    accumulated coefficient vector is reduced modulo the n-th
-    cyclotomic polynomial; a nonzero remainder is a genuine failure.
+    unity.  Exponents are folded modulo n (q^n == 1 there), and
+    _residue_sum builds the sum from two running products: A_l gains
+    one factor per step, and the sum runs Horner-style over the
+    factors B_l sheds.  That is O(n) per l and O(n^2) per level.  The
+    folded vector is reduced modulo the n-th cyclotomic polynomial; a
+    nonzero remainder is a genuine failure.
     """
-    acc = [0] * n
-    for l in range(l0, k + 1):
-        f = k + l * (l + 1) * p + l * (l - 1) // 2
-        cur = [0] * n
-        cur[f % n] = -1 if l % 2 else 1
-        js = [2 * l + 1]
-        js.extend(range(k - l + 1, k - l0 + 1))
-        js.extend(range(k + l + 2, 2 * k + 2))
-        for j in js:
-            cur = [cur[i] - cur[(i - j) % n] for i in range(n)]
-        for i in range(n):
-            acc[i] += cur[i]
+    acc = _residue_sum(p, n, k, l0)
     if not any(acc):
         return
     _, rem = _polydivmod(acc, _cyclotomic(n))
@@ -175,6 +168,36 @@ def _residue_certificate(p, n, k, l0):
         raise CertificationError(
             "pole residues fail to cancel at n = %d, k = %d, p = %d"
             % (n, k, p))
+
+
+def _residue_sum(p, n, k, l0):
+    """Sum over l = l0..k of c_l A_l B_l, folded modulo q^n - 1.
+
+    With A_l = A_{l-1} (1 - q^(k-l+1)) and
+    S_l = S_{l-1} (1 - q^(k+l+1)) + c_l A_l, S_k is the sum.  Each
+    step after the first costs three binomial multiplications.
+    """
+    acc = [0] * n
+    a = [1] + [0] * (n - 1)
+    for l in range(l0, k + 1):
+        if l > l0:
+            a = _times_binomial(a, k - l + 1)
+            acc = _times_binomial(acc, k + l + 1)
+        f = (k + l * (l + 1) * p + l * (l - 1) // 2) % n
+        term = _times_binomial(a, 2 * l + 1)
+        if f:
+            term = term[-f:] + term[:-f]
+        if l % 2:
+            acc = [x - y for x, y in zip(acc, term)]
+        else:
+            acc = [x + y for x, y in zip(acc, term)]
+    return acc
+
+
+def _times_binomial(vec, j):
+    """vec times (1 - q^j), folded modulo q^len(vec) - 1."""
+    s = j % len(vec)
+    return [x - y for x, y in zip(vec, vec[-s:] + vec[:-s])]
 
 
 @lru_cache(maxsize=None)

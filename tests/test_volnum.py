@@ -182,10 +182,95 @@ class TestJhat:
 
     def test_residue_certificate_rejects_wrong_window(self):
         # shifting the singular window start by one breaks the exact
-        # cancellation, and the integer certificate must catch it
-        for args in ((1, 5, 3, 2), (2, 7, 4, 3), (-2, 6, 4, 2)):
+        # cancellation, and the integer certificate must catch it; the
+        # large-n cases run the recurrence over 20 to 46 rows
+        for args in ((1, 5, 3, 2), (2, 7, 4, 3), (-2, 6, 4, 2),
+                     (3, 41, 30, 11), (2, 52, 40, 12), (-5, 55, 50, 5)):
             with pytest.raises(CertificationError):
                 volnum._residue_certificate.__wrapped__(*args)
+            p, n, k, _ = args
+            volnum._residue_certificate.__wrapped__(p, n, k, n - 1 - k)
+
+    def test_pole_cancel_matches_exact_polynomial_at_larger_n(self):
+        # singular windows of up to 16 to 21 rows, past the |p| <= 2, n <= 12
+        # reach of test_matches_exact_polynomial; observed error <= 3e-41
+        tol = mp.mpf(10) ** -38
+        with mp.workprec(200):
+            for p, n in ((2, 16), (-2, 21), (3, 16), (-3, 20), (5, 16)):
+                got = jhat(p, n, prec=128)
+                want = jones_at_root_of_unity(p, n, 200)
+                assert abs(got - want) < tol, (p, n)
+
+
+def residue_terms(n, k, l0):
+    """Per-l folded products (1 - q^(2l+1)) A_l B_l, each built whole.
+
+    The oracle for volnum._residue_sum: every l multiplies its full
+    factor list again, with no running product shared between rows.
+    The sign and the monomial q^F are left to the caller, so one list
+    serves every p.
+    """
+    rows = []
+    for l in range(l0, k + 1):
+        cur = [1] + [0] * (n - 1)
+        js = [2 * l + 1]
+        js.extend(range(k - l + 1, k - l0 + 1))
+        js.extend(range(k + l + 2, 2 * k + 2))
+        for j in js:
+            cur = [cur[i] - cur[(i - j) % n] for i in range(n)]
+        rows.append(cur)
+    return rows
+
+
+def residue_sum_oracle(p, n, k, l0, rows):
+    acc = [0] * n
+    for l, row in zip(range(l0, k + 1), rows):
+        f = k + l * (l + 1) * p + l * (l - 1) // 2
+        sign = -1 if l % 2 else 1
+        for i in range(n):
+            acc[(i + f) % n] += sign * row[i]
+    return acc
+
+
+class TestResidueSum:
+    def test_matches_per_row_products(self):
+        ps = (2, -2, 3, -3, 4, -4, 5, -5, 7, -1)
+        for n in list(range(3, 41)) + [52, 55]:
+            for k in range(n):
+                l0 = max(0, n - 1 - k)
+                if l0 > k:
+                    continue
+                rows = residue_terms(n, k, l0)
+                for p in ps:
+                    assert (volnum._residue_sum(p, n, k, l0)
+                            == residue_sum_oracle(p, n, k, l0, rows)), (p, n, k)
+
+    def test_binomial_products_are_linear_in_the_window(self, monkeypatch):
+        # two running products take three binomial multiplications per
+        # row after the first; rebuilding every row whole takes
+        # Theta((k - l0)^2)
+        calls = []
+        real = volnum._times_binomial
+
+        def counted(vec, j):
+            calls.append(j)
+            return real(vec, j)
+
+        monkeypatch.setattr(volnum, "_times_binomial", counted)
+        p, n, k = 3, 55, 40
+        l0 = n - 1 - k
+        volnum._residue_certificate.__wrapped__(p, n, k, l0)
+        assert 0 < len(calls) <= 3 * (k - l0) + 1
+
+
+class TestCyclotomic:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(1, 121):
+            want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+            assert volnum._cyclotomic(n) == tuple(int(c) for c in
+                                                  reversed(want)), n
 
 
 class TestGrowthPolys:
