@@ -9,7 +9,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from ajtwist import cli
+from ajtwist import apoly, cli
 from ajtwist.apoly import a_polynomial, h_polynomial
 from ajtwist.jones import colored_jones
 from ajtwist.laurent import parse_poly
@@ -133,6 +133,29 @@ class TestVerifyAj:
             assert r["unit"] == "1"
             assert r["diff"] == []
 
+    # sha256 of stdout with the recursive route broken on purpose: p = 0
+    # still agrees, p = 1 is off by the unit -1 and p = 2 by two
+    # coefficients, so every report line and diff row is pinned
+    @pytest.mark.parametrize("out, digest", [
+        ("text", "74f1a80197145151aa51723c271c2241"
+                 "b3aaf8c058eaff5c581f5ff83d492906"),
+        ("json", "05aa875684d914c7978ad78a3c9cacb9"
+                 "d033a2d5a669f14ac62840e6aefe3346"),
+    ])
+    def test_mismatch_output_digest(self, capsys, monkeypatch, out, digest):
+        def broken(p):
+            if p == 1:
+                return -a_polynomial(p)
+            if p == 2:
+                return a_polynomial(p) + parse_poly("3*l*m^2 - l^2*m^2")
+            return a_polynomial(p)
+
+        monkeypatch.setattr(apoly, "a_polynomial", broken)
+        code, text, _ = run(capsys, "verify-aj", "--p-min", "0",
+                            "--p-max", "2", "--out", out)
+        assert code == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestRecCheck:
     def test_kfree_fixture_passes(self, capsys):
@@ -218,6 +241,19 @@ class TestRecQ1:
                            "--compare-p", "3")
         assert code == 1
         assert "DIFFERS" in out
+
+    # sha256 of stdout for the mismatch above, with its 36 diff rows
+    @pytest.mark.parametrize("out, digest", [
+        ("text", "2432d4407bb705de3e2acce0dd1c1d3d"
+                 "3d6f5513f774b38cc907c475652d5406"),
+        ("json", "697576beffa8ce3ce68fa56eff187b67"
+                 "ff55e7442eb78a7f59e1c9a8a2a2be9a"),
+    ])
+    def test_mismatch_output_digest(self, capsys, out, digest):
+        code, text, _ = run(capsys, "rec-q1", "--fixture", "fivetwo_inhom",
+                            "--compare-p", "3", "--out", out)
+        assert code == 1
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_report(self, capsys):
         _, out, _ = run(capsys, "rec-q1", "--fixture", "sixone_inhom",
