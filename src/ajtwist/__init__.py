@@ -6,11 +6,10 @@ A-polynomial, verifies shipped q-recurrences for the 5_2 and 6_1 knots,
 and evaluates the associated hyperbolic volume numerics.
 """
 
-from .laurent import (LaurentPoly, RatFunc, InexactDivision, PolyParseError,
+from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       parse_poly, VARS)
 from .jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
-                    colored_jones_multisum, summand_spec,
-                    annihilator_generators, named_form_unit)
+                    colored_jones_multisum, summand_spec, named_form_unit)
 from .apoly import (a_polynomial, b_polynomial, h_polynomial,
                     cd_coefficients, verify_aj)
 from .qrec import (parse_recurrence, load_recurrence, check_kfree,
@@ -21,11 +20,9 @@ from .volnum import (CertificationError, jhat, dilog, bloch_wigner,
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentPoly", "RatFunc", "InexactDivision", "PolyParseError",
-    "parse_poly", "VARS",
+    "LaurentPoly", "InexactDivision", "PolyParseError", "parse_poly", "VARS",
     "KnotId", "masbaum_coeff", "sigma_basis", "colored_jones",
-    "colored_jones_multisum", "summand_spec", "annihilator_generators",
-    "named_form_unit",
+    "colored_jones_multisum", "summand_spec", "named_form_unit",
     "a_polynomial", "b_polynomial", "h_polynomial", "cd_coefficients",
     "verify_aj",
     "parse_recurrence", "load_recurrence", "check_kfree", "specialize_q1",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jones import summand_spec
-from .laurent import LaurentPoly, RatFunc, unit_ratio
+from .laurent import LaurentPoly, coefficient_diff, unit_ratio
 
 
 def _mono(c=1, **e):
@@ -120,15 +120,15 @@ def solve_meridian_x():
     """Coupling value of x forced by the n-direction ratio at q = 1.
 
     The n-step quotient at q = 1, N = m^2, K = x, set equal to l and
-    cleared, is linear in x and pins it to (l*m^2 + 1) / (m^2 + l);
-    this single value is what turns the (m, x) tower into polynomials
-    in (l, m).
+    cleared, is linear in x and pins it to (l*m^2 + 1) / (m^2 + l),
+    returned as the pair (l*m^2 + 1, m^2 + l); this single value is what
+    turns the (m, x) tower into polynomials in (l, m).
     """
     num, den = summand_spec(1).n_step.at_q1(**_BIND)
     cofs = (num - _L * den).cleared().coefficients_in("x")
     if set(cofs) != {0, 1}:
         raise ArithmeticError("n-step at q = 1 is not linear in x")
-    return RatFunc(-cofs[0], cofs[1])
+    return -cofs[0], cofs[1]
 
 
 def h_polynomial(p):
@@ -246,8 +246,7 @@ def b_polynomial(p):
     """
     h = h_polynomial(p)
     deg = 2 * p - 1 if p > 0 else 2 * abs(p)
-    x = solve_meridian_x()
-    num, den = x.num, x.den
+    num, den = solve_meridian_x()
     cofs = h.coefficients_in("x")
     for j in cofs:
         if j < 0 or j > deg:
@@ -305,13 +304,6 @@ def verify_aj(p):
     u = unit_ratio(b, a)
     if u is not None:
         return AjReport(p, False, u)
-    diff = []
-    exps = set(b.terms) | set(a.terms)
-    for e in sorted(exps, reverse=True):
-        cb = b.terms.get(e, 0)
-        ca = a.terms.get(e, 0)
-        if cb != ca:
-            mono = LaurentPoly({e: 1})
-            diff.append({"term": mono.text(), "constructed": cb,
-                         "recursive": ca})
+    diff = [{"term": term, "constructed": cb, "recursive": ca}
+            for term, cb, ca in coefficient_diff(b, a)]
     return AjReport(p, False, None, diff)

@@ -22,10 +22,11 @@ One description per summand.  Each double-sum summand is the block
 sigma_k(n) (SIGMA) times a level part c(k, l), stored once per knot as
 data in LEVEL_PARTS.  summand_factors, masbaum_coeff and shift_ratio all
 read that data, so every knot, 6_1 included, has closed-form shift
-quotients in (q, N, K, L2) = (q, q^n, q^k, q^l); the annihilator pairs
-are their (denominator, numerator) pairs.  ShiftRatio.at_q1 takes a
-quotient to q = 1; the A-polynomial construction (apoly) and the growth
-equations (volnum) are read off those q = 1 quotients.
+quotients in (q, N, K, L2) = (q, q^n, q^k, q^l).  A quotient
+F(shifted) / F = num / den is the annihilator pair den * F(shifted) =
+num * F.  ShiftRatio keeps both sides factored, and only ShiftRatio.at_q1
+expands them, at q = 1; the A-polynomial construction (apoly) and the
+growth equations (volnum) are read off those q = 1 quotients.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 import math
 
-from .laurent import LaurentPoly, RatFunc, unit_ratio
+from .laurent import LaurentPoly, unit_ratio
 from .qseries import (QFactors, cleared_sum, dense_divide_binoms, dense_dot,
                       dense_times_binoms, from_dense, to_dense)
 
@@ -279,16 +280,6 @@ class ShiftRatio:
     num: tuple
     den: tuple
 
-    def to_ratfunc(self):
-        return RatFunc(self.numerator_poly(), self.denominator_poly())
-
-    def numerator_poly(self):
-        return _times_binomials(
-            LaurentPoly.monomial(self.sign, **dict(self.mono)), self.num)
-
-    def denominator_poly(self):
-        return _times_binomials(LaurentPoly.const(1), self.den)
-
     def at_q1(self, **bind):
         """(numerator, denominator) at q = 1, as LaurentPolys.
 
@@ -324,18 +315,6 @@ class SummandSpec:
     k_step: ShiftRatio
     l_step: ShiftRatio
 
-    @property
-    def f0(self):
-        return self.n_step.to_ratfunc()
-
-    @property
-    def f1(self):
-        return self.k_step.to_ratfunc()
-
-    @property
-    def f2(self):
-        return self.l_step.to_ratfunc()
-
 
 def shift_ratio(knot, shift):
     """ShiftRatio F(n + dn, k + dk, l + dl) / F(n, k, l) of knot's summand.
@@ -370,18 +349,6 @@ def shift_ratio(knot, shift):
         sign=-1 if _at(form.parity, d) % 2 else 1,
         mono=tuple((v, e) for v, e in zip(("q", "N", "K", "L2"), mono) if e),
         num=tuple(num), den=tuple(den))
-
-
-def annihilator_generators(knot):
-    """Shift annihilator pairs (B, A, direction) with B*F(shifted) = A*F.
-
-    Each pair is the (denominator, numerator) of the corresponding shift
-    quotient, expanded to LaurentPolys in (q, N, K, L2).
-    """
-    spec = summand_spec(knot)
-    return [(r.denominator_poly(), r.numerator_poly(), direction)
-            for r, direction in zip((spec.n_step, spec.k_step, spec.l_step),
-                                    "nkl")]
 
 
 def summand_spec(knot):

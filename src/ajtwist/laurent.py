@@ -1,9 +1,9 @@
 """Exact Laurent polynomial arithmetic over a fixed variable universe.
 
 Everything downstream (knot polynomial sums, recurrence certification,
-specializations) runs on two types defined here: LaurentPoly, a sparse
-integer-coefficient Laurent polynomial, and RatFunc, a quotient of two
-LaurentPolys kept in a canonical form.
+specializations) runs on the one type defined here: LaurentPoly, a
+sparse integer-coefficient Laurent polynomial.  Where a quotient is
+needed, the callers keep the numerator and denominator as a pair.
 
 The variable universe is fixed once:
 
@@ -19,7 +19,6 @@ parse_poly reads back.
 from __future__ import annotations
 
 from fractions import Fraction
-import math
 import re
 
 VARS = ("q", "N", "K", "L2", "l", "m", "x", "y")
@@ -244,24 +243,6 @@ class LaurentPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def content(self):
-        if not self.terms:
-            return 0
-        return math.gcd(*self.terms.values())
-
-    def divide_content(self, g):
-        if g in (1, -1):
-            return self * g if g == -1 else self
-        t = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, g)
-            if r:
-                raise InexactDivision("content %d does not divide %d" % (g, c))
-            t[e] = q
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = t
-        return out
-
     def shift_exponents(self, vec):
         """Multiply by the monomial with exponent tuple vec."""
         if not any(vec):
@@ -390,38 +371,6 @@ class LaurentPoly:
 
     # substitution and evaluation
 
-    def substitute(self, **bindings):
-        """Replace variables by values (int, LaurentPoly or RatFunc).
-
-        Returns a RatFunc.  All bindings are applied simultaneously.
-        Negative exponents of a substituted variable need the value to be
-        invertible, which RatFunc arithmetic gives.  No reduction beyond
-        RatFunc canonicalization is attempted, so compare results with ==
-        rather than expecting a particular denominator.
-        """
-        vals = {}
-        for name, val in bindings.items():
-            if not isinstance(val, RatFunc):
-                val = RatFunc(val if isinstance(val, LaurentPoly)
-                              else LaurentPoly.const(val))
-            vals[VAR_INDEX[name]] = val
-        total = RatFunc.zero()
-        powers = {}
-        for e, c in self.sorted_terms():
-            rest = list(e)
-            factor = RatFunc.const(c)
-            for i, val in vals.items():
-                a = rest[i]
-                rest[i] = 0
-                if not a:
-                    continue
-                key = (i, a)
-                if key not in powers:
-                    powers[key] = val ** a
-                factor = factor * powers[key]
-            total = total + factor * RatFunc(LaurentPoly({tuple(rest): 1}))
-        return total
-
     def substitute_monomials(self, **bindings):
         """Exact substitution where every value is a monomial (or 0, 1, -1).
 
@@ -446,7 +395,7 @@ class LaurentPoly:
                     if a > 0:
                         cc = 0
                         break
-                    if a == 0:  # 0^0 = 1, as in substitute
+                    if a == 0:  # 0^0 = 1
                         continue
                     raise ZeroDivisionError("0 raised to a negative power")
                 (ev, cv), = val.terms.items()
@@ -633,185 +582,6 @@ def parse_poly(text):
     return result
 
 
-class RatFunc:
-    """Quotient of LaurentPolys in a canonical form.
-
-    Canonicalization does three cheap things and no polynomial gcd: the
-    joint per-variable minimum exponent of numerator and denominator is
-    shifted to zero, the joint integer content is divided out, and the
-    sign is fixed so the denominator's leading coefficient is positive.
-    Equality is decided by cross multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.const(1)
-        elif isinstance(den, int):
-            den = LaurentPoly.const(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.const(1)
-            return
-        shift = []
-        for v in VARS:
-            a = min(num.var_range(v)[0], den.var_range(v)[0])
-            shift.append(-a)
-        if any(shift):
-            num = num.shift_exponents(shift)
-            den = den.shift_exponents(shift)
-        g = math.gcd(num.content(), den.content())
-        if den.leading()[1] < 0:
-            g = -g
-        if g != 1:
-            num = num.divide_content(g)
-            den = den.divide_content(g)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, c):
-        return cls(LaurentPoly.const(c))
-
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly.zero())
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_poly(self):
-        return self.den == LaurentPoly.const(1)
-
-    def as_poly(self):
-        """Exact polynomial form, or raise InexactDivision."""
-        return self.num.exact_divide(self.den)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RatFunc is unhashable")
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if self.den.terms == other.den.terms:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n == 0:
-            return RatFunc.const(1)
-        if n < 0:
-            if not self.num:
-                raise ZeroDivisionError("negative power of zero")
-            base = RatFunc(self.den, self.num)
-            n = -n
-        else:
-            base = self
-        result = RatFunc.const(1)
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def substitute(self, **bindings):
-        top = self.num.substitute(**bindings)
-        bot = self.den.substitute(**bindings)
-        if not bot.num:
-            raise ZeroDivisionError("denominator vanishes under substitution")
-        return top / bot
-
-    def substitute_monomials(self, **bindings):
-        top = self.num.substitute_monomials(**bindings)
-        bot = self.den.substitute_monomials(**bindings)
-        if not bot:
-            raise ZeroDivisionError("denominator vanishes under substitution")
-        return RatFunc(top, bot)
-
-    def eval_fraction(self, bindings):
-        bot = self.den.eval_fraction(bindings)
-        if not bot:
-            raise ZeroDivisionError("denominator evaluates to zero")
-        return self.num.eval_fraction(bindings) / bot
-
-    def eval_complex(self, bindings):
-        return self.num.eval_complex(bindings) / self.den.eval_complex(bindings)
-
-    def text(self):
-        if self.is_poly():
-            return self.num.text()
-        return "(%s)/(%s)" % (self.num.text(), self.den.text())
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return "RatFunc(%s)" % self.text()
-
-
-def poly(**exps):
-    """Shorthand monomial constructor used heavily in tests."""
-    return LaurentPoly.monomial(1, **exps)
-
-
 def unit_ratio(a, b):
     """The monomial u with coefficient +-1 and a == u * b, or None."""
     if not b:
@@ -827,5 +597,10 @@ def unit_ratio(a, b):
     return u if a == b * u else None
 
 
-Q = LaurentPoly.var("q")
-ONE = LaurentPoly.const(1)
+def coefficient_diff(a, b):
+    """(term text, coefficient in a, coefficient in b) for each monomial
+    where a and b differ, largest term first."""
+    return [(LaurentPoly({e: 1}).text(), a.terms.get(e, 0), b.terms.get(e, 0))
+            for e in sorted(set(a.terms) | set(b.terms), reverse=True)
+            if a.terms.get(e, 0) != b.terms.get(e, 0)]
+

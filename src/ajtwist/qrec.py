@@ -35,7 +35,8 @@ from fractions import Fraction
 import os
 import re
 
-from .laurent import LaurentPoly, RatFunc, InexactDivision, unit_ratio
+from .laurent import (LaurentPoly, InexactDivision, coefficient_diff,
+                      unit_ratio)
 from .qseries import QFactors, NegativeIndex, is_zero_sum
 from .jones import KnotId, NAMED_KNOTS, summand_factors
 from .apoly import a_polynomial
@@ -65,9 +66,6 @@ class RecurrenceTerm:
     num: LaurentPoly
     den: LaurentPoly
 
-    def coeff(self):
-        return RatFunc(self.num, self.den)
-
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
@@ -75,12 +73,6 @@ class RecurrenceSpec:
     kind: str
     knot: KnotId
     terms: tuple
-
-    def term_by_shift(self, shift):
-        for t in self.terms:
-            if t.shift == tuple(shift):
-                return t
-        raise KeyError("no term with shift %r" % (shift,))
 
 
 _MONO_RE = re.compile(r"(-?\d+)|([qN])(?:\^(-?\d+))?")
@@ -274,12 +266,6 @@ class CheckReport:
     @property
     def ok(self):
         return not self.failures
-
-    def to_json_dict(self):
-        return {"name": self.name, "mode": self.mode,
-                "n_range": [self.n_lo, self.n_hi], "points": self.points,
-                "skipped": self.skipped, "ok": self.ok, "note": self.note,
-                "failures": [list(f) for f in self.failures]}
 
 
 def check_kfree(spec, n_range, mode="interior"):
@@ -478,13 +464,8 @@ def compare_with_apoly(poly, p):
         return CompareReport(p, power, True, u)
     a = _normalize_for_diff(stripped)
     b = _normalize_for_diff(target)
-    diff = []
-    for e in sorted(set(a.terms) | set(b.terms), reverse=True):
-        ca = a.terms.get(e, 0)
-        cb = b.terms.get(e, 0)
-        if ca != cb:
-            diff.append({"term": LaurentPoly({e: 1}).text(),
-                         "computed": ca, "expected": cb})
+    diff = [{"term": term, "computed": ca, "expected": cb}
+            for term, ca, cb in coefficient_diff(a, b)]
     return CompareReport(p, power, False, None, diff)
 
 

@@ -1,8 +1,7 @@
-"""q-Pochhammer products, a factored value type and a dense q kernel.
+"""A factored value type for q-Pochhammer products, and a dense q kernel.
 
-The polynomial builders return LaurentPolys.  QFactors is the workhorse
-for summand evaluation at integer lattice points: it keeps a value of the
-shape
+QFactors is the workhorse for summand evaluation at integer lattice
+points: it keeps a value of the shape
 
     sign * q^e * prod (1 - q^j) / prod (1 - q^j)      (j >= 1)
 
@@ -23,60 +22,22 @@ of values times QFactors, cleared over its union denominator
 (clear_denominators); is_zero_sum is its exact zero test, which is how
 the recurrence checks stay both exact and fast, and jones.assemble_sum
 divides its result back out.  dense_dot does it for a sum of products,
-the cyclotomic colored Jones sum.  qpoch, inv_qpoch and qpoch_base stay
-sparse, as independent oracles for the tests.
+the cyclotomic colored Jones sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 import operator
 
-from .laurent import NV, InexactDivision, LaurentPoly, RatFunc
+from .laurent import NV, InexactDivision, LaurentPoly
 
 
 class NegativeIndex(ValueError):
     """A Pochhammer with negative index appeared in a numerator."""
-
-
-def qpoch(n):
-    """(q)_n = (1-q)(1-q^2)...(1-q^n)."""
-    if n < 0:
-        raise NegativeIndex("(q)_n with n = %d" % n)
-    out = LaurentPoly.const(1)
-    one = LaurentPoly.const(1)
-    for i in range(1, n + 1):
-        out = out * (one - LaurentPoly.monomial(1, q=i))
-    return out
-
-
-def inv_qpoch(n):
-    """(q^-1)_n = (1-q^-1)(1-q^-2)...(1-q^-n)."""
-    if n < 0:
-        raise NegativeIndex("(q^-1)_n with n = %d" % n)
-    out = LaurentPoly.const(1)
-    one = LaurentPoly.const(1)
-    for i in range(1, n + 1):
-        out = out * (one - LaurentPoly.monomial(1, q=-i))
-    return out
-
-
-def qpoch_base(a, k):
-    """(a; q)_k = (1-a)(1-aq)...(1-aq^(k-1)) for a LaurentPoly a."""
-    if k < 0:
-        raise NegativeIndex("(a;q)_k with k = %d" % k)
-    out = LaurentPoly.const(1)
-    one = LaurentPoly.const(1)
-    q = LaurentPoly.var("q")
-    aq = a
-    for _ in range(k):
-        out = out * (one - aq)
-        aq = aq * q
-    return out
 
 
 @dataclass
@@ -96,10 +57,6 @@ class QFactors:
     @classmethod
     def make_zero(cls):
         return cls(zero=True, sign=0)
-
-    def copy(self):
-        return QFactors(self.zero, self.sign, self.qpow,
-                        Counter(self.num), Counter(self.den))
 
     def times_qpow(self, e):
         self.qpow += e
@@ -126,16 +83,6 @@ class QFactors:
             self.qpow += j
             j = -j
         self.num[j] += 1
-        return self
-
-    def div_binom(self, j):
-        if j == 0:
-            raise ZeroDivisionError("division by (1 - q^0)")
-        if j < 0:
-            self.sign = -self.sign
-            self.qpow -= j
-            j = -j
-        self.den[j] += 1
         return self
 
     def times_poch(self, n, inverted_base=False):
@@ -171,60 +118,6 @@ class QFactors:
         for j in range(1, n + 1):
             self.den[j] += 1
         return self
-
-    def cancel(self):
-        common = self.num & self.den
-        if common:
-            self.num -= common
-            self.den -= common
-        return self
-
-    def to_ratfunc(self):
-        if self.zero:
-            return RatFunc.zero()
-        top = dense_times_binoms((self.qpow, [self.sign]), self.num)
-        return RatFunc(from_dense(top),
-                       from_dense(dense_times_binoms((0, [1]), self.den)))
-
-    def to_poly(self):
-        return self.to_ratfunc().as_poly()
-
-    def eval_fraction(self, t):
-        """Exact value at q = t for an integer or Fraction t."""
-        if self.zero:
-            return Fraction(0)
-        t = Fraction(t)
-        val = Fraction(self.sign) * t ** self.qpow
-        for j, mult in sorted(self.num.items()):
-            val *= (1 - t ** j) ** mult
-        for j, mult in sorted(self.den.items()):
-            val /= (1 - t ** j) ** mult
-        return val
-
-    def equals(self, other):
-        """Exact value equality.
-
-        The fast path compares canceled factor multisets; when the
-        multisets disagree the values can still match (indices are not
-        coprime as polynomials), so fall back to expanding.
-        """
-        a = self.copy().cancel()
-        b = other.copy().cancel()
-        if a.zero or b.zero:
-            return a.zero and b.zero
-        if (a.sign == b.sign and a.qpow == b.qpow
-                and a.num == b.num and a.den == b.den):
-            return True
-        return a.to_ratfunc() == b.to_ratfunc()
-
-    def __mul__(self, other):
-        if not isinstance(other, QFactors):
-            return NotImplemented
-        if self.zero or other.zero:
-            return QFactors.make_zero()
-        return QFactors(False, self.sign * other.sign,
-                        self.qpow + other.qpow,
-                        self.num + other.num, self.den + other.den)
 
 
 # the dense kernel

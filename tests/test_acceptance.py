@@ -12,14 +12,13 @@ import mpmath as mp
 from ajtwist.apoly import (a_polynomial, b_polynomial, cd_coefficients,
                            verify_aj)
 from ajtwist.jones import (KnotId, colored_jones, colored_jones_multisum,
-                           named_form_unit, summand_factors, summand_spec)
-from ajtwist.laurent import LaurentPoly, RatFunc, parse_poly
-from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, _coeffs_at,
-                          _point_parts, check_kfree, compare_with_apoly,
-                          load_recurrence, specialize_q1)
-from ajtwist.qseries import NegativeIndex, QFactors
+                           named_form_unit, summand_spec)
+from ajtwist.laurent import LaurentPoly, parse_poly
+from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, check_kfree,
+                          compare_with_apoly, load_recurrence, specialize_q1)
 from ajtwist.volnum import (bloch_wigner, dilog, jhat, kashaev_scan,
                             optimistic_volume)
+from oracles import RatFunc, ratio_holds, residual_at, substitute
 
 FIG8 = parse_poly("-l + l*m^2 + m^4 + 2*l*m^4 + l^2*m^4 + l*m^6 - l*m^8")
 FIVETWO = parse_poly("-l^2 + l^3 + 2*l^2*m^2 + l*m^4 + 2*l^2*m^4 - l*m^6"
@@ -96,24 +95,6 @@ def test_criterion_04_jones_consistency():
           "(5_2) and +1 (6_1), %.1f s" % took)
 
 
-def _ratio_pair_holds(ratio, knot, point, shifted):
-    n, k, l = point
-    try:
-        f1 = summand_factors(knot, *shifted)
-    except NegativeIndex:
-        return None
-    f0 = summand_factors(knot, n, k, l)
-    den = QFactors()
-    for aa, bb, cc, dd in ratio.den:
-        den.times_binom(aa + bb * n + cc * k + dd * l)
-    num = QFactors(sign=ratio.sign)
-    num.times_qpow(sum(x * {"q": 1, "N": n, "K": k, "L2": l}[nm]
-                       for nm, x in ratio.mono))
-    for aa, bb, cc, dd in ratio.num:
-        num.times_binom(aa + bb * n + cc * k + dd * l)
-    return (den * f1).equals(num * f0)
-
-
 def test_criterion_05_ratio_identities():
     t0 = time.time()
     counts = {}
@@ -128,8 +109,7 @@ def test_criterion_05_ratio_identities():
                             (spec.n_step, (n + 1, k, l)),
                             (spec.k_step, (n, k + 1, l)),
                             (spec.l_step, (n, k, l + 1))):
-                        held = _ratio_pair_holds(ratio, knot, (n, k, l),
-                                                 shifted)
+                        held = ratio_holds(ratio, knot, (n, k, l), shifted)
                         if held is not None:
                             assert held, (p, n, k, l, shifted)
                             checked += 1
@@ -289,15 +269,6 @@ def _flip_leading(spec, idx, where="num"):
     return RecurrenceSpec(spec.name, spec.kind, spec.knot, tuple(terms))
 
 
-def _residual_at(spec, n, k, l, base=2):
-    from fractions import Fraction
-    parts = _point_parts(spec, _coeffs_at(spec, n), n, k, l, "interior")
-    assert parts is not None
-    t = Fraction(base)
-    return sum(p.eval_fraction({"q": t}) * f.eval_fraction(t)
-               for p, f in parts)
-
-
 def test_criterion_12_property_suites():
     t0 = time.time()
     rng = random.Random(20260817)
@@ -321,20 +292,20 @@ def test_criterion_12_property_suites():
     for _ in range(400):
         a = _random_poly(rng, names, max_exp=2)
         b = _random_poly(rng, names, max_exp=2)
-        assert (a * b).substitute(**binding) == \
-            a.substitute(**binding) * b.substitute(**binding)
-        assert (a + b).substitute(**binding) == \
-            a.substitute(**binding) + b.substitute(**binding)
+        assert substitute(a * b, **binding) == \
+            substitute(a, **binding) * substitute(b, **binding)
+        assert substitute(a + b, **binding) == \
+            substitute(a, **binding) + substitute(b, **binding)
         cases += 2
 
     kfree = load_recurrence("fivetwo_kfree")
     point = (11, 3, 2)
-    assert _residual_at(kfree, *point) == 0
+    assert residual_at(kfree, *point) == 0
     cases += 1
     for idx in range(len(kfree.terms)):
-        assert _residual_at(_flip_leading(kfree, idx), *point) != 0, idx
+        assert residual_at(_flip_leading(kfree, idx), *point) != 0, idx
         cases += 1
-    assert _residual_at(_flip_leading(kfree, 3, where="den"), *point) != 0
+    assert residual_at(_flip_leading(kfree, 3, where="den"), *point) != 0
     cases += 1
 
     assert cases >= 10000

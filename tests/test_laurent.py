@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ajtwist.laurent import (LaurentPoly, RatFunc, InexactDivision,
-                             PolyParseError, parse_poly, VARS)
+from ajtwist.laurent import (LaurentPoly, InexactDivision, PolyParseError,
+                             parse_poly, VARS)
+from oracles import RatFunc, substitute
 
 
 def mono(c=1, **e):
@@ -109,7 +110,7 @@ class TestSubstitution:
     def test_meridian_example(self):
         xhat = RatFunc(L * M ** 2 + 1, M ** 2 + L)
         b = M ** 4 - X * M ** 2 + 1
-        assert b.substitute(x=xhat) == RatFunc(M ** 6 + L, M ** 2 + L)
+        assert substitute(b, x=xhat) == RatFunc(M ** 6 + L, M ** 2 + L)
 
     def test_substitute_is_a_homomorphism(self):
         rng = random.Random(7)
@@ -118,11 +119,11 @@ class TestSubstitution:
         for _ in range(40):
             a = _random_poly(rng, names, max_exp=2)
             b = _random_poly(rng, names, max_exp=2)
-            lhs = (a * b).substitute(**binding)
-            rhs = a.substitute(**binding) * b.substitute(**binding)
+            lhs = substitute(a * b, **binding)
+            rhs = substitute(a, **binding) * substitute(b, **binding)
             assert lhs == rhs
-            assert (a + b).substitute(**binding) == \
-                a.substitute(**binding) + b.substitute(**binding)
+            assert substitute(a + b, **binding) == \
+                substitute(a, **binding) + substitute(b, **binding)
 
     def test_substitute_monomials_q_to_one(self):
         p = mono(3, q=5, N=2) + mono(-1, q=-2, N=1)
@@ -148,6 +149,7 @@ class TestSubstitution:
 
 
 class TestRatFunc:
+    # the rational-function oracle the other suites compare against
     def test_canonical_min_shift(self):
         r = RatFunc(mono(2, q=-3) + mono(2, q=-2), mono(4, q=-1))
         # common monomial factors and integer content are removed

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ajtwist.laurent import LaurentPoly, RatFunc
-from ajtwist.qseries import (qpoch, inv_qpoch, qpoch_base, QFactors,
-                             NegativeIndex, is_zero_sum)
+from ajtwist.laurent import LaurentPoly
+from ajtwist.qseries import QFactors, NegativeIndex, is_zero_sum
+from oracles import (RatFunc, div_binom, factors_equal, inv_qpoch, qfactors_at,
+                     qfactors_ratfunc, qpoch)
 
 
 Q = LaurentPoly.var("q")
@@ -27,30 +28,25 @@ class TestBuilders:
             expect = LaurentPoly.monomial(sign, q=-n * (n + 1) // 2) * qpoch(n)
             assert inv_qpoch(n) == expect
 
-    def test_qpoch_base(self):
-        a = LaurentPoly.monomial(1, q=1)
-        assert qpoch_base(a, 3) == qpoch(3)
-        n = LaurentPoly.var("N")
-        assert qpoch_base(n, 1) == ONE - n
-
 
 class TestQFactors:
     def test_one_and_zero(self):
-        assert QFactors.one().to_ratfunc() == 1
-        assert QFactors.make_zero().to_ratfunc() == RatFunc.zero()
+        assert qfactors_ratfunc(QFactors.one()) == 1
+        assert qfactors_ratfunc(QFactors.make_zero()) == RatFunc.zero()
 
     def test_binom_normalization(self):
         # (1 - q^-3) = -q^-3 (1 - q^3)
         f = QFactors.one().times_binom(-3)
-        assert f.to_ratfunc() == RatFunc(ONE - LaurentPoly.monomial(1, q=-3))
+        assert qfactors_ratfunc(f) == \
+            RatFunc(ONE - LaurentPoly.monomial(1, q=-3))
         g = QFactors.one().times_binom(0)
         assert g.zero
 
     def test_poch_roundtrip(self):
         f = QFactors.one().times_poch(4)
-        assert f.to_poly() == qpoch(4)
+        assert qfactors_ratfunc(f).as_poly() == qpoch(4)
         g = QFactors.one().times_poch(3, inverted_base=True)
-        assert g.to_ratfunc() == RatFunc(inv_qpoch(3))
+        assert qfactors_ratfunc(g) == RatFunc(inv_qpoch(3))
 
     def test_div_poch_negative_is_zero(self):
         f = QFactors.one().div_poch(-2)
@@ -63,7 +59,7 @@ class TestQFactors:
     def test_ratio_value(self):
         # (q)_5 / ((q)_2 (q)_3) is the Gaussian binomial [5 choose 2]
         f = QFactors.one().times_poch(5).div_poch(2).div_poch(3)
-        gauss = f.to_poly()
+        gauss = qfactors_ratfunc(f).as_poly()
         # q-binomial via explicit product
         expect = qpoch(5).exact_divide(qpoch(2) * qpoch(3))
         assert gauss == expect
@@ -76,37 +72,29 @@ class TestQFactors:
             for _ in range(rng.randint(0, 4)):
                 f.times_binom(rng.randint(-5, 5))
             for _ in range(rng.randint(0, 3)):
-                f.div_binom(rng.choice([1, 2, 3, 4, 5, -1, -2]))
+                div_binom(f, rng.choice([1, 2, 3, 4, 5, -1, -2]))
             f.times_qpow(rng.randint(-4, 4))
             if rng.random() < 0.5:
                 f.times_sign(-1)
             t = Fraction(rng.choice([2, 3, 5, 7]))
             if f.zero:
-                assert f.eval_fraction(t) == 0
+                assert qfactors_at(f, t) == 0
                 continue
-            r = f.to_ratfunc()
-            assert f.eval_fraction(t) == r.eval_fraction({"q": t})
+            r = qfactors_ratfunc(f)
+            assert qfactors_at(f, t) == r.eval_fraction({"q": t})
 
     def test_equals_fast_and_slow(self):
         a = QFactors.one().times_poch(2)
         b = QFactors.one().times_poch(2)
-        assert a.equals(b)
+        assert factors_equal(a, b)
         # different construction paths normalize to one representation
-        c = QFactors.one().times_binom(2).div_binom(1)
-        d = QFactors.one().times_binom(-2).div_binom(-1).times_qpow(1)
-        assert c.equals(d)
+        c = div_binom(QFactors.one().times_binom(2), 1)
+        d = div_binom(QFactors.one().times_binom(-2), -1).times_qpow(1)
+        assert factors_equal(c, d)
         # unequal values take the expansion fallback and disagree
-        e = QFactors.one().times_binom(3).div_binom(1)
-        assert not c.equals(e)
-        assert not c.equals(QFactors.make_zero())
-
-    def test_mul(self):
-        a = QFactors.one().times_poch(2).times_qpow(3)
-        b = QFactors(sign=-1).div_poch(4)
-        ab = a * b
-        assert ab.sign == -1 and ab.qpow == 3
-        assert ab.to_ratfunc() == RatFunc(
-            LaurentPoly.monomial(-1, q=3) * qpoch(2), qpoch(4))
+        e = div_binom(QFactors.one().times_binom(3), 1)
+        assert not factors_equal(c, e)
+        assert not factors_equal(c, QFactors.make_zero())
 
 
 class TestZeroCertificate:
@@ -152,7 +140,7 @@ class TestZeroCertificate:
                 f.times_qpow(rng.randint(-3, 3))
                 p = LaurentPoly.monomial(rng.randint(-3, 3), q=rng.randint(0, 2))
                 parts.append((p, f))
-                sym = sym + RatFunc(p) * f.to_ratfunc()
+                sym = sym + RatFunc(p) * qfactors_ratfunc(f)
             # make it exactly zero half the time by appending the negation
             if rng.random() < 0.5:
                 neg = [(-p, f) for p, f in parts]

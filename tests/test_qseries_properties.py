@@ -2,12 +2,14 @@
 for the clearing and expansion in jones.assemble_sum, and for the dense
 q kernel under both.
 
-The oracle is RatFunc arithmetic on the fully expanded parts, which
+The oracle is RatFunc arithmetic (oracles.py) on the fully expanded
+parts, which
 shares no code with the certificate's integer evaluation; the dense
 kernel is checked against the sparse LaurentPoly multiply and
 exact_divide.
 """
 from collections import Counter
+from copy import deepcopy
 
 import pytest
 
@@ -16,10 +18,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from ajtwist.jones import assemble_sum
-from ajtwist.laurent import InexactDivision, LaurentPoly, RatFunc
+from ajtwist.laurent import InexactDivision, LaurentPoly
 from ajtwist.qseries import (QFactors, cleared_sum, dense_divide_binoms,
                              dense_dot, dense_times_binoms, from_dense,
                              is_zero_sum, to_dense)
+from oracles import RatFunc, binom_product, div_binom, qfactors_ratfunc
 
 SETTINGS = settings(max_examples=150, deadline=None)
 ONE = LaurentPoly.const(1)
@@ -71,7 +74,7 @@ any_parts = part_lists() | part_lists(shared=True)
 def rewritten(draw, part):
     """The same value poly * qf, written with other factors."""
     poly, qf = part
-    f = qf.copy()
+    f = deepcopy(qf)
     for _ in range(draw(st.integers(0, 3))):
         move = draw(st.sampled_from(("qpow", "sign", "pair", "expand")))
         if move == "qpow":
@@ -89,7 +92,7 @@ def rewritten(draw, part):
             # negative j takes the (1 - q^-j) normalization in div_binom
             j = draw(st.integers(-6, 6).filter(bool))
             poly = poly * (ONE - LaurentPoly.monomial(1, q=j))
-            f.div_binom(j)
+            div_binom(f, j)
     return poly, f
 
 
@@ -104,7 +107,7 @@ def zero_sums(draw):
 def expanded(parts):
     total = RatFunc.zero()
     for poly, qf in parts:
-        total = total + RatFunc(poly) * qf.to_ratfunc()
+        total = total + RatFunc(poly) * qfactors_ratfunc(qf)
     return total
 
 
@@ -119,7 +122,7 @@ def test_agrees_with_expansion(parts, data):
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(parts) - 1))
         poly, qf = parts[i]
-        qf = qf.copy().times_binom(data.draw(st.integers(1, 6)))
+        qf = deepcopy(qf).times_binom(data.draw(st.integers(1, 6)))
         parts = parts[:i] + [(poly, qf)] + parts[i + 1:]
     ok, base = is_zero_sum(parts)
     assert ok == (not expanded(parts))
@@ -143,8 +146,7 @@ def test_base_bounds_the_reduced_residual(parts):
     for _, qf in live:
         cleared = qf.num + (den_all - qf.den)
         common = cleared if common is None else common & cleared
-    scale = RatFunc(QFactors(num=den_all).to_poly(),
-                    QFactors(num=common or Counter()).to_poly())
+    scale = RatFunc(binom_product(den_all), binom_product(common or Counter()))
     residual = (expanded(parts) * scale).as_poly()
     l1 = sum(abs(c) for c in residual.terms.values())
     assert is_zero_sum(parts)[1] >= 2 * l1 + 2
@@ -192,22 +194,6 @@ def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
     assert not is_zero_sum(parts)[0]
 
 
-def binom_product(js):
-    """prod (1 - q^j) over the multiset js, expanded here."""
-    out = ONE
-    for j in js.elements():
-        out = out * (ONE - LaurentPoly.monomial(1, q=j))
-    return out
-
-
-def binom_ratfunc(qf):
-    """qf as a RatFunc, with its (1 - q^j) products expanded here."""
-    if qf.zero:
-        return RatFunc.zero()
-    top = LaurentPoly.monomial(qf.sign, q=qf.qpow) * binom_product(qf.num)
-    return RatFunc(top, binom_product(qf.den))
-
-
 @st.composite
 def polynomial_sums(draw):
     """QFactors lists whose sum is a Laurent polynomial.
@@ -227,8 +213,8 @@ def polynomial_sums(draw):
         qf.den += pair
         if draw(st.booleans()):
             j = draw(st.integers(1, 6))
-            out.append(qf.copy().div_binom(j))
-            qf = qf.div_binom(j).times_qpow(j).times_sign(-1)
+            out.append(div_binom(deepcopy(qf), j))
+            qf = div_binom(qf, j).times_qpow(j).times_sign(-1)
         out.append(qf)
     return draw(st.permutations(out))
 
@@ -243,12 +229,12 @@ qfactor_lists = st.lists(qfactors() | st.builds(QFactors.make_zero),
 @given(qfactor_lists | polynomial_sums())
 @example([])
 @example([QFactors.make_zero()])
-@example([QFactors.one().div_binom(1)])
+@example([div_binom(QFactors.one(), 1)])
 @example([QFactors(num=Counter({1: 1}), den=Counter({1: 1}))])
 @example([QFactors(num=Counter({1: 1}), den=Counter({2: 1})),
           QFactors(sign=-1, num=Counter({1: 1}), den=Counter({2: 1}))])
 def test_assemble_sum_agrees_with_expansion(qfs):
-    oracle = sum((binom_ratfunc(qf) for qf in qfs), RatFunc.zero())
+    oracle = sum((qfactors_ratfunc(qf) for qf in qfs), RatFunc.zero())
     try:
         want = oracle.as_poly()
     except InexactDivision:
