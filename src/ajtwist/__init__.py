@@ -4,30 +4,43 @@ The package certifies, with integer arithmetic end to end, that the
 annihilator of the colored Jones function of a twist knot reproduces the
 A-polynomial, verifies shipped q-recurrences for the 5_2 and 6_1 knots,
 and evaluates the associated hyperbolic volume numerics.
+
+Importing the package loads no submodule: each public name is imported
+from its submodule on first access and then cached here, so a command
+that never touches the volume numerics never loads mpmath.
 """
 
-from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
-                      parse_poly, VARS)
-from .jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
-                    colored_jones_multisum, summand_spec, named_form_unit)
-from .apoly import (a_polynomial, b_polynomial, h_polynomial,
-                    cd_coefficients, verify_aj)
-from .qrec import (parse_recurrence, load_recurrence, check_kfree,
-                   specialize_q1, compare_with_apoly)
-from .volnum import (CertificationError, jhat, dilog, bloch_wigner,
-                     saddle_solve, optimistic_volume, kashaev_scan)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPoly", "InexactDivision", "PolyParseError", "parse_poly", "VARS",
-    "KnotId", "masbaum_coeff", "sigma_basis", "colored_jones",
-    "colored_jones_multisum", "summand_spec", "named_form_unit",
-    "a_polynomial", "b_polynomial", "h_polynomial", "cd_coefficients",
-    "verify_aj",
-    "parse_recurrence", "load_recurrence", "check_kfree", "specialize_q1",
-    "compare_with_apoly",
-    "CertificationError", "jhat", "dilog", "bloch_wigner", "saddle_solve",
-    "optimistic_volume", "kashaev_scan",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(("LaurentPoly", "InexactDivision", "CertificationError",
+                     "PolyParseError", "parse_poly", "VARS"), "laurent"),
+    **dict.fromkeys(("KnotId", "masbaum_coeff", "sigma_basis",
+                     "colored_jones", "colored_jones_multisum",
+                     "summand_spec", "named_form_unit"), "jones"),
+    **dict.fromkeys(("a_polynomial", "b_polynomial", "h_polynomial",
+                     "cd_coefficients", "verify_aj"), "apoly"),
+    **dict.fromkeys(("parse_recurrence", "load_recurrence", "check_kfree",
+                     "specialize_q1", "compare_with_apoly"), "qrec"),
+    **dict.fromkeys(("jhat", "dilog", "bloch_wigner", "saddle_solve",
+                     "optimistic_volume", "kashaev_scan"), "volnum"),
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -10,20 +10,34 @@ vacuously, and always says on stderr how many grid points it skipped;
 rec-check and rec-q1 also exit 3 when a fixture denominator vanishes at
 a point they must evaluate.  volume, like kashaev, refuses the
 non-hyperbolic p = 0 and p = 1 as a usage error.
+
+The qrec and volnum names in _LAZY are imported on first lookup and the
+commands call them through this module, so a command loads only the
+layers it runs and a patch on ``cli.NAME`` still reaches it.
 """
 import argparse
+from importlib import import_module
 import json
 import sys
-
-import mpmath as mp
 
 from .apoly import a_polynomial, b_polynomial, h_polynomial, verify_aj
 from .jones import (NAMED_KNOTS, KnotId, colored_jones,
                     colored_jones_multisum, named_form_unit)
-from .laurent import InexactDivision
-from .qrec import check_kfree, compare_with_apoly, load_recurrence, \
-    specialize_q1
-from .volnum import CertificationError, kashaev_scan, optimistic_volume
+from .laurent import CertificationError, InexactDivision
+
+# names the package resolves on first lookup
+_LAZY = frozenset(("check_kfree", "compare_with_apoly", "kashaev_scan",
+                   "load_recurrence", "optimistic_volume", "specialize_q1"))
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module(__package__), name)
+    globals()[name] = value
+    return value
 
 
 class UsageError(Exception):
@@ -123,9 +137,10 @@ def _cmd_verify_aj(args):
 def _cmd_rec_check(args):
     if args.n_min > args.n_max:
         raise UsageError("empty n range")
-    spec = load_recurrence(args.fixture)
+    spec = _cli.load_recurrence(args.fixture)
     try:
-        rep = check_kfree(spec, (args.n_min, args.n_max), mode=args.mode)
+        rep = _cli.check_kfree(spec, (args.n_min, args.n_max),
+                               mode=args.mode)
     except ZeroDivisionError as exc:
         print("not certified: %s" % exc, file=sys.stderr)
         return 3
@@ -150,16 +165,16 @@ def _cmd_rec_check(args):
 
 
 def _cmd_rec_q1(args):
-    spec = load_recurrence(args.fixture)
+    spec = _cli.load_recurrence(args.fixture)
     try:
-        shadow = specialize_q1(spec)
+        shadow = _cli.specialize_q1(spec)
     except InexactDivision as exc:
         print("q = 1 cancellation failed: %s" % exc, file=sys.stderr)
         return 1
     except ZeroDivisionError as exc:
         print("not certified: %s" % exc, file=sys.stderr)
         return 3
-    rep = compare_with_apoly(shadow, args.compare_p)
+    rep = _cli.compare_with_apoly(shadow, args.compare_p)
     if args.out == "json":
         out = {"fixture": spec.name}
         out.update(rep.to_json_dict())
@@ -181,8 +196,9 @@ def _cmd_rec_q1(args):
 
 
 def _cmd_volume(args):
+    import mpmath as mp
     prec = _check_prec(args)
-    vol, sols = optimistic_volume(args.p, prec=prec)
+    vol, sols = _cli.optimistic_volume(args.p, prec=prec)
     lines = ["volume = %s" % mp.nstr(vol, 20)]
     if args.all_solutions:
         for s in sols:
@@ -194,11 +210,12 @@ def _cmd_volume(args):
 
 
 def _cmd_kashaev(args):
+    import mpmath as mp
     prec = _check_prec(args)
     if args.n_min > args.n_max:
         raise UsageError("empty n range")
-    rows = kashaev_scan(args.p, range(args.n_min, args.n_max + 1),
-                        prec=prec)
+    rows = _cli.kashaev_scan(args.p, range(args.n_min, args.n_max + 1),
+                             prec=prec)
     if args.out == "json":
         _emit(args, _json_text({
             "p": args.p,

@@ -31,6 +31,10 @@ class InexactDivision(ArithmeticError):
     """Raised when a division that must be exact is not."""
 
 
+class CertificationError(ArithmeticError):
+    """An exactness or residual certificate failed."""
+
+
 class PolyParseError(ValueError):
     def __init__(self, message, pos=None):
         self.pos = pos

@@ -31,13 +31,9 @@ import mpmath as mp
 
 from .apoly import saddle_constraint
 from .jones import KnotId, summand_spec
-from .laurent import LaurentPoly, InexactDivision
+from .laurent import CertificationError, InexactDivision, LaurentPoly
 
 GUARD_BITS = 32
-
-
-class CertificationError(ArithmeticError):
-    """An exactness or residual certificate failed."""
 
 
 # ---------------------------------------------------------------------------

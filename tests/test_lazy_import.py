@@ -1,0 +1,166 @@
+"""What each command imports, and the lazily bound names behind it.
+
+``ajtwist`` and ``ajtwist.cli`` import qrec, volnum and mpmath on first
+lookup, so a command loads only the layers it runs.  These tests pin
+that footprint in a fresh interpreter, and check that every lazily
+bound name still resolves and can still be patched on ``cli``.
+"""
+import json
+import os
+from pathlib import Path
+import re
+import subprocess
+import sys
+
+import pytest
+
+import ajtwist
+from ajtwist import apoly, cli, laurent, qrec, volnum
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs one command with its stdout swallowed and prints, as JSON, its exit
+# code and every module loaded by the end.  An empty argv only imports.
+PROBE = """\
+import contextlib, io, json, sys
+from ajtwist.cli import main
+rc = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+HEAVY = {"mpmath", "ajtwist.volnum", "ajtwist.qrec"}
+
+
+def probe(code, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("argv, absent", [
+        ([], HEAVY),
+        (["jones", "--p", "2", "--n", "3"], HEAVY),
+        (["apoly", "--p", "2"], HEAVY),
+        (["verify-aj", "--p-min", "1", "--p-max", "2"], HEAVY),
+        (["rec-check", "--fixture", "fivetwo_kfree",
+          "--n-min", "6", "--n-max", "6"], {"mpmath", "ajtwist.volnum"}),
+        (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
+         {"mpmath", "ajtwist.volnum"}),
+    ], ids=["import-cli", "jones", "apoly", "verify-aj", "rec-check",
+            "rec-q1"])
+    def test_command_leaves_out(self, argv, absent):
+        out = probe(PROBE, *argv)
+        assert out["rc"] == 0
+        assert absent.isdisjoint(out["modules"])
+
+    @pytest.mark.parametrize("argv, present", [
+        (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
+         {"ajtwist.qrec"}),
+        (["volume", "--p", "2"], {"mpmath", "ajtwist.volnum"}),
+        (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
+         {"mpmath", "ajtwist.volnum"}),
+    ], ids=["rec-q1", "volume", "kashaev"])
+    def test_command_loads_what_it_runs(self, argv, present):
+        # the probe sees a module the command does load
+        out = probe(PROBE, *argv)
+        assert out["rc"] == 0
+        assert present <= set(out["modules"])
+
+    def test_bare_package_loads_no_submodule(self):
+        out = probe("import json, sys, ajtwist\n"
+                    "print(json.dumps({'modules': sorted(sys.modules)}))")
+        assert [m for m in out["modules"] if m.startswith("ajtwist.")] == []
+        assert "mpmath" not in out["modules"]
+
+
+class _Reached(Exception):
+    """Raised by a patched name to show that the command called it."""
+
+
+# every name on cli that perfbench/traced.py wraps, plus the other lazily
+# bound ones; each with the module that defines it and a command that
+# calls it
+REC_CHECK = ["rec-check", "--fixture", "fivetwo_kfree",
+             "--n-min", "6", "--n-max", "6"]
+REC_Q1 = ["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"]
+PATCH_CASES = {
+    "check_kfree": (qrec, REC_CHECK),
+    "load_recurrence": (qrec, REC_CHECK),
+    "specialize_q1": (qrec, REC_Q1),
+    "compare_with_apoly": (qrec, REC_Q1),
+    "verify_aj": (apoly, ["verify-aj", "--p-min", "1", "--p-max", "1"]),
+    "a_polynomial": (apoly, ["apoly", "--p", "2"]),
+    "b_polynomial": (apoly, ["bpoly", "--p", "2"]),
+    "h_polynomial": (apoly, ["hpoly", "--p", "2"]),
+    "kashaev_scan": (volnum, ["kashaev", "--p", "2",
+                              "--n-min", "10", "--n-max", "10"]),
+    "optimistic_volume": (volnum, ["volume", "--p", "2"]),
+}
+
+
+class TestLazyCliNames:
+    def test_cases_cover_traced_runner(self):
+        traced = (ROOT / "perfbench" / "traced.py").read_text()
+        wrapped = set(re.findall(r'\(cli, "(\w+)"\)', traced))
+        assert wrapped and wrapped <= set(PATCH_CASES)
+        assert set(cli._LAZY) <= set(PATCH_CASES)
+
+    @pytest.mark.parametrize("name", sorted(PATCH_CASES))
+    def test_patch_reaches_command(self, monkeypatch, name):
+        home, argv = PATCH_CASES[name]
+        if name in cli._LAZY:
+            # as on a cli where nothing has looked the name up yet
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        assert getattr(cli, name) is getattr(home, name)
+
+        def fake(*args, **kwargs):
+            raise _Reached(name)
+        monkeypatch.setattr(cli, name, fake)
+        with pytest.raises(_Reached, match=name):
+            cli.main(argv)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="nope"):
+            cli.nope
+
+
+class TestCertificationError:
+    def test_one_class(self):
+        assert ajtwist.CertificationError is laurent.CertificationError
+        assert volnum.CertificationError is laurent.CertificationError
+        # the class main's except clause names
+        assert cli.CertificationError is laurent.CertificationError
+
+    def test_forced_volume_exits_three(self, capsys, monkeypatch):
+        def broken(p, prec=128):
+            raise ajtwist.CertificationError("forced")
+        monkeypatch.setattr(cli, "optimistic_volume", broken)
+        assert cli.main(["volume", "--p", "2"]) == 3
+        assert "not certified: forced" in capsys.readouterr().err
+
+
+class TestPackageSurface:
+    @pytest.mark.parametrize("name", ajtwist.__all__)
+    def test_public_name_resolves(self, name):
+        assert getattr(ajtwist, name) is not None
+
+    def test_star_import(self):
+        ns = {}
+        exec("from ajtwist import *", ns)
+        assert set(ajtwist.__all__) <= set(ns)
+        assert ns["optimistic_volume"] is volnum.optimistic_volume
+
+    def test_dir_lists_unloaded_names(self):
+        assert set(ajtwist.__all__) <= set(dir(ajtwist))
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="'nope'"):
+            ajtwist.nope
+        assert not hasattr(ajtwist, "nope")
