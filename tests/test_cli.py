@@ -156,6 +156,20 @@ class TestVerifyAj:
         assert code == 1
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # sha256 of stdout over p in -25..25, which holds every window the
+    # benchmark's aj-family workload asks for
+    @pytest.mark.parametrize("out, digest", [
+        ("text", "37074438a0973495a14fb0feda64e350"
+                 "aed6fd84ca70e1635e684dd8e4e806e3"),
+        ("json", "b566816289b858c3a24f4fae0b23972b"
+                 "9afb3cccf9ac431d046fe09698df9e0e"),
+    ])
+    def test_wide_window_digest(self, capsys, out, digest):
+        code, text, _ = run(capsys, "verify-aj", "--p-min", "-25",
+                            "--p-max", "25", "--out", out)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestRecCheck:
     def test_kfree_fixture_passes(self, capsys):
