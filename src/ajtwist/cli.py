@@ -109,10 +109,27 @@ def _poly_command(kind, build):
     return run
 
 
+def _p_runs(ps):
+    """Ascending integers as runs of consecutive ones: "-9..-2, 3, 5..7"."""
+    runs = []
+    for p in ps:
+        if runs and p == runs[-1][1] + 1:
+            runs[-1][1] = p
+        else:
+            runs.append([p, p])
+    return ", ".join(str(a) if a == b else "%d..%d" % (a, b)
+                     for a, b in runs) or "none"
+
+
 def _cmd_verify_aj(args):
     if args.p_min > args.p_max:
         raise UsageError("empty p range")
     reports = [verify_aj(p) for p in range(args.p_min, args.p_max + 1)]
+    print("p certified by the three-term law from its seeds: %s; "
+          "p compared directly: %s"
+          % (_p_runs(r.p for r in reports if r.by_law),
+             _p_runs(r.p for r in reports if not r.by_law)),
+          file=sys.stderr)
     if args.out == "json":
         _emit(args, _json_text([r.to_json_dict() for r in reports]))
     else:

@@ -9,7 +9,7 @@ from ajtwist import apoly, jones
 from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, quad_reduce,
                            h_via_reduction, b_polynomial, verify_aj,
-                           saddle_constraint)
+                           compare_aj, saddle_constraint)
 from ajtwist.jones import NUM, summand_spec
 from oracles import RatFunc, ratio_ratfunc, substitute
 
@@ -313,6 +313,52 @@ class TestVerifyAj:
     def test_json_shape(self):
         d = verify_aj(1).to_json_dict()
         assert d == {"p": 1, "equal": True, "unit": "1", "diff": []}
+
+
+class TestVerifyAjByLaw:
+    # verify_aj certifies p outside -1..2 by the three-term law from the
+    # seeds; the direct comparison is its oracle, and each check of the
+    # law is pinned by a mutation that only that check catches
+    def test_matches_direct_comparison(self):
+        for p in range(-20, 21):
+            rep = verify_aj(p)
+            assert rep.by_law == (p not in range(-1, 3)), p
+            assert rep.to_json_dict() == compare_aj(p).to_json_dict(), p
+
+    def patch_cd(self, monkeypatch, dc=0, dd=0):
+        c, d = cd_coefficients()
+        monkeypatch.setattr(apoly, "cd_coefficients",
+                            lambda: (c + dc, d + dd))
+
+    @pytest.mark.parametrize("change", [
+        {"dc": parse_poly("l*m^2")},
+        {"dd": parse_poly("l^4*m^2")},
+    ], ids=["c", "d"])
+    def test_wrong_multiplier_is_not_equal(self, monkeypatch, change):
+        self.patch_cd(monkeypatch, **change)
+        for p in (5, -4):
+            rep = verify_aj(p)
+            assert not rep.equal and not rep.by_law, p
+
+    def test_cubic_quad_a_is_refused(self, monkeypatch):
+        # the tower then leaves b_polynomial's clearing window; the law
+        # must not vouch for it, so p's own comparison refuses it
+        cubic = quad_a() + parse_poly("x^3")
+        monkeypatch.setattr(apoly, "quad_a", lambda: cubic)
+        for p in (5, -4):
+            with pytest.raises(ArithmeticError,
+                               match="clearing window at p = %d$" % p):
+                verify_aj(p)
+
+    def test_wrong_seed_breaks_its_side_only(self, monkeypatch):
+        seeds = apoly._initial_a_polynomials()
+        seeds[2] += parse_poly("l^2*m^2")
+        monkeypatch.setattr(apoly, "_initial_a_polynomials",
+                            lambda: dict(seeds))
+        rep = verify_aj(7)
+        assert not rep.equal and not rep.by_law
+        rep = verify_aj(-7)
+        assert rep.equal and rep.by_law
 
 
 class TestChainReadsSummand:

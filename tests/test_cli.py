@@ -133,6 +133,17 @@ class TestVerifyAj:
             assert r["unit"] == "1"
             assert r["diff"] == []
 
+    def test_stderr_names_how_each_p_was_certified(self, capsys):
+        code, out, err = run(capsys, "verify-aj", "--p-min", "-4",
+                             "--p-max", "5")
+        assert code == 0
+        assert out == "".join("p = %d: equal\n" % p for p in range(-4, 6))
+        assert err == ("p certified by the three-term law from its seeds: "
+                       "-4..-2, 3..5; p compared directly: -1..2\n")
+        _, _, err = run(capsys, "verify-aj", "--p-min", "7", "--p-max", "7")
+        assert err == ("p certified by the three-term law from its seeds: "
+                       "7; p compared directly: none\n")
+
     # sha256 of stdout with the recursive route broken on purpose: p = 0
     # still agrees, p = 1 is off by the unit -1 and p = 2 by two
     # coefficients, so every report line and diff row is pinned
@@ -391,10 +402,12 @@ class TestTracedRunner:
          "apoly.a_polynomial"),
         (["verify-aj", "--p-min", "-2", "--p-max", "2"],
          "apoly.a_polynomial"),
+        (["verify-aj", "--p-min", "11", "--p-max", "11"],
+         "apoly.a_polynomial"),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
          "volnum.jhat"),
     ], ids=["jones", "jones-multisum", "rec-check", "rec-check-full",
-            "rec-q1", "verify-aj", "kashaev"])
+            "rec-q1", "verify-aj", "verify-aj-law", "kashaev"])
     def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run(
