@@ -9,7 +9,9 @@ when its n range holds no grid points to check, rather than passing
 vacuously, and always says on stderr how many grid points it skipped;
 rec-check and rec-q1 also exit 3 when a fixture denominator vanishes at
 a point they must evaluate.  volume, like kashaev, refuses the
-non-hyperbolic p = 0 and p = 1 as a usage error.
+non-hyperbolic p = 0 and p = 1 as a usage error.  verify-aj says on
+stderr which p it certified by the three-term law from the seeds and
+which it compared directly.
 
 The qrec and volnum names in _LAZY are imported on first lookup and the
 commands call them through this module, so a command loads only the

@@ -325,17 +325,12 @@ class TestVerifyAjByLaw:
             assert rep.by_law == (p not in range(-1, 3)), p
             assert rep.to_json_dict() == compare_aj(p).to_json_dict(), p
 
-    def patch_cd(self, monkeypatch, dc=0, dd=0):
+    @pytest.mark.parametrize("dc, dd", [("l*m^2", "0"), ("0", "l^4*m^2")],
+                             ids=["c", "d"])
+    def test_wrong_multiplier_is_not_equal(self, monkeypatch, dc, dd):
         c, d = cd_coefficients()
-        monkeypatch.setattr(apoly, "cd_coefficients",
-                            lambda: (c + dc, d + dd))
-
-    @pytest.mark.parametrize("change", [
-        {"dc": parse_poly("l*m^2")},
-        {"dd": parse_poly("l^4*m^2")},
-    ], ids=["c", "d"])
-    def test_wrong_multiplier_is_not_equal(self, monkeypatch, change):
-        self.patch_cd(monkeypatch, **change)
+        wrong = (c + parse_poly(dc), d + parse_poly(dd))
+        monkeypatch.setattr(apoly, "cd_coefficients", lambda: wrong)
         for p in (5, -4):
             rep = verify_aj(p)
             assert not rep.equal and not rep.by_law, p
