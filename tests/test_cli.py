@@ -328,6 +328,32 @@ class TestVolume:
         assert code == 3
         assert "not certified" in err
 
+    # sha256 of stdout with every saddle solution listed, over the twist
+    # parameters the benchmark's volume-scan workload asks for: each
+    # line prints 20 digits of x0, y0 and the candidate, so a change in
+    # the root finder that moves any solution shows here
+    @pytest.mark.parametrize("p, digest", [
+        (2, "82e26628c9868b06e07459c547436c5c"
+            "1836f454453243a874982dc72f11c5d2"),
+        (-2, "62ffc3efe8ce6853358d37aad35bcf19"
+             "746c04fec324e508eb654a32beda8d89"),
+        (3, "65d951ae2003e44282e83c8bbefb27c4"
+            "d0a2c68c2bf43d46090e7cafe237ea5e"),
+        (-3, "bdc79ab50d404f9d5c1bd1c2cf8cab26"
+             "f16365324a92dcd8b53500b9254c47ea"),
+        (4, "e34743322a4a16d0c87a3e3323ff8676"
+            "393fdf835379a17a45f87b9fe058fdba"),
+        (-4, "fc3d67864335d6baae0263cc01f38434"
+             "67b54219ee398c0d3826b58d0376a5dd"),
+        (5, "3f65b7a5976587cf68d70cc4147cb04b"
+            "a06d5affdb27ca8960ec8bb321e8f214"),
+    ])
+    def test_all_solutions_digest(self, capsys, p, digest):
+        code, out, _ = run(capsys, "volume", "--p", str(p),
+                           "--all-solutions")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestKashaev:
     def test_csv_shape(self, capsys):
@@ -371,6 +397,20 @@ class TestKashaev:
         _, second, _ = run(capsys, "kashaev", "--p", "-2",
                            "--n-min", "6", "--n-max", "8")
         assert first == second
+
+    # sha256 of stdout for one window of the benchmark's volume-scan
+    # workload on each side of p, both past the singular-window onset
+    @pytest.mark.parametrize("p, n_min, n_max, digest", [
+        (3, 48, 49, "084f535214fa89a5c7f5699581385523"
+                    "080af92cbc460515128924c12a7b3502"),
+        (-5, 44, 46, "80da6e31a01e4ed919a5c7370c14aaf3"
+                     "fd9c8b0cf627a01cda5379b47ab1a476"),
+    ])
+    def test_window_digest(self, capsys, p, n_min, n_max, digest):
+        code, out, _ = run(capsys, "kashaev", "--p", str(p), "--n-min",
+                           str(n_min), "--n-max", str(n_max))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOutFile:
