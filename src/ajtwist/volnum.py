@@ -8,8 +8,10 @@ simple-pole cancellation, with an integer certificate that the poles do
 cancel.  dilog and bloch_wigner provide the principal-branch
 dilogarithm and its imaginary-part combination D(z).  saddle_solve
 clears the two growth equations of the summand to polynomials in
-(x, y), eliminates x by resultant, certifies every root of the reduced
-eliminant, and scores each solution with
+(x, y), eliminates x by resultant, finds every root of the reduced
+eliminant with mpmath's polyroots, started from double-precision roots
+so that it needs only a few sweeps at full precision, certifies each
+root, and scores each solution with
 
     3 D(x0) - D(x0 y0) - D(x0 / y0).
 
@@ -24,13 +26,15 @@ magnitudes, volumes and scans are unaffected.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 
 from .apoly import saddle_constraint
-from .jones import KnotId, summand_spec
+from .jones import KnotId, shift_ratio
 from .laurent import CertificationError, InexactDivision, LaurentPoly
 
 GUARD_BITS = 32
@@ -82,7 +86,9 @@ def _jhat_pole_cancel(p, n):
     vanishes simply, the residues across the l-range cancel (certified
     once per level by _residue_certificate, in O(n^2) integer steps),
     and the finite part is assembled from log-derivative prefix arrays,
-    O(1) per term after O(n) setup.
+    O(1) per term after O(n) setup.  The Pochhammer inverses are
+    tabulated once, so each term takes only multiplications, and the
+    common factor (q)_k^3 multiplies each level's sum once.
     """
     w = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
     v = [1 - w[j % n] for j in range(2 * n)]
@@ -92,6 +98,8 @@ def _jhat_pole_cancel(p, n):
     pskip = [mp.mpc(1)] * (2 * n)
     for m in range(1, 2 * n):
         pskip[m] = pskip[m - 1] if m == n else pskip[m - 1] * v[m]
+    ipoch = [1 / x for x in poch]
+    ipskip = [1 / x for x in pskip]
     lam = [None] * (2 * n)
     for j in range(1, 2 * n):
         if j != n:
@@ -103,16 +111,17 @@ def _jhat_pole_cancel(p, n):
     for m in range(1, 2 * n):
         logdskip[m] = logdskip[m - 1] if m == n else logdskip[m - 1] + lam[m]
     invw = w[n - 1]
+    wn = w[1] / n
 
     total = mp.mpc(0)
     for k in range(n):
-        poch3 = poch[k] ** 3
+        # every term of level k carries (q)_k^3; it multiplies the sum
         kterm = mp.mpc(0)
         l0 = n - 1 - k
         for l in range(0, min(k, l0 - 1) + 1):
             f = k + l * (l + 1) * p + l * (l - 1) // 2
-            t = (w[f % n] * v[(2 * l + 1) % n] * poch3
-                 / (poch[k + l + 1] * poch[k - l]))
+            t = (w[f % n] * v[(2 * l + 1) % n]
+                 * ipoch[k + l + 1] * ipoch[k - l])
             kterm += -t if l % 2 else t
         l0 = max(0, l0)
         if l0 <= k:
@@ -121,7 +130,7 @@ def _jhat_pole_cancel(p, n):
             for l in range(l0, k + 1):
                 f = k + l * (l + 1) * p + l * (l - 1) // 2
                 j2 = 2 * l + 1
-                base = w[f % n] * poch3 / (pskip[k + l + 1] * poch[k - l])
+                base = w[f % n] * ipskip[k + l + 1] * ipoch[k - l]
                 if l % 2:
                     base = -base
                 if j2 == n:
@@ -132,8 +141,8 @@ def _jhat_pole_cancel(p, n):
                 nl = base * v[j2 % n]
                 dsum += nl * (f * invw + lam[j2] + 3 * logd[k]
                               - logd[k - l] - logdskip[k + l + 1])
-            kterm += -dsum * w[1] / n
-        total += kterm
+            kterm -= dsum * wn
+        total += poch[k] ** 3 * kterm
     return total
 
 
@@ -336,7 +345,7 @@ def _growth_polys(p):
     the factor x that the eliminant carries.  The second is the
     l-direction constraint shared with the A-polynomial construction.
     """
-    num, den = summand_spec(p).k_step.at_q1(
+    num, den = shift_ratio(KnotId.twist_knot(p), (0, 1, 0)).at_q1(
         N=1, K=LaurentPoly.var("x"), L2=LaurentPoly.var("y"))
     return (num - den).cleared(), saddle_constraint(p)
 
@@ -423,13 +432,65 @@ def _dense_y_coeffs(poly):
     return [cof.get(e, 0) for e in range(max(cof), -1, -1)]
 
 
+def _float_start(coeffs):
+    """Starting points for polyroots, or None for its own defaults.
+
+    The roots of the descending integer coefficients coeffs, to about
+    1e-12, from _durand_kerner in Python complex.  They are used only
+    when there are deg of them, all finite and pairwise distinct; a
+    coefficient ratio too large for a float, or an overflow on the way,
+    gives None.
+    """
+    deg = len(coeffs) - 1
+    try:
+        roots = _durand_kerner(coeffs)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if (len(roots) != deg or not all(map(cmath.isfinite, roots))
+            or len(set(roots)) != deg):
+        return None
+    return [mp.mpc(z) for z in roots]
+
+
+def _durand_kerner(coeffs):
+    """Approximate roots of descending integer coeffs in complex floats.
+
+    The iteration polyroots runs, from its start points (0.4 + 0.9i)^k,
+    each root updated in place, for at most 60 sweeps; it stops once
+    every correction is below 1e-12 relative to its root.
+    """
+    monic = [c / coeffs[0] for c in coeffs[1:]]
+    roots = [(0.4 + 0.9j) ** k for k in range(len(monic))]
+    for _ in range(60):
+        worst = 0.0
+        for i, z in enumerate(roots):
+            val = 1.0
+            for c in monic:
+                val = val * z + c
+            for j, r in enumerate(roots):
+                if j != i:
+                    val /= z - r
+            roots[i] = z - val
+            worst = max(worst, abs(val) / max(1.0, abs(z)))
+        if worst < 1e-12:
+            break
+    return roots
+
+
 def saddle_solve(p, prec=128):
     """All certified solutions of the growth system for K_p.
 
-    Roots of the reduced eliminant come from simultaneous iteration,
-    x is recovered from the x-linear constraint, the pair is polished
-    by a Newton step on the full system, and both residuals must drop
-    below 2^(-prec/2) or CertificationError reports the failures.
+    Roots of the reduced eliminant come from mpmath's polyroots
+    (Durand-Kerner, maxsteps=200, extraprec=prec).  Its start is the
+    same iteration run first in Python complex (_float_start), which
+    brings it close enough to converge quadratically from the first
+    sweep; the start changes only the speed.  polyroots' own test is
+    unchanged: every correction must fall below eps at the working
+    precision, and a solve that does not converge raises
+    CertificationError.  x is recovered from the x-linear constraint,
+    the pair is polished by a Newton step on the full system, and both
+    residuals must drop below 2^(-prec/2) or CertificationError reports
+    the failures.
     Roots on the degenerate loci x = 1, y = 0, x y = 1, y = x are
     discarded.  Solutions are sorted by y for determinism.
     """
@@ -437,8 +498,13 @@ def saddle_solve(p, prec=128):
         raise ValueError("p = 0 is not a twist knot")
     with mp.workprec(prec + GUARD_BITS):
         coeffs = _dense_y_coeffs(reduced_eliminant(p))
-        roots = mp.polyroots([mp.mpf(c) for c in coeffs],
-                             maxsteps=200, extraprec=prec)
+        try:
+            roots = mp.polyroots([mp.mpf(c) for c in coeffs],
+                                 maxsteps=200, extraprec=prec,
+                                 roots_init=_float_start(coeffs))
+        except NoConvergence:
+            raise CertificationError(
+                "eliminant roots did not converge at p = %d" % p) from None
         p1, p2 = _growth_polys(p)
         d1x, d1y = p1.derivative("x"), p1.derivative("y")
         d2x, d2y = p2.derivative("x"), p2.derivative("y")

@@ -11,6 +11,8 @@ from collections import Counter
 from fractions import Fraction
 import math
 
+import mpmath as mp
+
 from ajtwist.jones import summand_factors
 from ajtwist.laurent import VAR_INDEX, VARS, InexactDivision, LaurentPoly
 from ajtwist.qrec import _coeffs_at, _point_parts
@@ -304,3 +306,65 @@ def ratio_holds(ratio, knot, point, shifted):
     for aa, bb, cc, dd in ratio.num:
         rhs.times_binom(aa + bb * n + cc * k + dd * l)
     return factors_equal(lhs, rhs)
+
+
+# the Jones sum at a root of unity
+
+def jhat_per_term(p, n):
+    """volnum._jhat_pole_cancel with one division per term.
+
+    The same summand and the same simple-pole cancellation, at the
+    current working precision, but every term divides (q)_k^3 by its
+    own two Pochhammers instead of reading tabulated inverses.  The
+    residue certificate is left out: it never changes the value.
+    """
+    w = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+    v = [1 - w[j % n] for j in range(2 * n)]
+    poch = [mp.mpc(1)] * n
+    for m in range(1, n):
+        poch[m] = poch[m - 1] * v[m]
+    pskip = [mp.mpc(1)] * (2 * n)
+    for m in range(1, 2 * n):
+        pskip[m] = pskip[m - 1] if m == n else pskip[m - 1] * v[m]
+    lam = [None] * (2 * n)
+    for j in range(1, 2 * n):
+        if j != n:
+            lam[j] = -j * w[(j - 1) % n] / v[j]
+    logd = [mp.mpc(0)] * n
+    for m in range(1, n):
+        logd[m] = logd[m - 1] + lam[m]
+    logdskip = [mp.mpc(0)] * (2 * n)
+    for m in range(1, 2 * n):
+        logdskip[m] = logdskip[m - 1] if m == n else logdskip[m - 1] + lam[m]
+    invw = w[n - 1]
+
+    total = mp.mpc(0)
+    for k in range(n):
+        poch3 = poch[k] ** 3
+        kterm = mp.mpc(0)
+        l0 = n - 1 - k
+        for l in range(0, min(k, l0 - 1) + 1):
+            f = k + l * (l + 1) * p + l * (l - 1) // 2
+            t = (w[f % n] * v[(2 * l + 1) % n] * poch3
+                 / (poch[k + l + 1] * poch[k - l]))
+            kterm += -t if l % 2 else t
+        l0 = max(0, l0)
+        if l0 <= k:
+            dsum = mp.mpc(0)
+            for l in range(l0, k + 1):
+                f = k + l * (l + 1) * p + l * (l - 1) // 2
+                j2 = 2 * l + 1
+                base = w[f % n] * poch3 / (pskip[k + l + 1] * poch[k - l])
+                if l % 2:
+                    base = -base
+                if j2 == n:
+                    # numerator carries the vanishing factor itself;
+                    # the ratio against 1 - q^n is exactly 1
+                    kterm += base
+                    continue
+                nl = base * v[j2 % n]
+                dsum += nl * (f * invw + lam[j2] + 3 * logd[k]
+                              - logd[k - l] - logdskip[k + l + 1])
+            kterm += -dsum * w[1] / n
+        total += kterm
+    return total

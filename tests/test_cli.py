@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 import pytest
 
-from ajtwist import apoly, cli
+from ajtwist import apoly, cli, volnum
 from ajtwist.apoly import a_polynomial, h_polynomial
 from ajtwist.jones import colored_jones
 from ajtwist.laurent import parse_poly
@@ -353,6 +354,17 @@ class TestVolume:
                            "--all-solutions")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_root_nonconvergence_exit(self, capsys, monkeypatch):
+        # a root solve that does not converge is a refusal, not a crash
+        def stuck(coeffs, **kw):
+            raise NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+        monkeypatch.setattr(volnum.mp, "polyroots", stuck)
+        code, out, err = run(capsys, "volume", "--p", "2")
+        assert (code, out) == (3, "")
+        assert err == ("not certified: eliminant roots did not converge "
+                       "at p = 2\n")
 
 
 class TestKashaev:

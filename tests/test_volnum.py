@@ -8,6 +8,7 @@ eliminant degree plus residual re-checks for the saddle solver.
 import random
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 import pytest
 
 from ajtwist import volnum
@@ -16,6 +17,7 @@ from ajtwist.laurent import LaurentPoly, parse_poly
 from ajtwist.volnum import (CertificationError, bloch_wigner, dilog, jhat,
                             kashaev_scan, optimistic_volume,
                             reduced_eliminant, saddle_solve)
+from oracles import jhat_per_term
 
 FIG8_VOL = "2.029883212819307250042405108549"
 
@@ -201,6 +203,24 @@ class TestJhat:
                 want = jones_at_root_of_unity(p, n, 200)
                 assert abs(got - want) < tol, (p, n)
 
+    def test_inverse_tables_match_per_term_division(self):
+        # the tabulated Pochhammer inverses round differently from one
+        # division per term; against a 400-bit value of the per-term
+        # form, the tables must be within 2^-prec, or no worse than
+        # twice the per-term form where the sum itself loses more than
+        # the guard bits (at (2, 100) both forms err by about 2^-124.4)
+        prec = 128
+        for p, n in ((2, 20), (-3, 31), (5, 52), (-2, 55), (2, 100)):
+            with mp.workprec(prec + volnum.GUARD_BITS):
+                new = volnum._jhat_pole_cancel(p, n)
+                old = jhat_per_term(p, n)
+            with mp.workprec(400):
+                ref = jhat_per_term(p, n)
+                err_new = abs(new - ref) / abs(ref)
+                err_old = abs(old - ref) / abs(ref)
+                assert err_new <= max(2 * err_old, mp.ldexp(1, -prec)), \
+                    (p, n)
+
 
 def residue_terms(n, k, l0):
     """Per-l folded products (1 - q^(2l+1)) A_l B_l, each built whole.
@@ -350,6 +370,57 @@ class TestSaddle:
 
     def test_deterministic(self):
         assert saddle_solve(-2, 128) == saddle_solve(-2, 128)
+
+    def test_float_start_only_changes_speed(self, monkeypatch):
+        # starting polyroots from its own default points instead must
+        # give the same solutions, to the last bit
+        want = {p: saddle_solve(p, 128) for p in (2, -2, 3, -3)}
+        calls = []
+
+        def default_points(coeffs):
+            calls.append(len(coeffs) - 1)
+            return [(0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+
+        monkeypatch.setattr(volnum, "_durand_kerner", default_points)
+        for p, sols in want.items():
+            assert saddle_solve(p, 128) == sols, p
+        assert len(calls) == 4
+
+    def test_unusable_start_is_not_passed(self, monkeypatch):
+        # a float start that overflowed, or that repeats a point, leaves
+        # polyroots on its own start points, with the same solutions
+        want = saddle_solve(2, 128)
+        real_dk, real_roots = volnum._durand_kerner, mp.polyroots
+        seen = []
+
+        def spy(coeffs, **kw):
+            seen.append(kw.get("roots_init"))
+            return real_roots(coeffs, **kw)
+
+        monkeypatch.setattr(volnum.mp, "polyroots", spy)
+        for broken in (lambda c: [z * 1e300 * 1e300 for z in real_dk(c)],
+                       lambda c: [0.5j] * (len(c) - 1),
+                       lambda c: real_dk(c)[1:]):
+            monkeypatch.setattr(volnum, "_durand_kerner", broken)
+            assert saddle_solve(2, 128) == want
+        assert seen == [None] * 3
+
+    def test_float_start_rule(self):
+        coeffs = volnum._dense_y_coeffs(reduced_eliminant(2))
+        start = volnum._float_start(coeffs)
+        assert len(start) == len(coeffs) - 1
+        assert all(isinstance(z, mp.mpc) for z in start)
+        # a coefficient ratio past the float range overflows at once
+        assert volnum._float_start([1, 0, -(10 ** 400)]) is None
+
+    def test_nonconvergence_is_certification_error(self, monkeypatch):
+        def stuck(coeffs, **kw):
+            raise NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+        monkeypatch.setattr(volnum.mp, "polyroots", stuck)
+        with pytest.raises(CertificationError,
+                           match="did not converge at p = -3"):
+            saddle_solve(-3, 128)
 
     def test_p_zero_rejected(self):
         with pytest.raises(ValueError):
