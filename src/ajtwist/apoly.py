@@ -10,7 +10,7 @@ whose multipliers c, d come from cd_coefficients().  Its data is printed
 here and is the independent reference.
 
 The constructive route starts from the summand of the double sum: its
-shift quotients (jones.summand_spec) at q = 1 (ShiftRatio.at_q1), with
+shift quotients (jones.shift_ratio) at q = 1 (ShiftRatio.at_q1), with
 N = m^2, K = x and L2 = y.
 
   k-step   numerator minus denominator is x (y + 1/y - a/m^2), which
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jones import summand_spec
+from .jones import KnotId, shift_ratio
 from .laurent import LaurentPoly, coefficient_diff, unit_ratio
 
 
@@ -52,6 +52,11 @@ _L = LaurentPoly.var("l")
 _BIND = {"N": _M2, "K": _X, "L2": _Y}
 
 
+def _step_at_q1(p, step):
+    """K_p's summand quotient for one (dn, dk, dl) step, at q = 1."""
+    return shift_ratio(KnotId.twist_knot(p), step).at_q1(**_BIND)
+
+
 def quad_a():
     """The y^1 multiplier (times m^2) of the defining quadratic.
 
@@ -59,7 +64,7 @@ def quad_a():
     denominator must be x (y + 1/y - a/m^2); any other shape raises
     ArithmeticError.
     """
-    num, den = summand_spec(1).k_step.at_q1(**_BIND)
+    num, den = _step_at_q1(1, (0, 1, 0))
     parts = (num - den).coefficients_in("y")
     if set(parts) != {-1, 0, 1} or parts[1] != _X or parts[-1] != _X:
         raise ArithmeticError("k-step at q = 1 is not x (y + 1/y) plus "
@@ -127,7 +132,7 @@ def solve_meridian_x():
     returned as the pair (l*m^2 + 1, m^2 + l); this single value is what
     turns the (m, x) tower into polynomials in (l, m).
     """
-    num, den = summand_spec(1).n_step.at_q1(**_BIND)
+    num, den = _step_at_q1(1, (1, 0, 0))
     cofs = (num - _L * den).cleared().coefficients_in("x")
     if set(cofs) != {0, 1}:
         raise ArithmeticError("n-step at q = 1 is not linear in x")
@@ -200,7 +205,7 @@ def saddle_constraint(p):
     """
     if p == 0:
         raise ValueError("p = 0 has no saddle constraint")
-    num, den = summand_spec(p).l_step.at_q1(**_BIND)
+    num, den = _step_at_q1(p, (0, 0, 1))
     return -(num - den).cleared()
 
 
