@@ -103,9 +103,6 @@ class LaurentPoly:
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZEROS in self.terms)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def const_value(self):
         if not self.terms:
             return 0

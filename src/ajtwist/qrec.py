@@ -35,9 +35,9 @@ from fractions import Fraction
 import os
 import re
 
-from .laurent import (LaurentPoly, InexactDivision, coefficient_diff,
+from .laurent import (NV, LaurentPoly, InexactDivision, coefficient_diff,
                       unit_ratio)
-from .qseries import QFactors, NegativeIndex, is_zero_sum
+from .qseries import QFactors, NegativeIndex, is_zero_sum, to_dense
 from .jones import KnotId, NAMED_KNOTS, summand_factors
 from .apoly import a_polynomial
 
@@ -77,12 +77,18 @@ class RecurrenceSpec:
 
 _MONO_RE = re.compile(r"(-?\d+)|([qN])(?:\^(-?\d+))?")
 
+# q and N are the first two of laurent.VARS
+_NOT_QN = (0,) * (NV - 2)
+
 
 def _parse_monomials(tokens, lineno, what):
-    """Tokens like '3*q^2*N^-1' joined by '+' into one LaurentPoly."""
-    total = LaurentPoly.zero()
+    """Tokens like '3*q^2*N^-1' joined by '+' into one LaurentPoly.
+
+    One LaurentPoly call builds it; that merges repeated exponents and
+    drops zeros.
+    """
+    monos = []
     expect_mono = True
-    got_any = False
     for tok, col in tokens:
         if tok == "+":
             if expect_mono:
@@ -110,12 +116,11 @@ def _parse_monomials(tokens, lineno, what):
             else:
                 nexp += 1 if m.group(3) is None else int(m.group(3))
             pos += len(part) + 1
-        total += LaurentPoly.monomial(coeff, q=qexp, N=nexp)
+        monos.append(((qexp, nexp) + _NOT_QN, coeff))
         expect_mono = False
-        got_any = True
-    if not got_any or expect_mono:
+    if expect_mono:
         raise RecurrenceParseError("empty %s" % what, lineno)
-    return total
+    return LaurentPoly(monos)
 
 
 def _parse_knot(token, lineno, col):
@@ -309,7 +314,7 @@ def check_kfree(spec, n_range, mode="interior"):
 
 
 def _point_parts(spec, coeffs, n, k, l, mode):
-    """(coefficient poly, summand QFactors) pairs at one grid point.
+    """(dense coefficient, summand QFactors) pairs at one grid point.
 
     None marks a point that interior mode skips."""
     parts = []
@@ -332,10 +337,11 @@ def _in_support(n, k, l):
 
 
 def _coeffs_at(spec, n):
-    """Coefficient q-polynomials at N = q^n, denominators cleared.
+    """Dense coefficients in q at N = q^n, denominators cleared.
 
     Kfree fixtures ship with den = 1; a nontrivial denominator is folded
     into every other term so the zero test still runs on polynomials.
+    Each coefficient is converted once here, for every (k, l) at this n.
     """
     qn = LaurentPoly.monomial(1, q=n)
     nums = []
@@ -355,19 +361,8 @@ def _coeffs_at(spec, n):
             for j, d in enumerate(dens):
                 if j != i:
                     poly = poly * d
-        out[t.shift] = poly
+        out[t.shift] = to_dense(poly)
     return out
-
-
-def _m_coeff_list(p):
-    """LaurentPoly in m alone -> (min exponent, dense coefficient list)."""
-    if not p:
-        return 0, []
-    lo, hi = p.var_range("m")
-    out = [0] * (hi - lo + 1)
-    for a, c in p.univariate_coefficients("m").items():
-        out[a - lo] = c
-    return lo, out
 
 
 def specialize_q1(spec):
@@ -408,8 +403,8 @@ def specialize_q1(spec):
 
 def _m_remainder_text(num, den):
     """Remainder of num by den over the rationals, both in m alone."""
-    _, dcofs = _m_coeff_list(den)
-    nlo, ncofs = _m_coeff_list(num)
+    _, dcofs = to_dense(den, "m")
+    nlo, ncofs = to_dense(num, "m")
     ncofs = [Fraction(c) for c in ncofs]
     while len(ncofs) >= len(dcofs):
         q = ncofs[-1] / dcofs[-1]

@@ -10,19 +10,21 @@ as multisets of indices instead of expanding anything.
 Every value in q alone that gets expanded, jones.sigma_basis and the
 colored Jones sums included, is held densely: (lo, [c_lo, c_lo+1, ...])
 is sum_i c_i q^(lo + i), trimmed so that both end coefficients are
-nonzero, with (0, []) for zero.  to_dense and from_dense convert from
-and to a q-only LaurentPoly; dense_times_binoms and dense_divide_binoms
-multiply and exactly divide by a product of (1 - q^j).
+nonzero, with (0, []) for zero.  to_dense is the one converter from a
+LaurentPoly in a single variable (q unless named) to the dense form, and
+from_dense converts back to q; dense_times_binoms and
+dense_divide_binoms multiply and exactly divide by a product of
+(1 - q^j).
 
 Sums are expanded in one step, by Kronecker substitution: each value is
 packed as the integer it takes at a power of two wide enough for the
 sum's coefficient bound, the sum is formed in int arithmetic, and its
 balanced digits are the coefficients.  cleared_sum does this for a sum
 of values times QFactors, cleared over its union denominator
-(clear_denominators); is_zero_sum is its exact zero test, which is how
-the recurrence checks stay both exact and fast, and jones.assemble_sum
-divides its result back out.  dense_dot does it for a sum of products,
-the cyclotomic colored Jones sum.
+(clear_denominators); is_zero_sum, its exact zero test on the same
+dense parts, is how the recurrence checks stay both exact and fast, and
+jones.assemble_sum divides its result back out.  dense_dot does it for
+a sum of products, the cyclotomic colored Jones sum.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ def _trimmed(lo, coeffs):
     return lo + start, coeffs[start:end]
 
 
-def to_dense(poly):
-    """The dense form of a LaurentPoly in q alone."""
-    coeffs = poly.univariate_coefficients("q")
+def to_dense(poly, var="q"):
+    """The dense form of a LaurentPoly in var alone."""
+    coeffs = poly.univariate_coefficients(var)
     if not coeffs:
         return DENSE_ZERO
     lo = min(coeffs)
@@ -337,14 +339,11 @@ def cleared_sum(parts):
 
 
 def is_zero_sum(parts):
-    """Exact zero test for S = sum_i poly_i(q) * qf_i.
+    """Exact zero test for S = sum_i v_i * qf_i.
 
-    parts is a list of (LaurentPoly in q alone, QFactors) pairs.  Returns
-    (is_zero, base), where base, a power of two at least 2B + 2, is the
-    point the certificate evaluated at (see cleared_sum).
+    parts is a list of (dense value v_i, QFactors qf_i) pairs, as for
+    cleared_sum.  Returns (is_zero, base), where base, a power of two at
+    least 2B + 2, is the point the certificate evaluated at.
     """
-    # cleared_sum drops a zero QFactors too; skipping it here first
-    # spares converting its poly
-    residual, base, _, _ = cleared_sum([(to_dense(poly), qf)
-                                        for poly, qf in parts if not qf.zero])
+    residual, base, _, _ = cleared_sum(parts)
     return not residual[1], base

@@ -36,6 +36,7 @@ from mpmath.libmp import NoConvergence
 from .apoly import saddle_constraint
 from .jones import KnotId, shift_ratio
 from .laurent import CertificationError, InexactDivision, LaurentPoly
+from .qseries import to_dense
 
 GUARD_BITS = 32
 
@@ -146,7 +147,6 @@ def _jhat_pole_cancel(p, n):
     return total
 
 
-@lru_cache(maxsize=None)
 def _residue_certificate(p, n, k, l0):
     """Integer proof that the level-k pole residues cancel.
 
@@ -426,12 +426,6 @@ def reduced_eliminant(p):
     return res
 
 
-def _dense_y_coeffs(poly):
-    """Descending dense integer coefficient list of a polynomial in y."""
-    cof = poly.univariate_coefficients("y")
-    return [cof.get(e, 0) for e in range(max(cof), -1, -1)]
-
-
 def _float_start(coeffs):
     """Starting points for polyroots, or None for its own defaults.
 
@@ -497,7 +491,9 @@ def saddle_solve(p, prec=128):
     if p == 0:
         raise ValueError("p = 0 is not a twist knot")
     with mp.workprec(prec + GUARD_BITS):
-        coeffs = _dense_y_coeffs(reduced_eliminant(p))
+        # reduced_eliminant strips every factor of y, so its lowest
+        # y-exponent is 0 and the dense list needs no padding
+        coeffs = to_dense(reduced_eliminant(p), "y")[1][::-1]
         try:
             roots = mp.polyroots([mp.mpf(c) for c in coeffs],
                                  maxsteps=200, extraprec=prec,

@@ -264,8 +264,8 @@ def residual_at(spec, n, k, l, base=2):
     parts = _point_parts(spec, _coeffs_at(spec, n), n, k, l, "interior")
     assert parts is not None, "point is not interior"
     t = Fraction(base)
-    return sum(p.eval_fraction({"q": t}) * qfactors_at(f, t)
-               for p, f in parts)
+    return sum(sum(c * t ** (lo + i) for i, c in enumerate(coeffs))
+               * qfactors_at(f, t) for (lo, coeffs), f in parts)
 
 
 # shift quotients

@@ -107,7 +107,7 @@ class TestMeridianX:
         rel = (parse_poly("m^2") * (LaurentPoly.var("y") ** 2 + 1)
                - quad_a() * LaurentPoly.var("y"))
         q = (RatFunc.const(1) - got).num.exact_divide(rel)
-        assert q.is_monomial()
+        assert len(q) == 1
 
     def test_l_ratio_gives_constraint(self):
         # the l-direction ratio at q = 1 is -y^(2p+1)(1 - x/y)/(1 - xy);

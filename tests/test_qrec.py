@@ -1,5 +1,6 @@
 """Recurrence fixtures: grammar, grid certification, q = 1 shadow."""
 
+from collections import Counter
 import hashlib
 
 import pytest
@@ -178,6 +179,31 @@ class TestKfreeCertification:
         assert rep.points + rep.skipped == grid
         if mode == "full":
             assert rep.skipped == 0
+
+    def test_each_coefficient_is_converted_once(self, monkeypatch):
+        # the parser builds each coefficient in one LaurentPoly call, and
+        # check_kfree turns each coefficient into its dense q form once
+        # per n, not again at every (k, l)
+        calls = Counter()
+        convert = LaurentPoly.univariate_coefficients
+        add = LaurentPoly.__add__
+
+        def counted_convert(poly, name):
+            calls[name] += 1
+            return convert(poly, name)
+
+        def counted_add(poly, other):
+            calls["+"] += 1
+            return add(poly, other)
+
+        monkeypatch.setattr(LaurentPoly, "univariate_coefficients",
+                            counted_convert)
+        monkeypatch.setattr(LaurentPoly, "__add__", counted_add)
+        spec = load_recurrence("fivetwo_kfree")
+        assert calls["+"] == 0
+        rep = check_kfree(spec, (6, 9))
+        assert rep.ok and rep.points == 118
+        assert 0 < calls["q"] <= len(spec.terms) * 4 == 64
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
