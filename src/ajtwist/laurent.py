@@ -302,18 +302,6 @@ class LaurentPoly:
             out[e[i]] = c
         return out
 
-    def derivative(self, name):
-        """Formal partial derivative."""
-        i = VAR_INDEX[name]
-        t = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                t[ne] = c * e[i]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = t
-        return out
-
     # division
 
     def exact_divide(self, divisor):

@@ -242,12 +242,13 @@ def _polydivmod(num, den):
 def dilog(z, prec=128):
     """Principal-branch dilogarithm.
 
-    Power series on |z| <= 1/2 (geometric tail, each term at most half
-    the previous); inversion onto the series for |z| >= 2; reflection
-    onto the series for |1 - z| <= 1/2; otherwise the expansion in
-    w = -log(1 - z), whose modulus on the remaining annulus stays below
-    3.34 < 2*pi.  On the real ray z > 1 the branch is taken from below,
+    |z| > 1 is mapped into the unit disk by inversion, and then
+    Re z > 1/2 onto Re z < 1/2 by reflection, which keeps |z| <= 1;
+    the rest is the expansion in w = -log(1 - z) (_dilog_bernoulli).
+    On the real ray z > 1 the branch is taken from below,
     arg(1 - z) = -pi, so the Bloch-Wigner combination vanishes there.
+    The error is absolute, about 2^-(prec + 32); near z = 0, where
+    1 - z rounds, it is not relative.
     """
     with mp.workprec(prec + GUARD_BITS):
         return _dilog(mp.mpc(z))
@@ -262,32 +263,26 @@ def _dilog(z):
         x = mp.re(z)
         log1z = mp.mpc(mp.log(x - 1), -mp.pi)
         return mp.pi ** 2 / 6 - _dilog(mp.mpc(1 - x)) - mp.log(x) * log1z
-    a = abs(z)
-    if a <= 0.5:
-        return _dilog_series(z)
-    if a >= 2:
+    if abs(z) > 1:
         lz = mp.log(-z)
-        return -_dilog_series(1 / z) - mp.pi ** 2 / 6 - lz * lz / 2
-    if abs(1 - z) <= 0.5:
-        return (mp.pi ** 2 / 6 - _dilog_series(1 - z)
+        return -_dilog(1 / z) - mp.pi ** 2 / 6 - lz * lz / 2
+    if mp.re(z) > 0.5:
+        return (mp.pi ** 2 / 6 - _dilog_bernoulli(1 - z)
                 - mp.log(z) * mp.log(1 - z))
     return _dilog_bernoulli(z)
 
 
-def _dilog_series(z):
-    tol = mp.ldexp(1, -(mp.mp.prec + 8))
-    total = mp.mpc(0)
-    zk = mp.mpc(1)
-    for k in range(1, 4 * mp.mp.prec + 80):
-        zk = zk * z
-        term = zk / (k * k)
-        total += term
-        if abs(term) <= tol:
-            return total
-    raise CertificationError("dilogarithm series failed to converge")
-
-
 def _dilog_bernoulli(z):
+    """Li_2(z) = w - w^2/4 + sum B_2m w^(2m+1) / (2m+1)!, w = -log(1 - z).
+
+    _dilog calls it only on |z| <= 1, Re z <= 1/2.  There 1 - z lies in
+    the disk |1 - z| <= 2 with Re(1 - z) >= 1/2, so |log|1 - z|| <= log 2
+    and |arg(1 - z)| <= pi/3, and |w| <= (log^2 2 + pi^2/9)^(1/2) < 1.26.
+    With |B_2m| = 2 (2m)! zeta(2m) / (2 pi)^2m, each term is at most
+    |w|^2 / (4 pi^2) < 1/25 of the one before, so the tail after the
+    last term added is below 1/24 of that term, itself under
+    2^-(prec + 8).
+    """
     w = -mp.log(1 - z)
     total = w - w * w / 4
     w2 = w * w
@@ -341,13 +336,16 @@ def _growth_polys(p):
 
     The first is the k-step quotient of the summand at q = 1, N = 1,
     K = x, L2 = y, set equal to 1: numerator minus denominator, cleared.
-    It is knot independent, y (1 - x)^3 - (1 - x y)(y - x), and keeps
-    the factor x that the eliminant carries.  The second is the
-    l-direction constraint shared with the A-polynomial construction.
+    That is knot independent, y (1 - x)^3 - (1 - x y)(y - x) =
+    x (1 - 3 y + y^2 + 2 x y - x^2 y), and the factor x is divided out:
+    D scores 0 on x = 0, so its roots would only be candidates on a
+    degenerate locus.  The second is the l-direction constraint shared
+    with the A-polynomial construction.
     """
     num, den = shift_ratio(KnotId.twist_knot(p), (0, 1, 0)).at_q1(
         N=1, K=LaurentPoly.var("x"), L2=LaurentPoly.var("y"))
-    return (num - den).cleared(), saddle_constraint(p)
+    return ((num - den).cleared().exact_divide(LaurentPoly.var("x")),
+            saddle_constraint(p))
 
 
 def _bareiss_det(mat):
@@ -399,8 +397,9 @@ def reduced_eliminant(p):
 
     The x-resultant of the two growth equations, with every factor of
     y, y - 1 and y + 1 stripped; those roots sit on degenerate loci, so
-    nothing a solution could use is lost.  The leading coefficient is
-    normalized positive.
+    nothing a solution could use is lost.  The first equation has its
+    factor x divided out, so no root comes from x = 0.  The leading
+    coefficient is normalized positive.
     """
     if p == 0:
         raise ValueError("p = 0 is not a twist knot")
@@ -482,11 +481,11 @@ def saddle_solve(p, prec=128):
     unchanged: every correction must fall below eps at the working
     precision, and a solve that does not converge raises
     CertificationError.  x is recovered from the x-linear constraint,
-    the pair is polished by a Newton step on the full system, and both
-    residuals must drop below 2^(-prec/2) or CertificationError reports
-    the failures.
-    Roots on the degenerate loci x = 1, y = 0, x y = 1, y = x are
-    discarded.  Solutions are sorted by y for determinism.
+    with no further polish, and both residuals at (x0, y0) must be below
+    2^(-prec/2) or CertificationError reports the failures.
+    The eliminant has no roots from x = 0 (see _growth_polys); roots on
+    the degenerate loci x = 1, y = 0, x y = 1, y = x are discarded.
+    Solutions are sorted by y for determinism.
     """
     if p == 0:
         raise ValueError("p = 0 is not a twist knot")
@@ -502,8 +501,6 @@ def saddle_solve(p, prec=128):
             raise CertificationError(
                 "eliminant roots did not converge at p = %d" % p) from None
         p1, p2 = _growth_polys(p)
-        d1x, d1y = p1.derivative("x"), p1.derivative("y")
-        d2x, d2y = p2.derivative("x"), p2.derivative("y")
         c2 = p2.coefficients_in("x")
         xnum, xden = -c2[0], c2[1]
 
@@ -514,19 +511,6 @@ def saddle_solve(p, prec=128):
                          key=lambda r: (mp.re(r), mp.im(r))):
             x0 = (xnum.eval_complex({"y": y0})
                   / xden.eval_complex({"y": y0}))
-            for _ in range(6):
-                at = {"x": x0, "y": y0}
-                f1 = p1.eval_complex(at)
-                f2 = p2.eval_complex(at)
-                if abs(f1) + abs(f2) < mp.ldexp(1, -(mp.mp.prec - 4)):
-                    break
-                a, b = d1x.eval_complex(at), d1y.eval_complex(at)
-                c, d = d2x.eval_complex(at), d2y.eval_complex(at)
-                det = a * d - b * c
-                if not det:
-                    break
-                x0 -= (f1 * d - f2 * b) / det
-                y0 -= (a * f2 - c * f1) / det
             at = {"x": x0, "y": y0}
             r1, r2 = abs(p1.eval_complex(at)), abs(p2.eval_complex(at))
             if r1 > thresh or r2 > thresh:

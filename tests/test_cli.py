@@ -332,22 +332,23 @@ class TestVolume:
     # sha256 of stdout with every saddle solution listed, over the twist
     # parameters the benchmark's volume-scan workload asks for: each
     # line prints 20 digits of x0, y0 and the candidate, so a change in
-    # the root finder that moves any solution shows here
+    # the root finder that moves any solution shows here; no line has
+    # x0 = 0, since the eliminant has no roots from that locus
     @pytest.mark.parametrize("p, digest", [
-        (2, "82e26628c9868b06e07459c547436c5c"
-            "1836f454453243a874982dc72f11c5d2"),
-        (-2, "62ffc3efe8ce6853358d37aad35bcf19"
-             "746c04fec324e508eb654a32beda8d89"),
-        (3, "65d951ae2003e44282e83c8bbefb27c4"
-            "d0a2c68c2bf43d46090e7cafe237ea5e"),
-        (-3, "bdc79ab50d404f9d5c1bd1c2cf8cab26"
-             "f16365324a92dcd8b53500b9254c47ea"),
-        (4, "e34743322a4a16d0c87a3e3323ff8676"
-            "393fdf835379a17a45f87b9fe058fdba"),
-        (-4, "fc3d67864335d6baae0263cc01f38434"
-             "67b54219ee398c0d3826b58d0376a5dd"),
-        (5, "3f65b7a5976587cf68d70cc4147cb04b"
-            "a06d5affdb27ca8960ec8bb321e8f214"),
+        (2, "9339015b984d6bcf502e1602e52f0b01"
+            "3be7c32a9d2929bedc09ea159de4efe4"),
+        (-2, "ab02ea3f25847fabf51bce78ee69af03"
+             "4a4378032f56ab6003daf113f7a72cc8"),
+        (3, "5c39304f82243ea2cd30c42e2723ad0e"
+            "5620ea24fc610c37f1131fc1c6cd03bb"),
+        (-3, "d4b333ad3efc5b8519aea3fd7df3c950"
+             "abe11bbd7175c6cfa9c7b61ebcf07d12"),
+        (4, "2cdbbd4fd91c6c99dbf8969a3b642ac8"
+            "8084725a9c65b65ebf41232704934eec"),
+        (-4, "a4a1939d2a75925e4289225f460109e3"
+             "c2c2e00b69028280c9c5f479ac9d5de8"),
+        (5, "6799fd79381fc3030746eda1a5d31588"
+            "5f3a994e412bbab08a26200de2879237"),
     ])
     def test_all_solutions_digest(self, capsys, p, digest):
         code, out, _ = run(capsys, "volume", "--p", str(p),

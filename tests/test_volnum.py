@@ -58,19 +58,54 @@ class TestDilog:
             assert abs(mp.re(got) + mp.pi ** 2 / 48) < mp.mpf(10) ** -12
 
     def test_matches_mpmath_off_axis(self):
-        # one representative per evaluation regime, plus straddling points
+        # one representative per evaluation regime (the expansion on
+        # |z| <= 1, Re z <= 1/2; reflection on |z| <= 1, Re z > 1/2;
+        # inversion on |z| > 1, followed by either), plus points on and
+        # 2^-30 to either side of the seams |z| = 1 and Re z = 1/2, and
+        # real points in (1/2, 1) and below -1
         pts = [mp.mpc("0.3", "0.1"), mp.mpc("-0.45", "0.2"),
                mp.mpc("0.49", "-0.1"), mp.mpc("0.52", "0.02"),
                mp.mpc("1.3", "0.4"), mp.mpc("0.8", "-0.6"),
                mp.mpc("1.1", "0.001"), mp.mpc("1.1", "-0.001"),
                mp.mpc("-1.7", "0.3"), mp.mpc("2.4", "1.9"),
                mp.mpc("-3.0", "-2.5"), mp.mpc("40.0", "0.7"),
-               mp.mpc("0.01", "1.99"), mp.mpc("-0.8", "0.0")]
+               mp.mpc("0.01", "1.99"), mp.mpc("-0.8", "0.0"),
+               mp.mpc("0.5", "0.3"), mp.mpc("0.5", "-0.8"),
+               mp.mpc("0.75", "0"), mp.mpc("0.999", "0"),
+               mp.mpc("-1.5", "0"), mp.mpc("-40", "0")]
+        eps = mp.ldexp(1, -30)
         with mp.workprec(200):
+            for t in ("0.2", "0.5", "0.9", "-0.3", "-0.75"):
+                z = mp.expjpi(mp.mpf(t))
+                pts += [z, z * (1 - eps), z * (1 + eps)]
+            for im in ("0.3", "-0.8", "0.05"):
+                pts += [mp.mpc(mp.mpf("0.5") + d, im) for d in (-eps, eps)]
             for z in pts:
                 got = dilog(z, 128)
                 want = mp.polylog(2, z)
                 assert abs(got - want) < mp.mpf(10) ** -30, z
+
+    def test_expansion_sees_only_its_bounded_region(self, monkeypatch):
+        # _dilog_bernoulli's term-ratio bound assumes |z| <= 1 and
+        # Re z <= 1/2; every other point must be mapped there first
+        seen = []
+        real = volnum._dilog_bernoulli
+
+        def record(z):
+            seen.append(z)
+            return real(z)
+
+        monkeypatch.setattr(volnum, "_dilog_bernoulli", record)
+        rng = random.Random(20261019)
+        pts = [mp.mpc(0, "1.5")]
+        for _ in range(200):
+            r = mp.mpf(10) ** mp.mpf(rng.uniform(-2, 2))
+            pts.append(r * mp.expjpi(mp.mpf(rng.uniform(-1, 1))))
+        for z in pts:
+            dilog(z, 128)
+        for z in seen:
+            assert abs(z) <= 1 and mp.re(z) <= 0.5, z
+        assert len(seen) == len(pts)
 
     def test_real_cut_from_below(self):
         # on (1, inf) the continuation is taken from the lower half
@@ -299,13 +334,38 @@ class TestGrowthPolys:
         x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
         want = y * (1 - x) ** 3 - (1 - x * y) * (y - x)
         for p in list(range(-6, 0)) + list(range(1, 7)):
-            assert volnum._growth_polys(p)[0] == want, p
+            assert x * volnum._growth_polys(p)[0] == want, p
 
 
 class TestSaddle:
     def test_fig8_eliminant(self):
         want = parse_poly("1*y^4 + -3*y^3 + 5*y^2 + -3*y + 1")
         assert reduced_eliminant(-1) == want
+
+    def test_eliminant_matches_sympy_resultant(self):
+        # oracle: the hand-typed first equation with its factor x
+        # divided out and saddle_constraint's documented form; the
+        # eliminant keeps no root of p2(0, y), where x = 0 would sit
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        f1 = 1 - 3 * y + y ** 2 + 2 * x * y - x ** 2 * y
+        for p in (2, 3, 4, 5, -2, -3, -4, -5):
+            a = 2 * abs(p)
+            if p > 0:
+                f2 = y ** (a + 1) + 1 - x * y ** a - x * y
+            else:
+                f2 = y + y ** a - x - x * y ** (a + 1)
+            res = sympy.Poly(sympy.resultant(f1, f2, x), y)
+            for factor in (y, y - 1, y + 1):
+                div = sympy.Poly(factor, y)
+                while res.rem(div).is_zero:
+                    res = res.quo(div)
+            if res.LC() < 0:
+                res = -res
+            want = {m[0]: int(c) for m, c in res.terms()}
+            assert reduced_eliminant(p).coefficients_in("y") == want, p
+            at_x0 = sympy.Poly(f2.subs(x, 0), y)
+            assert sympy.gcd(res, at_x0).degree() == 0, p
 
     def test_solution_count_matches_degree(self):
         for p in (-3, -2, -1, 1, 2, 3):
@@ -327,6 +387,7 @@ class TestSaddle:
         with mp.workprec(160):
             for p in (-2, -1, 2):
                 for sol in saddle_solve(p, 128):
+                    assert abs(sol.x0) > mp.mpf(10) ** -8
                     assert abs(sol.y0 - 1) > mp.mpf(10) ** -8
                     assert abs(sol.x0 * sol.y0 - 1) > mp.mpf(10) ** -8
                     assert abs(sol.y0 - sol.x0) > mp.mpf(10) ** -8
