@@ -242,20 +242,45 @@ class TestJhat:
     def test_inverse_tables_match_per_term_division(self):
         # the tabulated Pochhammer inverses round differently from one
         # division per term; against a 400-bit value of the per-term
-        # form, the tables must be within 2^-prec, or no worse than
-        # twice the per-term form where the sum itself loses more than
-        # the guard bits (at (2, 100) both forms err by about 2^-124.4)
+        # form, the tables must be within 2^-prec
         prec = 128
         for p, n in ((2, 20), (-3, 31), (5, 52), (-2, 55), (2, 100)):
             with mp.workprec(prec + volnum.GUARD_BITS):
                 new = volnum._jhat_pole_cancel(p, n)
-                old = jhat_per_term(p, n)
             with mp.workprec(400):
                 ref = jhat_per_term(p, n)
                 err_new = abs(new - ref) / abs(ref)
-                err_old = abs(old - ref) / abs(ref)
-                assert err_new <= max(2 * err_old, mp.ldexp(1, -prec)), \
-                    (p, n)
+                assert err_new <= mp.ldexp(1, -prec), (p, n)
+
+    def test_width_covers_the_cancellation_at_large_n(self):
+        # the sum cancels about 0.34 n bits at p = 2; with a fixed 32
+        # guard bits, jhat(2, 150) was good to only 2^-105.2 relative
+        prec = 128
+        got = jhat(2, 150, prec=prec)
+        with mp.workprec(480):
+            ref = jhat_per_term(2, 150)
+            assert abs(got - ref) / abs(ref) <= mp.ldexp(1, -prec)
+
+    def test_finite_part_takes_no_mpc_products_per_term(self, monkeypatch):
+        # the double sum runs on ints; an mpc sum takes Theta(n^2)
+        # products (3,975 at n = 40), and at most n (c = 1) are allowed
+        calls = []
+        mul, rmul = mp.mpc.__mul__, mp.mpc.__rmul__
+
+        def counted(real):
+            def wrapper(a, b):
+                calls.append(1)
+                return real(a, b)
+            return wrapper
+
+        monkeypatch.setattr(mp.mpc, "__mul__", counted(mul))
+        monkeypatch.setattr(mp.mpc, "__rmul__", counted(rmul))
+        n = 40
+        with mp.workprec(160):
+            got = volnum._jhat_pole_cancel(3, n)
+        monkeypatch.undo()
+        assert len(calls) <= n
+        assert abs(got - jhat(3, n, prec=128)) < mp.ldexp(1, -120)
 
 
 def residue_terms(n, k, l0):
@@ -302,15 +327,15 @@ class TestResidueSum:
                             == residue_sum_oracle(p, n, k, l0, rows)), (p, n, k)
 
     def test_binomial_products_are_linear_in_the_window(self, monkeypatch):
-        # two running products take three binomial multiplications per
-        # row after the first; rebuilding every row whole takes
+        # two running products take three packed binomial steps per row
+        # after the first; rebuilding every row whole takes
         # Theta((k - l0)^2)
         calls = []
         real = volnum._times_binomial
 
-        def counted(vec, j):
-            calls.append(j)
-            return real(vec, j)
+        def counted(x, s, nbits, mod):
+            calls.append(s)
+            return real(x, s, nbits, mod)
 
         monkeypatch.setattr(volnum, "_times_binomial", counted)
         p, n, k = 3, 55, 40
