@@ -59,8 +59,9 @@ def jhat(knot, n, prec=128):
     arithmetic and CertificationError is raised if it fails.  No
     division by a vanishing Pochhammer can occur after the truncation.
     The sum runs in fixed point, prec + 32 + 2B + 16 bits wide with B
-    about 0.233 n (_jhat_pole_cancel), and is good to prec + 32 bits
-    relative for hyperbolic K_p; p = -1 takes a closed-form product.
+    about 0.233 n (_jhat_pole_cancel); at every hyperbolic K_p tested
+    with n <= 200 it was good to about prec + 32 bits relative.  p = -1
+    takes a closed-form product.
     """
     if not isinstance(knot, KnotId):
         knot = KnotId.twist_knot(knot)
@@ -111,12 +112,12 @@ def _jhat_pole_cancel(p, n):
     and B the bit size of the largest |(q)_m|, about 0.233 n.  A
     fixed-point (q)_m is good to about 2^-g absolutely, so B bits go to
     its smallest entries, near 2^-B, and B more to the cancellation in
-    the double sum.  Against a 1200-bit
-    value the loss at p = 2, whose volume is the smallest of the generic
-    p, measured 34, 48 and 68 bits at n = 100, 150 and 200, inside the
-    70, 94 and 117 bits added; the result is then good to the working
-    precision.  At p = 1, where |jhat| grows only polynomially, the loss
-    is larger (59 bits at n = 60) and so is the error.
+    the double sum.  Against the same sum at 1200 bits, the loss at
+    p = 2, whose volume is the smallest of the generic p, measured 34,
+    48 and 68 bits at n = 100, 150 and 200, inside the 70, 94 and 117
+    bits added; the result is then good to the working precision.  At
+    p = 1, where |jhat| grows only polynomially, the loss is larger
+    (59 bits at n = 60) and so is the error.
     """
     # B from prefix sums of log2 |1 - q^j| = log2 (2 sin(pi j / n))
     top = max(accumulate(math.log2(2 * math.sin(math.pi * j / n))
