@@ -22,9 +22,13 @@ All numerics run at the requested precision plus 32 guard bits and are
 deterministic for fixed inputs.  jhat's double sum runs on Python ints
 instead: in fixed point, with a width that grows with n so that its
 cancellation costs none of those bits, and its residue certificate in
-the packed ring Z/(2^(nW) - 1).  Named knots evaluate through their
-twist parameter; that changes the sum by a unit of modulus one, so
-magnitudes, volumes and scans are unaffected.
+the packed ring Z/(2^(nW) - 1).  The certificate needs no cyclotomic
+polynomial: Phi_n divides the folded residue sum S exactly when
+S prod (1 - q^(n/r)) == 0 modulo q^n - 1, r over the primes dividing n
+(Chinese remainder theorem), and W is wide enough that the packed
+product is 0 only when that vector is.  Named knots evaluate through
+their twist parameter; that changes the sum by a unit of modulus one,
+so magnitudes, volumes and scans are unaffected.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import mpmath as mp
@@ -225,43 +228,51 @@ def _residue_certificate(p, n, k, l0):
         A_l = prod_{j=k-l+1}^{k-l0} (1 - q^j),
         B_l = prod_{j=k+l+2}^{2k+1} (1 - q^j),
 
-    and the sum over l must vanish at every primitive n-th root of
-    unity.  Exponents are folded modulo n (q^n == 1 there), and
-    _residue_sum builds the sum from two running products in the
-    packed ring Z/(2^(nW) - 1): A_l gains one factor per step, and the
-    sum runs Horner-style over the factors B_l sheds.  That is O(1)
-    ring steps per l, each on an nW-bit int.  The folded vector is
-    reduced modulo the n-th cyclotomic polynomial; a nonzero remainder
-    is a genuine failure.
+    and their sum S must vanish at every primitive n-th root of unity:
+    the n-th cyclotomic polynomial Phi_n must divide S.  Exponents are
+    folded modulo n (q^n == 1 there), so S lives in Z[q]/(q^n - 1), and
+    so does the test.  Let T = prod (1 - q^(n/r)) over the distinct
+    primes r dividing n.  Over Q, q^n - 1 is the squarefree product of
+    the Phi_d with d | n, so by the Chinese remainder theorem
+    S T == 0 modulo q^n - 1 exactly when every Phi_d divides S T.  For
+    d < n some r has d | n/r, so Phi_d divides 1 - q^(n/r) and so T;
+    T is nonzero at the primitive n-th roots.  Hence S T == 0 exactly
+    when Phi_n divides S, over Q and, Phi_n being monic, over Z.
+
+    S comes packed at q = 2^W from _residue_sum, and each factor of T
+    is one more binomial step.  S T is a signed sum of s = k - l0 + 1
+    products of s + omega binomials, omega the number of primes r, so
+    every folded coefficient is below s 2^(s + omega) < 2^(W - 2) for
+    W = s + omega + bitlen(s) + 2.  Packed, such a vector is an integer
+    of modulus below (2^(nW) - 1) / 2, zero only if every coefficient
+    is, so S T == 0 exactly when its residue is 0 or 2^(nW) - 1.
     """
-    acc = _residue_sum(p, n, k, l0)
-    if not any(acc):
-        return
-    _, rem = _polydivmod(acc, _cyclotomic(n))
-    if any(rem):
+    span = k - l0 + 1
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and all(r % d for d in range(2, r))]
+    width = span + len(primes) + span.bit_length() + 2
+    nbits = n * width
+    mod = (1 << nbits) - 1
+    acc = _residue_sum(p, n, k, l0, width)
+    for r in primes:
+        acc = _times_binomial(acc, n // r * width, nbits, mod)
+    if acc not in (0, mod):
         raise CertificationError(
             "pole residues fail to cancel at n = %d, k = %d, p = %d"
             % (n, k, p))
 
 
-def _residue_sum(p, n, k, l0):
-    """Sum over l = l0..k of c_l A_l B_l, folded modulo q^n - 1.
+def _residue_sum(p, n, k, l0, width):
+    """Sum over l = l0..k of c_l A_l B_l in Z[q]/(q^n - 1), packed.
 
-    With A_l = A_{l-1} (1 - q^(k-l+1)) and
+    Z[q]/(q^n - 1) evaluated at q = 2^W, W = width, is the ring
+    Z/(2^(nW) - 1), in which q^j is a rotation by jW bits and
+    (1 - q^j) one rotation and one subtraction (_times_binomial).  With
+    A_l = A_{l-1} (1 - q^(k-l+1)) and
     S_l = S_{l-1} (1 - q^(k+l+1)) + c_l A_l, S_k is the sum.  Each
-    step after the first costs three binomial multiplications.
-
-    The vector is packed: Z[q]/(q^n - 1) evaluated at q = 2^W is the
-    ring Z/(2^(nW) - 1), in which q^j is a rotation by jW bits and
-    (1 - q^j) one rotation and one subtraction.  S_k is a signed sum of
-    s = k - l0 + 1 products of s binomials each, so every folded
-    coefficient is below s 2^s in modulus, and W = s + bitlen(s) + 2
-    keeps it below 2^(W-2).  The balanced base-2^W digits of the
-    residue are then exactly the coefficients; they are decoded only
-    when the residue is not 0.
+    step after the first costs three binomial multiplications.  The
+    result is S_k(2^W) reduced into [0, 2^(nW) - 1].
     """
-    span = k - l0 + 1
-    width = span + span.bit_length() + 2
     nbits = n * width
     mod = (1 << nbits) - 1
     acc, a = 0, 1
@@ -275,54 +286,13 @@ def _residue_sum(p, n, k, l0):
         acc = acc - term if l % 2 else acc + term - mod
         if acc < 0:
             acc += mod
-    if acc in (0, mod):
-        return [0] * n
-    if acc > mod >> 1:
-        acc -= mod
-    out = []
-    for _ in range(n):
-        d = acc & ((1 << width) - 1)
-        if d >> (width - 1):
-            d -= 1 << width
-        out.append(d)
-        acc = (acc - d) >> width
-    return out
+    return acc
 
 
 def _times_binomial(x, s, nbits, mod):
     """x (1 - q^j) in Z/(2^nbits - 1), for s = W (j mod n) < nbits."""
     x -= ((x << s) & mod) | (x >> (nbits - s))
     return x + mod if x < 0 else x
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n):
-    """Coefficients of the n-th cyclotomic polynomial, ascending."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _polydivmod(poly, _cyclotomic(d))
-            if any(rem):
-                raise ArithmeticError("inexact integer polynomial division")
-    return tuple(poly)
-
-
-def _polydivmod(num, den):
-    """Quotient and remainder of dense ascending integer polynomials.
-
-    den must be monic, so every step stays integral.
-    """
-    num = list(num)
-    dn = len(den) - 1
-    quo = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if not c:
-            continue
-        quo[i - dn] = c
-        for t in range(dn + 1):
-            num[i - dn + t] -= c * den[t]
-    return quo, num[:dn]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Nothing here runs under the command line.  Each oracle takes the slow,
 obvious route and shares no code with the kernel it checks: rational
 functions in a canonical form and substitution through them, Pochhammer
 products multiplied out one binomial at a time, QFactors values expanded
-term by term or evaluated at a rational point, and shift quotients
-expanded in (q, N, K, L2).
+term by term or evaluated at a rational point, shift quotients
+expanded in (q, N, K, L2), and cyclotomic polynomials built and
+divided by integer long division.
 """
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 import math
 
 import mpmath as mp
@@ -368,3 +370,35 @@ def jhat_per_term(p, n):
             kterm += -dsum * w[1] / n
         total += kterm
     return total
+
+
+# dense integer polynomials, coefficients ascending
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """Coefficients of the n-th cyclotomic polynomial, ascending."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = polydivmod(poly, cyclotomic(d))
+            if any(rem):
+                raise ArithmeticError("inexact integer polynomial division")
+    return tuple(poly)
+
+
+def polydivmod(num, den):
+    """Quotient and remainder of dense ascending integer polynomials.
+
+    den must be monic, so every step stays integral.
+    """
+    num = list(num)
+    dn = len(den) - 1
+    quo = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if not c:
+            continue
+        quo[i - dn] = c
+        for t in range(dn + 1):
+            num[i - dn + t] -= c * den[t]
+    return quo, num[:dn]

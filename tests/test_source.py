@@ -1,0 +1,41 @@
+"""Rules the package source keeps: no cached check, no unused import.
+
+No check is cached (verify_aj's docstring): a cache would answer a
+repeated question from an earlier run instead of proving it again.  The
+import rule stands in for a linter; it reads each module with ast.
+"""
+import ast
+from importlib import import_module
+from pathlib import Path
+import pkgutil
+
+import pytest
+
+import ajtwist
+
+SRC = Path(ajtwist.__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(ajtwist.__path__)))
+def test_no_check_is_cached(name):
+    module = import_module("ajtwist." + name)
+    attrs = dict(vars(module))
+    for attr, value in vars(module).items():
+        if isinstance(value, type):
+            attrs.update((attr + "." + m, v) for m, v in vars(value).items())
+    assert [a for a, v in attrs.items() if hasattr(v, "cache_info")] == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in bound if name not in used] == []

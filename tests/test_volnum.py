@@ -18,7 +18,7 @@ from ajtwist.qseries import to_dense
 from ajtwist.volnum import (CertificationError, bloch_wigner, dilog, jhat,
                             kashaev_scan, optimistic_volume,
                             reduced_eliminant, saddle_solve)
-from oracles import jhat_per_term
+from oracles import cyclotomic, jhat_per_term, polydivmod
 
 FIG8_VOL = "2.029883212819307250042405108549"
 
@@ -317,6 +317,9 @@ def residue_sum_oracle(p, n, k, l0, rows):
 
 class TestResidueSum:
     def test_matches_per_row_products(self):
+        # the packed sum against the oracle vector packed at the same
+        # width W; every oracle coefficient is below 2^(W - 2), where
+        # packing modulo 2^(nW) - 1 is injective
         ps = (2, -2, 3, -3, 4, -4, 5, -5, 7, -1)
         for n in list(range(3, 41)) + [52, 55]:
             for k in range(n):
@@ -324,9 +327,15 @@ class TestResidueSum:
                 if l0 > k:
                     continue
                 rows = residue_terms(n, k, l0)
+                span = k - l0 + 1
+                width = span + span.bit_length() + 2
+                mod = (1 << n * width) - 1
                 for p in ps:
-                    assert (volnum._residue_sum(p, n, k, l0)
-                            == residue_sum_oracle(p, n, k, l0, rows)), (p, n, k)
+                    want = residue_sum_oracle(p, n, k, l0, rows)
+                    assert max(map(abs, want)) < 1 << (width - 2)
+                    want = sum(c << (i * width) for i, c in enumerate(want))
+                    got = volnum._residue_sum(p, n, k, l0, width)
+                    assert got % mod == want % mod, (p, n, k)
 
     def test_binomial_products_are_linear_in_the_window(self, monkeypatch):
         # two running products take three packed binomial steps per row
@@ -342,8 +351,34 @@ class TestResidueSum:
         monkeypatch.setattr(volnum, "_times_binomial", counted)
         p, n, k = 3, 55, 40
         l0 = n - 1 - k
-        volnum._residue_certificate(p, n, k, l0)
+        volnum._residue_sum(p, n, k, l0, 32)
         assert 0 < len(calls) <= 3 * (k - l0) + 1
+
+    def test_certificate_verdict_matches_cyclotomic_division(self):
+        # _residue_certificate raises exactly when the oracle sum leaves
+        # a remainder on division by Phi_n; windows shifted by one give
+        # both verdicts at every n
+        ps = (2, -2, 3, -3, 5, -1)
+        levels = {n: range(n // 2, n) for n in range(3, 41)}
+        levels.update({n: (n // 2, 3 * n // 4, n - 2) for n in (42, 60, 64)})
+        for n, ks in levels.items():
+            verdicts = set()
+            for k in ks:
+                for l0 in range(n - 2 - k, n + 1 - k):
+                    if not 0 <= l0 <= k:
+                        continue
+                    rows = residue_terms(n, k, l0)
+                    for p in ps:
+                        _, rem = polydivmod(
+                            residue_sum_oracle(p, n, k, l0, rows),
+                            cyclotomic(n))
+                        if any(rem):
+                            with pytest.raises(CertificationError):
+                                volnum._residue_certificate(p, n, k, l0)
+                        else:
+                            volnum._residue_certificate(p, n, k, l0)
+                        verdicts.add(any(rem))
+            assert verdicts == {False, True}, n
 
 
 class TestCyclotomic:
@@ -352,8 +387,8 @@ class TestCyclotomic:
         x = sympy.Symbol("x")
         for n in range(1, 121):
             want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
-            assert volnum._cyclotomic(n) == tuple(int(c) for c in
-                                                  reversed(want)), n
+            assert cyclotomic(n) == tuple(int(c) for c in
+                                          reversed(want)), n
 
 
 class TestGrowthPolys:
