@@ -133,10 +133,42 @@ def solve_meridian_x():
     turns the (m, x) tower into polynomials in (l, m).
     """
     num, den = _step_at_q1(1, (1, 0, 0))
-    cofs = (num - _L * den).cleared().coefficients_in("x")
+    return linear_root((num - _L * den).cleared(), "n-step at q = 1")
+
+
+def linear_root(poly, what):
+    """(num, den) with poly = den*x - num; ArithmeticError if not linear."""
+    cofs = poly.coefficients_in("x")
     if set(cofs) != {0, 1}:
-        raise ArithmeticError("n-step at q = 1 is not linear in x")
+        raise ArithmeticError("%s is not linear in x" % what)
     return -cofs[0], cofs[1]
+
+
+def clear_at_root(poly, root, deg, p):
+    """den^deg poly(num/den), root = (num, den), with no fraction.
+
+    With deg = deg_x poly it is (-1)^deg Res_x(poly, den*x - num).
+    Horner in homogeneous form, acc = acc * num + cof_j * den^(deg - j)
+    for j = deg, ..., 0, leaves sum_j cof_j num^j den^(deg - j) with one
+    product by num and one by den per x-degree; raising num^j and
+    den^(deg - j) afresh per j costs about three times the term pairs
+    at p = 19 in b_polynomial.  An x-degree outside 0..deg raises
+    ArithmeticError before the loop, so none is dropped unseen.
+    """
+    num, den = root
+    cofs = poly.coefficients_in("x")
+    for j in cofs:
+        if j < 0 or j > deg:
+            raise ArithmeticError("x-degree %d outside the clearing "
+                                  "window at p = %d" % (j, p))
+    out, den_power = LaurentPoly.zero(), LaurentPoly.const(1)
+    for j in range(deg, -1, -1):
+        out = out * num
+        if j in cofs:
+            out += cofs[j] * den_power
+        if j:
+            den_power = den_power * den
+    return out
 
 
 def h_polynomial(p):
@@ -232,48 +264,16 @@ def b_polynomial(p):
     """Cleared-denominator form of h_p at the coupling value of x.
 
     deg_x h_p is 2p - 1 for p > 0 and 2|p| for p <= 0, and the m-order
-    is bounded by |p| below; multiplying by (m^2 + l)^deg * m^(2|p|)
-    while substituting x = (l m^2 + 1)/(m^2 + l) therefore lands in the
-    polynomial ring.
-
-    The substitution is done x-coefficient by x-coefficient, so no
-    rational function ever forms, in homogeneous Horner form: with
-    x = num/den and h_p = sum_j cof_j x^j,
-
-        acc = acc * num + cof_j * den^(deg - j)    for j = deg, ..., 0
-
-    leaves sum_j cof_j num^j den^(deg - j), which is multiplied by the
-    monomial m^(2|p|) once at the end.  Each step needs the next power
-    of den, so that power is kept and multiplied by den once per step:
-    one product with num and one with den per x-degree.  Raising num^j
-    and den^(deg - j) afresh for every j repeats a power ladder per
-    coefficient, on operands that grow with p, and costs about three
-    times the term pairs at p = 19.  Every x-degree of h_p is checked
-    against the window 0..deg before the loop, so none can fall outside
-    it unseen.
+    is bounded by |p| below, so clearing x = (l m^2 + 1)/(m^2 + l) with
+    that degree (clear_at_root) and m^(2|p|) lands in Z[l, m].
     """
-    h = h_polynomial(p)
     deg = 2 * p - 1 if p > 0 else 2 * abs(p)
-    num, den = solve_meridian_x()
-    cofs = h.coefficients_in("x")
-    for j in cofs:
-        if j < 0 or j > deg:
-            raise ArithmeticError("x-degree %d outside the clearing "
-                                  "window at p = %d" % (j, p))
-    out = LaurentPoly.zero()
-    den_power = LaurentPoly.const(1)
-    for j in range(deg, -1, -1):
-        out = out * num
-        if j in cofs:
-            out += cofs[j] * den_power
-        if j:
-            den_power = den_power * den
-    out = out * _mono(1, m=2 * abs(p))
+    out = (clear_at_root(h_polynomial(p), solve_meridian_x(), deg, p)
+           * _mono(1, m=2 * abs(p)))
     for v in out.variables():
         if v not in ("l", "m"):
             raise ArithmeticError("unexpected variable %s" % v)
-        lo, _ = out.var_range(v)
-        if lo < 0:
+        if out.var_range(v)[0] < 0:
             raise ArithmeticError("negative %s-exponent survived "
                                   "clearing at p = %d" % (v, p))
     return out
@@ -309,14 +309,14 @@ _SEEDS = range(-1, 3)
 
 def _law_holds(p):
     """Checks (i)-(iv) of verify_aj's induction, on p's side of the seam."""
-    a = quad_a().coefficients_in("x")
-    if not set(a) <= {0, 1, 2}:
+    a = quad_a()
+    if not set(a.coefficients_in("x")) <= {0, 1, 2}:
         return False
-    num, den = solve_meridian_x()
+    root = solve_meridian_x()
     c, d = cd_coefficients()
-    if sum(a_j * num ** j * den ** (2 - j) for j, a_j in a.items()) != c:
+    if clear_at_root(a, root, 2, p) != c:
         return False
-    if _mono(m=4) * den ** 4 != d:
+    if _mono(m=4) * root[1] ** 4 != d:
         return False
     return all(a_polynomial(s) == b_polynomial(s)
                for s in ((1, 2) if p > 0 else (0, -1)))
@@ -332,7 +332,7 @@ def verify_aj(p):
       (i)   every x-exponent of quad_a() lies in 0..2;
       (ii)  sum_j a_j num^j den^(2 - j) == c, with a_j the x-coefficients
             of quad_a(), (num, den) = solve_meridian_x() and
-            (c, d) = cd_coefficients();
+            (c, d) = cd_coefficients(), by clear_at_root;
       (iii) m^4 den^4 == d;
       (iv)  a_polynomial(s) == b_polynomial(s) at the two seeds on p's
             side: s = 1, 2 for p >= 3 and s = 0, -1 for p <= -2.

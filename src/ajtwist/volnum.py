@@ -8,10 +8,11 @@ simple-pole cancellation, with an integer certificate that the poles do
 cancel.  dilog and bloch_wigner provide the principal-branch
 dilogarithm and its imaginary-part combination D(z).  saddle_solve
 clears the two growth equations of the summand to polynomials in
-(x, y), eliminates x by resultant, finds every root of the reduced
-eliminant with mpmath's polyroots, started from double-precision roots
-so that it needs only a few sweeps at full precision, certifies each
-root, and scores each solution with
+(x, y), eliminates x by putting the root of the second, which is linear
+in x, into the first, which is quadratic (that is their resultant),
+finds every root of the reduced eliminant with mpmath's polyroots,
+started from double-precision roots so that it needs only a few sweeps
+at full precision, certifies each root, and scores each solution with
 
     3 D(x0) - D(x0 y0) - D(x0 / y0).
 
@@ -41,7 +42,7 @@ from itertools import accumulate
 import mpmath as mp
 from mpmath.libmp import NoConvergence
 
-from .apoly import saddle_constraint
+from .apoly import clear_at_root, linear_root, saddle_constraint
 from .jones import KnotId, shift_ratio
 from .laurent import CertificationError, InexactDivision, LaurentPoly
 from .qseries import to_dense
@@ -412,63 +413,23 @@ def _growth_polys(p):
             saddle_constraint(p))
 
 
-def _bareiss_det(mat):
-    """Fraction-free determinant of a square matrix of LaurentPolys."""
-    mat = [row[:] for row in mat]
-    size = len(mat)
-    sign = 1
-    prev = LaurentPoly.const(1)
-    for c in range(size - 1):
-        if not mat[c][c]:
-            for i in range(c + 1, size):
-                if mat[i][c]:
-                    mat[c], mat[i] = mat[i], mat[c]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(c + 1, size):
-            for j in range(c + 1, size):
-                num = mat[c][c] * mat[i][j] - mat[i][c] * mat[c][j]
-                mat[i][j] = num.exact_divide(prev)
-            mat[i][c] = LaurentPoly.zero()
-        prev = mat[c][c]
-    det = mat[size - 1][size - 1]
-    return -det if sign < 0 else det
-
-
-def _sylvester_resultant_x(f, g):
-    """Resultant of f and g with respect to x, by Sylvester determinant."""
-    fc = f.coefficients_in("x")
-    gc = g.coefficients_in("x")
-    m = max(fc)
-    n = max(gc)
-    if min(fc) < 0 or min(gc) < 0:
-        raise ValueError("negative x-exponents have no Sylvester matrix")
-    zero = LaurentPoly.zero()
-    frow = [fc.get(m - j, zero) for j in range(m + 1)]
-    grow = [gc.get(n - j, zero) for j in range(n + 1)]
-    mat = []
-    for i in range(n):
-        mat.append([zero] * i + frow + [zero] * (n - 1 - i))
-    for i in range(m):
-        mat.append([zero] * i + grow + [zero] * (m - 1 - i))
-    return _bareiss_det(mat)
-
-
 def reduced_eliminant(p):
     """Univariate polynomial in y cutting out the candidate saddle values.
 
     The x-resultant of the two growth equations, with every factor of
     y, y - 1 and y + 1 stripped; those roots sit on degenerate loci, so
-    nothing a solution could use is lost.  The first equation has its
-    factor x divided out, so no root comes from x = 0.  The leading
-    coefficient is normalized positive.
+    nothing a solution could use is lost.  The second equation is
+    den x - num (linear_root refuses it otherwise) and the first, f, has
+    x-degree 2 (clear_at_root refuses one outside 0..2), so the
+    resultant is Res_x(f, den x - num) = sum_j f_j num^j den^(2 - j),
+    the clearing of f at x = num/den.  f has its factor x divided out,
+    so no root comes from x = 0.  The leading coefficient is normalized
+    positive.
     """
     if p == 0:
         raise ValueError("p = 0 is not a twist knot")
     p1, p2 = _growth_polys(p)
-    res = _sylvester_resultant_x(p1, p2)
+    res = clear_at_root(p1, linear_root(p2, "l-step at q = 1"), 2, p)
     if not res:
         raise ArithmeticError("growth equations share a component")
     lo, _ = res.var_range("y")
@@ -544,8 +505,9 @@ def saddle_solve(p, prec=128):
     sweep; the start changes only the speed.  polyroots' own test is
     unchanged: every correction must fall below eps at the working
     precision, and a solve that does not converge raises
-    CertificationError.  x is recovered from the x-linear constraint,
-    with no further polish, and both residuals at (x0, y0) must be below
+    CertificationError.  x0 = num(y0)/den(y0) is the root of the
+    constraint, which linear_root refuses unless it is linear in x; it
+    gets no further polish, and both residuals at (x0, y0) must be below
     2^(-prec/2) or CertificationError reports the failures.
     The eliminant has no roots from x = 0 (see _growth_polys); roots on
     the degenerate loci x = 1, y = 0, x y = 1, y = x are discarded.
@@ -565,8 +527,7 @@ def saddle_solve(p, prec=128):
             raise CertificationError(
                 "eliminant roots did not converge at p = %d" % p) from None
         p1, p2 = _growth_polys(p)
-        c2 = p2.coefficients_in("x")
-        xnum, xden = -c2[0], c2[1]
+        xnum, xden = linear_root(p2, "l-step at q = 1")
 
         thresh = mp.ldexp(1, -(prec // 2))
         sols = []

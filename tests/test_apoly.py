@@ -9,7 +9,7 @@ from ajtwist import apoly, jones
 from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, quad_reduce,
                            h_via_reduction, b_polynomial, verify_aj,
-                           compare_aj, saddle_constraint)
+                           compare_aj, saddle_constraint, linear_root)
 from ajtwist.jones import NUM, summand_spec
 from oracles import RatFunc, ratio_ratfunc, substitute
 
@@ -122,6 +122,26 @@ class TestMeridianX:
         want = parse_poly("y^5 - x*y^4 - x*y + 1")
         quotient = (RatFunc.const(1) - got).num.exact_divide(want)
         assert quotient == parse_poly("1 - y^2")
+
+
+class TestLinearRoot:
+    # every x eliminated by substitution goes through this reader
+    @pytest.mark.parametrize("poly", ["x^2 + x + 1", "l + m", "x^-1 + x"])
+    def test_refuses_other_shapes(self, poly):
+        with pytest.raises(ArithmeticError, match="^it is not linear in x$"):
+            linear_root(parse_poly(poly), "it")
+
+    def test_quadratic_n_step_is_refused(self, monkeypatch):
+        step = apoly._step_at_q1
+
+        def bent(p, dirn):
+            num, den = step(p, dirn)
+            return num + LaurentPoly.var("x", 2), den
+
+        monkeypatch.setattr(apoly, "_step_at_q1", bent)
+        with pytest.raises(ArithmeticError,
+                           match="^n-step at q = 1 is not linear in x$"):
+            solve_meridian_x()
 
 
 class TestHPolynomial:

@@ -1,8 +1,9 @@
-"""Rules the package source keeps: no cached check, no unused import.
+"""Rules the package source keeps: no cached check, no unused import,
+no orphaned private name.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
-import rule stands in for a linter; it reads each module with ast.
+other two rules stand in for a linter; they read each module with ast.
 """
 import ast
 from importlib import import_module
@@ -39,3 +40,31 @@ def test_module_level_imports_are_used(path):
             bound += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in bound if name not in used] == []
+
+
+def test_private_module_names_are_used():
+    # a module-level _name is private to the package, so something in
+    # the package must refer to it: as a name, an attribute, or a string
+    # naming it (getattr, tables of names)
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - used) == []

@@ -411,7 +411,7 @@ class TestSaddle:
         sympy = pytest.importorskip("sympy")
         x, y = sympy.symbols("x y")
         f1 = 1 - 3 * y + y ** 2 + 2 * x * y - x ** 2 * y
-        for p in (2, 3, 4, 5, -2, -3, -4, -5):
+        for p in [p for p in range(-12, 13) if p]:
             a = 2 * abs(p)
             if p > 0:
                 f2 = y ** (a + 1) + 1 - x * y ** a - x * y
@@ -428,6 +428,34 @@ class TestSaddle:
             assert reduced_eliminant(p).coefficients_in("y") == want, p
             at_x0 = sympy.Poly(f2.subs(x, 0), y)
             assert sympy.gcd(res, at_x0).degree() == 0, p
+
+    def test_nonlinear_constraint_is_refused(self, monkeypatch):
+        # x is eliminated through the constraint's root, which would
+        # silently drop an x^2 term; both readers of that root refuse it
+        sound = reduced_eliminant(2)
+        bent = volnum.saddle_constraint(2) + parse_poly("x^2*y")
+        monkeypatch.setattr(volnum, "saddle_constraint", lambda p: bent)
+        for solve in (reduced_eliminant, saddle_solve):
+            with pytest.raises(ArithmeticError, match="not linear in x"):
+                solve(2)
+        # saddle_solve's own x0, behind a sound eliminant
+        monkeypatch.setattr(volnum, "reduced_eliminant", lambda p: sound)
+        with pytest.raises(ArithmeticError, match="not linear in x"):
+            saddle_solve(2)
+
+    def test_cubic_first_equation_is_refused(self, monkeypatch):
+        # clearing at the root assumes the k-step equation has x-degree
+        # at most 2, where it equals the resultant
+        growth = volnum._growth_polys
+
+        def bent(p):
+            p1, p2 = growth(p)
+            return p1 + parse_poly("x^3*y"), p2
+
+        monkeypatch.setattr(volnum, "_growth_polys", bent)
+        with pytest.raises(ArithmeticError,
+                           match="x-degree 3 outside the clearing window"):
+            reduced_eliminant(2)
 
     def test_solution_count_matches_degree(self):
         for p in (-3, -2, -1, 1, 2, 3):
