@@ -107,19 +107,25 @@ def a_polynomial(p):
     """A-polynomial of the twist knot with parameter p, in (l, m).
 
     The four base cases are returned verbatim; anything past them is the
-    three-term recursion run away from zero on the matching side.
+    three-term law with (c, d) = cd_coefficients(), run by _run_law.
     """
     base = _initial_a_polynomials()
     if p in base:
         return base[p]
-    c, d = cd_coefficients()
-    if p > 2:
-        older, newer = base[1], base[2]
-        for _ in range(3, p + 1):
-            older, newer = newer, c * newer - d * older
-        return newer
-    older, newer = base[0], base[-1]
-    for _ in range(-2, p - 1, -1):
+    return _run_law(base, *cd_coefficients(), p)
+
+
+def _run_law(seeds, c, d, p):
+    """x(p) = c x(p-1) - d x(p-2), run from the two seeds nearest p.
+
+    seeds maps consecutive integers to values and p lies outside them.
+    Below the seeds the same law runs mirrored, x(p) = c x(p+1) -
+    d x(p+2), which only needs the two lowest seeds swapped.
+    """
+    step = 1 if p > max(seeds) else -1
+    edge = max(seeds) if step > 0 else min(seeds)
+    older, newer = seeds[edge - step], seeds[edge]
+    for _ in range(edge + step, p + step, step):
         older, newer = newer, c * newer - d * older
     return newer
 
@@ -175,29 +181,15 @@ def h_polynomial(p):
     """Tower element h_p(m, x); negative m-exponents are expected.
 
     h_0 = 1 and h_1 = (m^4 - x*m^2 + 1)/m^2 seed the same three-term
-    shape as the A-polynomials but with multipliers a/m^2 and 1:
+    law as the A-polynomials (_run_law) but with multipliers a/m^2
+    and 1:
 
         h_p = (a / m^2) h_{p-1} - h_{p-2}
-
-    run toward the requested p from the nearest seeds (downward for
-    p < 0, which only needs the two seeds rearranged).
     """
-    h0 = LaurentPoly.const(1)
-    h1 = quad_b().exact_divide(_M2)
-    if p == 0:
-        return h0
-    if p == 1:
-        return h1
-    step = quad_a().exact_divide(_M2)
-    if p > 1:
-        older, newer = h0, h1
-        for _ in range(2, p + 1):
-            older, newer = newer, step * newer - older
-        return newer
-    older, newer = h1, h0
-    for _ in range(-1, p - 1, -1):
-        older, newer = newer, step * newer - older
-    return newer
+    seeds = {0: LaurentPoly.const(1), 1: quad_b().exact_divide(_M2)}
+    if p in seeds:
+        return seeds[p]
+    return _run_law(seeds, quad_a().exact_divide(_M2), 1, p)
 
 
 def quad_reduce(poly):
@@ -338,21 +330,22 @@ def verify_aj(p):
             side: s = 1, 2 for p >= 3 and s = 0, -1 for p <= -2.
 
     The induction.  With X = num/den and t = quad_a()/m^2, h_polynomial
-    runs h_p = t h_(p-1) - h_(p-2) upward and h_p = t h_(p+1) - h_(p+2)
-    downward.  deg(p) = 2p - 1 for p > 0 and 2|p| for p <= 0, so on
-    either side deg(p) steps by 2 and |p| by 1.  By (i) and (ii),
-    c = den^2 quad_a(X) = m^2 den^2 t(X), and by (iii) d = m^4 den^4, so
+    has _run_law run h_p = t h_(p-1) - h_(p-2) upward and
+    h_p = t h_(p+1) - h_(p+2) downward.  deg(p) = 2p - 1 for p > 0 and
+    2|p| for p <= 0, so on either side deg(p) steps by 2 and |p| by 1.
+    By (i) and (ii), c = den^2 quad_a(X) = m^2 den^2 t(X), and by (iii)
+    d = m^4 den^4, so
 
         b(p) = m^(2|p|) den^deg(p) h_p(X)
 
     obeys b(p) = c b(p-1) - d b(p-2) for p >= 3, and
-    b(p) = c b(p+1) - d b(p+2) for p <= -2: the law a_polynomial runs,
-    from the same two seeds, which (iv) shows equal.  So b(p) = A(p)
-    on each side, for every p.  b_polynomial(p) computes b(p) unless
-    one of its checks raises, and none can: by (i) each step of the
-    tower raises the x-degree by at most 2 and keeps it nonnegative,
-    so every x-degree of h_p lies in the clearing window 0..deg(p), and
-    b(p) = A(p) is a polynomial in (l, m).
+    b(p) = c b(p+1) - d b(p+2) for p <= -2: the law a_polynomial has
+    _run_law run, from the same two seeds, which (iv) shows equal.  So
+    b(p) = A(p) on each side, for every p.  b_polynomial(p) computes
+    b(p) unless one of its checks raises, and none can: by (i) each step
+    of the tower raises the x-degree by at most 2 and keeps it
+    nonnegative, so every x-degree of h_p lies in the clearing window
+    0..deg(p), and b(p) = A(p) is a polynomial in (l, m).
 
     Each side has its own seeds because the law fails at p = 2 when run
     from b(1), b(0): deg(0) is 0, not the 2p - 1 = -1 the upward step

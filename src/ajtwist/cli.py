@@ -19,7 +19,6 @@ layers it runs and a patch on ``cli.NAME`` still reaches it.
 """
 import argparse
 from importlib import import_module
-import json
 import sys
 
 from .apoly import a_polynomial, b_polynomial, h_polynomial, verify_aj
@@ -57,6 +56,7 @@ def _emit(args, text):
 
 
 def _json_text(obj):
+    import json
     return json.dumps(obj, indent=2)
 
 

@@ -2,9 +2,10 @@
 
 The cyclotomic route writes J(n) as a sum of coefficient polynomials
 against the product basis sigma_k(n); the double-sum route evaluates the
-rearranged two-index sum directly.  Both are exact LaurentPolys in q:
-Masbaum's quantum integers {i} = s^i - s^-i, with q = s^2, enter only
-through sigma_basis, which is written in q.
+rearranged two-index sum directly.  Both are exact LaurentPolys in q.
+Masbaum's quantum integers {i} = s^i - s^-i, with q = s^2, are never
+computed: sigma_basis expands the shared SIGMA block below in q, and its
+docstring shows that this is their product.
 
 Sign conventions.  The cyclotomic coefficients come in two flavors,
 selected by the convention argument:
@@ -225,19 +226,18 @@ def masbaum_coeff(p, k, convention="printed"):
 
 
 def sigma_basis(k, n):
-    """Product basis element q^(-kn) prod (1 - q^i), i in [n-k, n+k] but n.
+    """Product basis element sigma_k(n), the SIGMA block at level k.
 
-    This is Masbaum's product of quantum integers {i} = s^i - s^-i over
-    the same range, with q = s^2: each {i} is -s^-i (1 - q^i), and the
+    Expanded, it is q^(-kn) prod (1 - q^i) over i in [n-k, n+k] but n:
+    Masbaum's product of quantum integers {i} = s^i - s^-i over the
+    same range, with q = s^2, since each {i} is -s^-i (1 - q^i) and the
     2k prefactors multiply to q^(-kn).  Vanishes for k >= n (the range
     then contains i = 0)."""
     if k < 0:
         raise ValueError("level k must be nonnegative")
     if k >= n:
         return LaurentPoly.zero()
-    span = Counter(range(n - k, n + k + 1))
-    del span[n]
-    return from_dense(dense_times_binoms((-k * n, [1]), span))
+    return assemble_sum([_factors(SIGMA, 0, (1, n, k, 0))])
 
 
 def colored_jones(p, n, convention="printed"):

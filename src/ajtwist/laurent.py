@@ -18,7 +18,6 @@ parse_poly reads back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 import re
 
 VARS = ("q", "N", "K", "L2", "l", "m", "x", "y")
@@ -413,18 +412,9 @@ class LaurentPoly:
 
     def eval_fraction(self, bindings):
         """Exact evaluation with Fraction/int values for every used variable."""
-        vals = {VAR_INDEX[name]: Fraction(v) for name, v in bindings.items()}
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for i, a in enumerate(e):
-                if not a:
-                    continue
-                if i not in vals:
-                    raise KeyError("no value for %s" % VARS[i])
-                term *= vals[i] ** a
-            total += term
-        return total
+        from fractions import Fraction
+        return Fraction(self.eval_complex(
+            {v: Fraction(x) for v, x in bindings.items()}))
 
     def eval_complex(self, bindings):
         """Numeric evaluation; values may be complex or mpmath numbers.

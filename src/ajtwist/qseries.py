@@ -95,14 +95,7 @@ class QFactors:
         """
         if n < 0:
             raise NegativeIndex("numerator Pochhammer with index %d" % n)
-        if inverted_base:
-            # (q^-1)_n = (-1)^n q^(-n(n+1)/2) (q)_n
-            if n % 2:
-                self.sign = -self.sign
-            self.qpow -= n * (n + 1) // 2
-        for j in range(1, n + 1):
-            self.num[j] += 1
-        return self
+        return self._poch(self.num, 1, n, inverted_base)
 
     def div_poch(self, n, inverted_base=False):
         """Divide by (q)_n, or (q^-1)_n when inverted_base.
@@ -113,12 +106,16 @@ class QFactors:
         if n < 0:
             self.zero = True
             return self
+        return self._poch(self.den, -1, n, inverted_base)
+
+    def _poch(self, side, power, n, inverted_base):
+        """(q)_n or (q^-1)_n, n >= 0, to the power +-1 on side."""
         if inverted_base:
+            # (q^-1)_n = (-1)^n q^(-n(n+1)/2) (q)_n
             if n % 2:
                 self.sign = -self.sign
-            self.qpow += n * (n + 1) // 2
-        for j in range(1, n + 1):
-            self.den[j] += 1
+            self.qpow -= power * (n * (n + 1) // 2)
+        side.update(range(1, n + 1))
         return self
 
 

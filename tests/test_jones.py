@@ -1,8 +1,10 @@
 from collections import Counter
+import dataclasses
 import hashlib
 
 import pytest
 
+from ajtwist import jones
 from ajtwist.laurent import InexactDivision, LaurentPoly
 from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
                            colored_jones_multisum, summand_factors,
@@ -84,6 +86,16 @@ class TestSigmaBasis:
                 top = qmono(1, q=n * k) * inv_qpoch(n + k) * inv_qpoch(n - 1)
                 bot = inv_qpoch(n) * inv_qpoch(n - k - 1)
                 assert sigma_basis(k, n) == top.exact_divide(bot)
+
+    def test_reads_sigma(self, monkeypatch):
+        # sigma_basis is the SIGMA block expanded, so one more factor
+        # (1 - q^(k+1)) on the block must show in it
+        before = {(k, n): sigma_basis(k, n)
+                  for n in range(1, 5) for k in range(n)}
+        monkeypatch.setattr(jones, "SIGMA", dataclasses.replace(
+            jones.SIGMA, binoms=jones.SIGMA.binoms + ((1, 0, 1, 0),)))
+        for (k, n), value in before.items():
+            assert sigma_basis(k, n) == value * (1 - qmono(1, q=k + 1))
 
 
 class TestColoredJones:

@@ -5,7 +5,7 @@ lookup, so a command loads only the layers it runs.  These tests pin
 that footprint in a fresh interpreter, and check that every lazily
 bound name still resolves and can still be patched on ``cli``.
 """
-import json
+import ast
 import os
 from pathlib import Path
 import re
@@ -19,19 +19,24 @@ from ajtwist import apoly, cli, laurent, qrec, volnum
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs one command with its stdout swallowed and prints, as JSON, its exit
-# code and every module loaded by the end.  An empty argv only imports.
+# Runs one command with its stdout swallowed and prints, as a Python
+# literal, its exit code and every module loaded by the end; it imports
+# no json itself, so a command that loads json shows.  An empty argv
+# only imports.
 PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 from ajtwist.cli import main
 rc = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(sys.argv[1:])
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+print(repr({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 HEAVY = {"mpmath", "ajtwist.volnum", "ajtwist.qrec"}
+# fractions loads decimal and numbers; a command that prints text and
+# evaluates no Fraction needs none of them
+NUMERIC = {"fractions", "decimal", "numbers", "json"}
 
 
 def probe(code, *argv):
@@ -40,21 +45,23 @@ def probe(code, *argv):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 class TestImportFootprint:
     @pytest.mark.parametrize("argv, absent", [
         ([], HEAVY),
-        (["jones", "--p", "2", "--n", "3"], HEAVY),
-        (["apoly", "--p", "2"], HEAVY),
-        (["verify-aj", "--p-min", "1", "--p-max", "2"], HEAVY),
+        (["jones", "--p", "2", "--n", "3"], HEAVY | NUMERIC),
+        (["apoly", "--p", "2"], HEAVY | NUMERIC),
+        (["apoly", "--p", "1"], HEAVY | NUMERIC),
+        (["verify-aj", "--p-min", "1", "--p-max", "2"], HEAVY | NUMERIC),
+        (["verify-aj", "--p-min", "-3", "--p-max", "3"], HEAVY | NUMERIC),
         (["rec-check", "--fixture", "fivetwo_kfree",
           "--n-min", "6", "--n-max", "6"], {"mpmath", "ajtwist.volnum"}),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
          {"mpmath", "ajtwist.volnum"}),
-    ], ids=["import-cli", "jones", "apoly", "verify-aj", "rec-check",
-            "rec-q1"])
+    ], ids=["import-cli", "jones", "apoly", "apoly-setup", "verify-aj",
+            "verify-aj-law", "rec-check", "rec-q1"])
     def test_command_leaves_out(self, argv, absent):
         out = probe(PROBE, *argv)
         assert out["rc"] == 0
@@ -66,7 +73,8 @@ class TestImportFootprint:
         (["volume", "--p", "2"], {"mpmath", "ajtwist.volnum"}),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
          {"mpmath", "ajtwist.volnum"}),
-    ], ids=["rec-q1", "volume", "kashaev"])
+        (["apoly", "--p", "1", "--out", "json"], {"json"}),
+    ], ids=["rec-q1", "volume", "kashaev", "apoly-json"])
     def test_command_loads_what_it_runs(self, argv, present):
         # the probe sees a module the command does load
         out = probe(PROBE, *argv)
@@ -74,8 +82,8 @@ class TestImportFootprint:
         assert present <= set(out["modules"])
 
     def test_bare_package_loads_no_submodule(self):
-        out = probe("import json, sys, ajtwist\n"
-                    "print(json.dumps({'modules': sorted(sys.modules)}))")
+        out = probe("import sys, ajtwist\n"
+                    "print(repr({'modules': sorted(sys.modules)}))")
         assert [m for m in out["modules"] if m.startswith("ajtwist.")] == []
         assert "mpmath" not in out["modules"]
 

@@ -47,6 +47,8 @@ class TestQFactors:
         assert qfactors_ratfunc(f).as_poly() == qpoch(4)
         g = QFactors.one().times_poch(3, inverted_base=True)
         assert qfactors_ratfunc(g) == RatFunc(inv_qpoch(3))
+        h = QFactors.one().div_poch(3, inverted_base=True)
+        assert qfactors_ratfunc(h) == RatFunc(ONE, inv_qpoch(3))
 
     def test_div_poch_negative_is_zero(self):
         f = QFactors.one().div_poch(-2)
