@@ -4,8 +4,9 @@ The cyclotomic route writes J(n) as a sum of coefficient polynomials
 against the product basis sigma_k(n); the double-sum route evaluates the
 rearranged two-index sum directly.  Both are exact LaurentPolys in q.
 Masbaum's quantum integers {i} = s^i - s^-i, with q = s^2, are never
-computed: sigma_basis expands the shared SIGMA block below in q, and its
-docstring shows that this is their product.
+computed: the cyclotomic sum reads sigma_k(n) off the shared SIGMA block
+below, in factored form, and sigma_basis, which expands that block in q,
+shows in its docstring that this is their product.
 
 Sign conventions.  The cyclotomic coefficients come in two flavors,
 selected by the convention argument:
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import math
 
 from .laurent import LaurentPoly, unit_ratio
-from .qseries import (QFactors, cleared_sum, dense_divide_binoms, dense_dot,
+from .qseries import (QFactors, cleared_sum, dense_divide_binoms,
                       dense_times_binoms, from_dense, to_dense)
 
 
@@ -72,7 +73,8 @@ class ProductForm:
 
 
 # sigma_k(n) = q^(nk) (q^-1)_(n+k) (q^-1)_(n-1) / ((q^-1)_n (q^-1)_(n-k-1)),
-# the block every summand shares; sigma_basis is its expansion
+# the block every summand shares and the cyclotomic sum's basis, in both
+# taken factored; sigma_basis expands it
 SIGMA = ProductForm(
     qexp2=((2, "nk"),),
     pochs=((NUM, -1, (0, 1, 1, 0)), (NUM, -1, (-1, 1, 0, 0)),
@@ -187,18 +189,19 @@ def summand_factors(knot, n, k, l):
 # assembly of sums of factored values into a polynomial
 
 
-def assemble_sum(terms):
-    """Exact LaurentPoly value of a sum of QFactors.
+def assemble_sum(parts):
+    """Exact LaurentPoly value of S = sum_i v_i * qf_i.
 
-    Expands the sum cleared over its union denominator (D * S = C * R,
-    see qseries.cleared_sum), cancels the factors C and D share, and
-    divides out, raising InexactDivision if the sum is not a Laurent
-    polynomial.  The quotient C' * R / D' is unique, so the cancellation
-    does not change the result.  All of it runs on dense values; a sum
-    that cancels to zero is the empty value, which divides to zero.
+    parts is a list of (dense value v_i, QFactors qf_i) pairs, as for
+    qseries.cleared_sum.  The sum is expanded cleared over its union
+    denominator (D * S = C * R, see cleared_sum), the factors C and D
+    share are canceled, and the rest is divided out, raising
+    InexactDivision if the sum is not a Laurent polynomial.  The
+    quotient C' * R / D' is unique, so the cancellation does not change
+    the result.  All of it runs on dense values; a sum that cancels to
+    zero is the empty value, which divides to zero.
     """
-    residual, _, den_all, common = cleared_sum([((0, [1]), t)
-                                                for t in terms])
+    residual, _, den_all, common = cleared_sum(parts)
     shared = common & den_all
     return from_dense(dense_divide_binoms(
         dense_times_binoms(residual, common - shared), den_all - shared))
@@ -218,7 +221,7 @@ def masbaum_coeff(p, k, convention="printed"):
     if convention not in ("printed", "habiro"):
         raise ValueError("convention must be printed or habiro")
     level = LEVEL_PARTS["K_p"][1]
-    c = assemble_sum([_factors(level, p, (1, 0, k, l))
+    c = assemble_sum([((0, [1]), _factors(level, p, (1, 0, k, l)))
                       for l in range(k + 1)])
     if convention == "printed" and k % 2 == 0:
         c = -c
@@ -232,16 +235,21 @@ def sigma_basis(k, n):
     Masbaum's product of quantum integers {i} = s^i - s^-i over the
     same range, with q = s^2, since each {i} is -s^-i (1 - q^i) and the
     2k prefactors multiply to q^(-kn).  Vanishes for k >= n (the range
-    then contains i = 0)."""
+    then contains i = 0).  No command expands it: colored_jones passes
+    the block to assemble_sum factored."""
     if k < 0:
         raise ValueError("level k must be nonnegative")
     if k >= n:
         return LaurentPoly.zero()
-    return assemble_sum([_factors(SIGMA, 0, (1, n, k, 0))])
+    return assemble_sum([((0, [1]), _factors(SIGMA, 0, (1, n, k, 0)))])
 
 
 def colored_jones(p, n, convention="printed"):
-    """Colored Jones of K_p at color n via the cyclotomic sum."""
+    """Colored Jones of K_p at color n via the cyclotomic sum.
+
+    One assemble_sum over the parts (c_k, sigma_k(n)), each c_k dense
+    and each sigma_k(n) the SIGMA block as QFactors.
+    """
     if isinstance(p, KnotId):
         if p.is_named:
             raise TypeError("named knots have no cyclotomic route here; "
@@ -249,9 +257,9 @@ def colored_jones(p, n, convention="printed"):
         p = p.twist
     if n < 1:
         raise ValueError("color n must be >= 1")
-    return from_dense(dense_dot([(to_dense(masbaum_coeff(p, k, convention)),
-                                  to_dense(sigma_basis(k, n)))
-                                 for k in range(n)]))
+    return assemble_sum([(to_dense(masbaum_coeff(p, k, convention)),
+                          _factors(SIGMA, 0, (1, n, k, 0)))
+                         for k in range(n)])
 
 
 def colored_jones_multisum(knot, n):
@@ -260,7 +268,7 @@ def colored_jones_multisum(knot, n):
         knot = KnotId.twist_knot(knot)
     if n < 1:
         raise ValueError("color n must be >= 1")
-    return assemble_sum([summand_factors(knot, n, k, l)
+    return assemble_sum([((0, [1]), summand_factors(knot, n, k, l))
                          for k in range(n) for l in range(k + 1)])
 
 

@@ -31,7 +31,6 @@ integers and may be omitted when zero (a bare q or N means power one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import os
 import re
 
@@ -403,6 +402,8 @@ def specialize_q1(spec):
 
 def _m_remainder_text(num, den):
     """Remainder of num by den over the rationals, both in m alone."""
+    # only a failed specialize_q1 needs fractions, so it loads here
+    from fractions import Fraction
     _, dcofs = to_dense(den, "m")
     nlo, ncofs = to_dense(num, "m")
     ncofs = [Fraction(c) for c in ncofs]

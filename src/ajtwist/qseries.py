@@ -7,13 +7,13 @@ points: it keeps a value of the shape
 
 as multisets of indices instead of expanding anything.
 
-Every value in q alone that gets expanded, jones.sigma_basis and the
-colored Jones sums included, is held densely: (lo, [c_lo, c_lo+1, ...])
-is sum_i c_i q^(lo + i), trimmed so that both end coefficients are
-nonzero, with (0, []) for zero.  to_dense is the one converter from a
-LaurentPoly in a single variable (q unless named) to the dense form, and
-from_dense converts back to q; dense_times_binoms and
-dense_divide_binoms multiply and exactly divide by a product of
+Every value in q alone that gets expanded, the colored Jones sums and
+their cyclotomic coefficients included, is held densely:
+(lo, [c_lo, c_lo+1, ...]) is sum_i c_i q^(lo + i), trimmed so that both
+end coefficients are nonzero, with (0, []) for zero.  to_dense is the
+one converter from a LaurentPoly in a single variable (q unless named)
+to the dense form, and from_dense converts back to q; dense_times_binoms
+and dense_divide_binoms multiply and exactly divide by a product of
 (1 - q^j).
 
 Sums are expanded in one step, by Kronecker substitution: each value is
@@ -21,10 +21,10 @@ packed as the integer it takes at a power of two wide enough for the
 sum's coefficient bound, the sum is formed in int arithmetic, and its
 balanced digits are the coefficients.  cleared_sum does this for a sum
 of values times QFactors, cleared over its union denominator
-(clear_denominators); is_zero_sum, its exact zero test on the same
-dense parts, is how the recurrence checks stay both exact and fast, and
-jones.assemble_sum divides its result back out.  dense_dot does it for
-a sum of products, the cyclotomic colored Jones sum.
+(clear_denominators), and it is behind every q-only sum:
+jones.assemble_sum divides its result back out, for both colored Jones
+routes, and is_zero_sum, its exact zero test on the same dense parts,
+is how the recurrence checks stay both exact and fast.
 """
 
 from __future__ import annotations
@@ -238,26 +238,6 @@ def _unpack(n, width, lo):
     raw = (n + _offset(width, size)).to_bytes(width * size, "little")
     return _trimmed(lo, [int.from_bytes(raw[i:i + width], "little") - half
                          for i in range(0, width * size, width)])
-
-
-def dense_dot(pairs):
-    """sum_i a_i * b_i over (a_i, b_i) pairs of dense values.
-
-    Every product is packed and multiplied as a Python int (CPython uses
-    Karatsuba) and shifted to its offset, and the sum is decoded once.
-    The coefficient 1-norm is submultiplicative, so every coefficient of
-    the sum lies in [-B, B] with B = sum_i l1(a_i) l1(b_i), and the width
-    puts B below half the base: the digits decode as in cleared_sum.
-    """
-    live = [(a, b) for a, b in pairs if a[1] and b[1]]
-    if not live:
-        return DENSE_ZERO
-    width = _width(sum(sum(map(abs, a[1])) * sum(map(abs, b[1]))
-                       for a, b in live))
-    lo = min(a[0] + b[0] for a, b in live)
-    total = sum((_pack(a[1], width) * _pack(b[1], width))
-                << 8 * width * (a[0] + b[0] - lo) for a, b in live)
-    return _unpack(total, width, lo)
 
 
 def clear_denominators(qfs):

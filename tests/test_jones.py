@@ -88,14 +88,19 @@ class TestSigmaBasis:
                 assert sigma_basis(k, n) == top.exact_divide(bot)
 
     def test_reads_sigma(self, monkeypatch):
-        # sigma_basis is the SIGMA block expanded, so one more factor
-        # (1 - q^(k+1)) on the block must show in it
+        # sigma_basis and the cyclotomic sum both read the SIGMA block,
+        # so one more factor (1 - q^(k+1)) on it must show in each
         before = {(k, n): sigma_basis(k, n)
                   for n in range(1, 5) for k in range(n)}
         monkeypatch.setattr(jones, "SIGMA", dataclasses.replace(
             jones.SIGMA, binoms=jones.SIGMA.binoms + ((1, 0, 1, 0),)))
         for (k, n), value in before.items():
             assert sigma_basis(k, n) == value * (1 - qmono(1, q=k + 1))
+        for p in (-2, 1, 3):
+            for n in range(1, 5):
+                assert colored_jones(p, n) == sum(
+                    (masbaum_coeff(p, k) * sigma_basis(k, n)
+                     for k in range(n)), LaurentPoly.zero()), (p, n)
 
 
 class TestColoredJones:
@@ -133,6 +138,18 @@ class TestColoredJones:
             for n in (1, 2, 3, 5):
                 assert colored_jones(p, n, "habiro") == \
                     colored_jones_multisum(p, n), (p, n)
+
+    def test_never_expands_sigma_basis(self, monkeypatch):
+        # the sum takes each sigma_k(n) factored, from SIGMA
+        want = {(p, n): colored_jones(p, n)
+                for p in (-2, 1, 3) for n in (1, 4, 6)}
+
+        def refuse(k, n):
+            raise AssertionError("sigma_basis expanded")
+
+        monkeypatch.setattr(jones, "sigma_basis", refuse)
+        for (p, n), value in want.items():
+            assert colored_jones(p, n) == value
 
     def test_truncation_is_sound(self):
         # terms with k >= n contribute nothing

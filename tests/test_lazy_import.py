@@ -57,9 +57,10 @@ class TestImportFootprint:
         (["verify-aj", "--p-min", "1", "--p-max", "2"], HEAVY | NUMERIC),
         (["verify-aj", "--p-min", "-3", "--p-max", "3"], HEAVY | NUMERIC),
         (["rec-check", "--fixture", "fivetwo_kfree",
-          "--n-min", "6", "--n-max", "6"], {"mpmath", "ajtwist.volnum"}),
+          "--n-min", "6", "--n-max", "6"],
+         {"mpmath", "ajtwist.volnum"} | NUMERIC),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
-         {"mpmath", "ajtwist.volnum"}),
+         {"mpmath", "ajtwist.volnum"} | NUMERIC),
     ], ids=["import-cli", "jones", "apoly", "apoly-setup", "verify-aj",
             "verify-aj-law", "rec-check", "rec-q1"])
     def test_command_leaves_out(self, argv, absent):

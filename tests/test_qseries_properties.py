@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 from ajtwist.jones import assemble_sum
 from ajtwist.laurent import InexactDivision, LaurentPoly
 from ajtwist.qseries import (QFactors, cleared_sum, dense_divide_binoms,
-                             dense_dot, dense_times_binoms, from_dense,
-                             is_zero_sum, to_dense)
+                             dense_times_binoms, from_dense, is_zero_sum,
+                             to_dense)
 from oracles import RatFunc, binom_product, div_binom, qfactors_ratfunc
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -116,7 +116,8 @@ def negated(parts):
 
 
 def dense(parts):
-    """The parts with each poly in the dense form is_zero_sum takes."""
+    """The parts with each poly in the dense form that is_zero_sum and
+    assemble_sum take."""
     return [(to_dense(poly), qf) for poly, qf in parts]
 
 
@@ -198,58 +199,6 @@ def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
     assert not is_zero_sum(dense(parts))[0]
 
 
-@st.composite
-def polynomial_sums(draw):
-    """QFactors lists whose sum is a Laurent polynomial.
-
-    Each nonzero part starts as a polynomial (den within num) and may be
-    split as qf / (1 - q^j) - q^j qf / (1 - q^j), two parts that are not
-    polynomials; a shared pair adds one (1 - q^j) to every num and den,
-    so the common factor meets the union denominator."""
-    pair = draw(small_multisets)
-    out = []
-    for qf in draw(st.lists(qfactors() | st.builds(QFactors.make_zero),
-                            max_size=4)):
-        if qf.zero:
-            out.append(qf)
-            continue
-        qf.num += qf.den + pair
-        qf.den += pair
-        if draw(st.booleans()):
-            j = draw(st.integers(1, 6))
-            out.append(div_binom(deepcopy(qf), j))
-            qf = div_binom(qf, j).times_qpow(j).times_sign(-1)
-        out.append(qf)
-    return draw(st.permutations(out))
-
-
-# empty lists, single parts, zero parts and non-polynomial sums all
-# come from the plain lists
-qfactor_lists = st.lists(qfactors() | st.builds(QFactors.make_zero),
-                         max_size=4)
-
-
-@SETTINGS
-@given(qfactor_lists | polynomial_sums())
-@example([])
-@example([QFactors.make_zero()])
-@example([div_binom(QFactors.one(), 1)])
-@example([QFactors(num=Counter({1: 1}), den=Counter({1: 1}))])
-@example([QFactors(num=Counter({1: 1}), den=Counter({2: 1})),
-          QFactors(sign=-1, num=Counter({1: 1}), den=Counter({2: 1}))])
-def test_assemble_sum_agrees_with_expansion(qfs):
-    oracle = sum((qfactors_ratfunc(qf) for qf in qfs), RatFunc.zero())
-    try:
-        want = oracle.as_poly()
-    except InexactDivision:
-        with pytest.raises(InexactDivision):
-            assemble_sum(qfs)
-        return
-    assert assemble_sum(qfs) == want
-
-
-# the dense kernel, against the sparse LaurentPoly arithmetic
-
 # interior gaps come from the sparse exponent draw, single terms and the
 # empty value from its size; some coefficients exceed 2^64
 wide_coeffs = (st.integers(-3, 3).filter(bool)
@@ -257,35 +206,84 @@ wide_coeffs = (st.integers(-3, 3).filter(bool)
 dense_polys = st.dictionaries(st.integers(-6, 12), wide_coeffs,
                               max_size=8).map(_poly)
 binom_indices = st.lists(st.integers(1, 7), max_size=4).map(Counter)
+any_qfactors = qfactors() | st.builds(QFactors.make_zero)
 
 
 @st.composite
-def canceling_pairs(draw):
-    """Pairs whose products sum to zero: each pair next to its negation."""
-    pairs = draw(st.lists(st.tuples(dense_polys, dense_polys), max_size=3))
-    return draw(st.permutations(pairs + [(-a, b) for a, b in pairs]))
+def polynomial_sums(draw):
+    """Parts whose sum is a Laurent polynomial.
+
+    Each nonzero part starts as a polynomial (den within num) and may be
+    split as v qf / (1 - q^j) - v q^j qf / (1 - q^j), two parts that are
+    not polynomials; a shared pair adds one (1 - q^j) to every num and
+    den, so the common factor meets the union denominator."""
+    pair = draw(small_multisets)
+    out = []
+    for poly, qf in draw(st.lists(st.tuples(dense_polys, any_qfactors),
+                                  max_size=4)):
+        if qf.zero:
+            out.append((poly, qf))
+            continue
+        qf.num += qf.den + pair
+        qf.den += pair
+        if draw(st.booleans()):
+            j = draw(st.integers(1, 6))
+            out.append((poly, div_binom(deepcopy(qf), j)))
+            qf = div_binom(qf, j).times_qpow(j).times_sign(-1)
+        out.append((poly, qf))
+    return draw(st.permutations(out))
+
+
+@st.composite
+def canceling_parts(draw):
+    """Parts next to their negations, in shuffled order: a zero sum."""
+    parts = draw(st.lists(st.tuples(dense_polys, any_qfactors), max_size=3))
+    return draw(st.permutations(parts + negated(parts)))
+
+
+# empty lists, single parts, zero parts, unit values and non-polynomial
+# sums all come from the plain lists
+wide_part_lists = st.lists(
+    st.tuples(dense_polys | st.just(ONE), any_qfactors), max_size=4)
 
 
 @SETTINGS
-@given(st.lists(st.tuples(dense_polys, dense_polys), max_size=4)
-       | canceling_pairs())
+@given(wide_part_lists | polynomial_sums() | canceling_parts())
 @example([])
-@example([(LaurentPoly.zero(), _poly({0: 1}))])
-@example([(_poly({-3: 2 ** 70}), _poly({5: -(2 ** 70), 9: 1}))])
-# each product stays below 2^7 but the sum does not: the width must
-# come from the summed bound, not from the largest product
-@example([(_poly({0: 127}), ONE), (_poly({0: 127}), ONE)])
-def test_dense_dot_matches_sparse(pairs):
-    want = sum((a * b for a, b in pairs), LaurentPoly.zero())
-    got = dense_dot([(to_dense(a), to_dense(b)) for a, b in pairs])
-    assert from_dense(got) == want
-    for a, _ in pairs:
-        assert from_dense(to_dense(a)) == a
+@example([(ONE, QFactors.make_zero())])
+@example([(LaurentPoly.zero(), QFactors.one())])
+@example([(ONE, div_binom(QFactors.one(), 1))])
+@example([(ONE, QFactors(num=Counter({1: 1}), den=Counter({1: 1})))])
+@example([(ONE, QFactors(num=Counter({1: 1}), den=Counter({2: 1}))),
+          (ONE, QFactors(sign=-1, num=Counter({1: 1}),
+                         den=Counter({2: 1})))])
+# a coefficient beyond 2^64, times a binomial
+@example([(_poly({-3: 2 ** 70, 2: 1}),
+           QFactors(sign=-1, qpow=5, num=Counter({4: 1})))])
+# each part stays below 2^7 but the sum does not: the width must come
+# from the summed bound, not from the largest part
+@example([(_poly({0: 127}), QFactors.one()),
+          (_poly({0: 127}), QFactors.one())])
+# a canceling pair of wide non-polynomial parts divides to zero
+@example([(_poly({0: 2 ** 70, 2: 1}), QFactors(den=Counter({1: 1}))),
+          (_poly({0: -(2 ** 70), 2: -1}), QFactors(den=Counter({1: 1})))])
+def test_assemble_sum_agrees_with_expansion(parts):
+    try:
+        want = expanded(parts).as_poly()
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            assemble_sum(dense(parts))
+        return
+    assert assemble_sum(dense(parts)) == want
+
+
+# the dense kernel, against the sparse LaurentPoly arithmetic
 
 
 @SETTINGS
 @given(dense_polys, binom_indices)
 def test_dense_binoms_match_sparse_and_divide_back(a, js):
+    assert from_dense(to_dense(a)) == a
     prod = dense_times_binoms(to_dense(a), js)
     assert from_dense(prod) == a * binom_product(js)
     assert from_dense(dense_divide_binoms(prod, js)) == a
