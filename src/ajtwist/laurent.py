@@ -12,8 +12,8 @@ The variable universe is fixed once:
 Every value the package computes lies in Z[q, 1/q], so the quantum
 parameter q is stored as itself.  Monomials are exponent 8-tuples in the
 order above, and the canonical term order is plain tuple comparison on
-those 8-tuples, largest first.  The one serialized form is text(), which
-parse_poly reads back.
+those 8-tuples, largest first.  The one serialized form is text(); parse_poly
+reads it back, and reads the coefficients of qrec's .rec fixtures.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class CertificationError(ArithmeticError):
 
 
 class PolyParseError(ValueError):
-    def __init__(self, message, pos=None):
+    """parse_poly refused its text: reason at 0-based position pos."""
+
+    def __init__(self, reason, pos):
+        self.reason = reason
         self.pos = pos
-        if pos is not None:
-            message = "%s (at position %d)" % (message, pos)
-        super().__init__(message)
+        super().__init__("%s (at position %d)" % (reason, pos))
 
 
 def _exp_tuple(**exps):
@@ -461,104 +462,64 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.text()
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-)"
-                    r"|(\()|(\)))")
+# One term: a sign, required after the first term, an optional minus,
+# then factors joined by *.  A factor is an integer or a variable with an
+# optional exponent e, -e or (-e).  A term ends only at a sign or at the
+# end of the text, so the matches of _TERM tile any text it can read.
+# The patterns are compiled on first use, through re's own cache: most
+# commands import this module and never read text.
+_EXP = r"(?:-?\s*\d+|\(\s*-?\s*\d+\s*\))"
+_FACTOR = r"(?:\d+|(?:%s)(?!\w)(?:\s*\^\s*%s)?)" % ("|".join(VARS), _EXP)
+_TERM = (r"\s*([-+]?)\s*(-?)\s*(%s(?:\s*\*\s*%s)*)\s*(?=[-+]|$)"
+         % (_FACTOR, _FACTOR))
 
 
 def parse_poly(text):
     """Parse a polynomial in the text form produced by LaurentPoly.text().
 
-    Accepts signed integer coefficients, * products and ^ exponents with
-    an optional sign or parenthesized sign.  Example:
-    "-3*q^12*N^4 + q*N - 7".
+    Terms are joined by + or -, and a term may carry one more minus of
+    its own: "-3*q^12*N^4 + q*N - 7 + -q^(-2)".  Whitespace may stand
+    between tokens.  Time is linear in the length of the text.
     """
     text = text.rstrip()
-    pos = 0
-    n = len(text)
-    tokens = []
-    while pos < n:
-        mm = _TOKEN.match(text, pos)
-        if not mm:
-            raise PolyParseError("unexpected character %r" % text[pos], pos)
-        grp = mm.lastindex
-        tokens.append((grp, mm.group(grp), mm.start(grp)))
-        pos = mm.end()
-    tokens.append((0, "", n))
-
-    result = LaurentPoly()
-    i = 0
-
-    def peek():
-        return tokens[i]
-
-    def parse_exponent():
-        nonlocal i
-        kind, val, p = peek()
-        neg = False
-        if kind == 7:  # (
-            i += 1
-            kind, val, p = peek()
-            if kind == 6:
-                neg = True
-                i += 1
-                kind, val, p = peek()
-            if kind != 1:
-                raise PolyParseError("expected integer exponent", p)
-            i += 1
-            kind2, _, p2 = peek()
-            if kind2 != 8:
-                raise PolyParseError("expected closing parenthesis", p2)
-            i += 1
-            return -int(val) if neg else int(val)
-        if kind == 6:
-            neg = True
-            i += 1
-            kind, val, p = peek()
-        if kind != 1:
-            raise PolyParseError("expected integer exponent", p)
-        i += 1
-        return -int(val) if neg else int(val)
-
-    while True:
-        kind, val, p = peek()
-        if kind == 0:
-            break
-        sign = 1
-        while kind in (5, 6):
-            if kind == 6:
-                sign = -sign
-            i += 1
-            kind, val, p = peek()
-        if kind == 0:
-            raise PolyParseError("dangling sign", p)
-        coeff = sign
-        exps = {}
-        # factors joined by *, each * followed by a factor
-        while True:
-            kind, val, p = peek()
-            if kind == 1:
-                coeff *= int(val)
-                i += 1
-            elif kind == 2:
-                if val not in VAR_INDEX:
-                    raise PolyParseError("unknown variable %r" % val, p)
-                i += 1
-                kind2, _, _ = peek()
-                a = 1
-                if kind2 == 3:
-                    i += 1
-                    a = parse_exponent()
-                exps[val] = exps.get(val, 0) + a
+    # split gives [gap, sep, neg, body] per term, then the tail; every
+    # gap is empty exactly when the terms tile the text
+    parts = re.split(_TERM, text)
+    if any(parts[::4]):
+        raise _refusal(text)
+    pairs = []
+    for sep, neg, body in zip(parts[1::4], parts[2::4], parts[3::4]):
+        coeff = -1 if (sep == "-") != (neg == "-") else 1
+        e = [0] * NV
+        # whitespace inside a term that _TERM matched separates nothing
+        for factor in "".join(body.split()).split("*"):
+            name, caret, a = factor.partition("^")
+            if name.isdigit():
+                coeff *= int(name)
             else:
-                raise PolyParseError("expected a factor", p)
-            kind, val, p = peek()
-            if kind != 4:
-                break
-            i += 1
-        if kind not in (0, 5, 6):
-            raise PolyParseError("expected + or - after a term", p)
-        result = result + LaurentPoly.monomial(coeff, **exps)
-    return result
+                e[VAR_INDEX[name]] += int(a.strip("()")) if caret else 1
+        pairs.append((tuple(e), coeff))
+    return LaurentPoly(pairs)
+
+
+def _refusal(text):
+    """The PolyParseError for the first term of text that _TERM refuses."""
+    pos = 0
+    while (m := re.compile(_TERM).match(text, pos)):
+        pos = m.end()
+    # past the signs and every factor that a * closes
+    pos = re.compile(r"\s*[-+]?\s*-?\s*(?:%s\s*\*\s*)*"
+                     % _FACTOR).match(text, pos).end()
+    name = re.compile(r"[A-Za-z]\w*").match(text, pos)
+    if name and name.group() not in VAR_INDEX:
+        return PolyParseError("unknown variable %r" % name.group(), pos)
+    bad = re.compile(r"[A-Za-z]\w*\s*\^(?!\s*%s)\s*" % _EXP).match(text, pos)
+    if bad:
+        return PolyParseError("expected integer exponent", bad.end())
+    factor = re.compile(_FACTOR + r"\s*").match(text, pos)
+    if factor is None:
+        return PolyParseError("expected a factor", pos)
+    return PolyParseError("expected + or - after a term", factor.end())
 
 
 def unit_ratio(a, b):

@@ -21,21 +21,22 @@ instead of a buried constant.  Two kinds are supported:
 GRAMMAR (UTF-8, line oriented, # comments):
 
     recurrence <name> kind=<kfree|inhom> knot=<K_p|5_2|6_1>
-    term shift=(i[,jk,jl]) num= <c>*q^<a>*N^<b> [+ ...] den= [...]
+    term shift=(i[,jk,jl]) num= <poly> den= <poly>
 
-Coefficients are stored fully expanded, one monomial at a time, never
-as factored products; N stands for q^n.  Exponents are signed decimal
-integers and may be omitted when zero (a bare q or N means power one).
+Each <poly> is laurent.parse_poly text in q and N = q^n, fully expanded,
+never a factored product: "-q^2*N + 3 - q^(-1)".  serialize_recurrence
+writes every monomial as c*q^a*N^b, joined by " + ".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 import os
 import re
 
-from .laurent import (NV, LaurentPoly, InexactDivision, coefficient_diff,
-                      unit_ratio)
+from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
+                      coefficient_diff, parse_poly, unit_ratio)
 from .qseries import QFactors, NegativeIndex, is_zero_sum, to_dense
 from .jones import KnotId, NAMED_KNOTS, summand_factors
 from .apoly import a_polynomial
@@ -74,52 +75,26 @@ class RecurrenceSpec:
     terms: tuple
 
 
-_MONO_RE = re.compile(r"(-?\d+)|([qN])(?:\^(-?\d+))?")
+_DEN = re.compile(r"(?<!\S)den=(?!\S)")
+# a letter other than q and N, and the rest of its word
+_ALIEN = re.compile(r"[A-MO-Za-pr-z]\w*")
 
-# q and N are the first two of laurent.VARS
-_NOT_QN = (0,) * (NV - 2)
 
-
-def _parse_monomials(tokens, lineno, what):
-    """Tokens like '3*q^2*N^-1' joined by '+' into one LaurentPoly.
-
-    One LaurentPoly call builds it; that merges repeated exponents and
-    drops zeros.
-    """
-    monos = []
-    expect_mono = True
-    for tok, col in tokens:
-        if tok == "+":
-            if expect_mono:
-                raise RecurrenceParseError("misplaced '+' in %s" % what,
-                                           lineno, col)
-            expect_mono = True
-            continue
-        if not expect_mono:
-            raise RecurrenceParseError("missing '+' before %r in %s"
-                                       % (tok, what), lineno, col)
-        coeff = 1
-        qexp = 0
-        nexp = 0
-        pos = 0
-        for part in tok.split("*"):
-            m = _MONO_RE.fullmatch(part)
-            if m is None:
-                raise RecurrenceParseError(
-                    "bad monomial factor %r in %s" % (part, what),
-                    lineno, col + pos)
-            if m.group(1) is not None:
-                coeff *= int(m.group(1))
-            elif m.group(2) == "q":
-                qexp += 1 if m.group(3) is None else int(m.group(3))
-            else:
-                nexp += 1 if m.group(3) is None else int(m.group(3))
-            pos += len(part) + 1
-        monos.append(((qexp, nexp) + _NOT_QN, coeff))
-        expect_mono = False
-    if expect_mono:
+def _coefficient(line, start, end, lineno, what):
+    """line[start:end] read by parse_poly, as a polynomial in q and N."""
+    text = line[start:end]
+    if not text.strip():
         raise RecurrenceParseError("empty %s" % what, lineno)
-    return LaurentPoly(monos)
+    alien = _ALIEN.search(text)
+    if alien:
+        raise RecurrenceParseError(
+            "variable %r in %s; coefficients are polynomials in q and N"
+            % (alien.group(), what), lineno, start + alien.start() + 1)
+    try:
+        return parse_poly(text)
+    except PolyParseError as err:
+        raise RecurrenceParseError("%s in %s" % (err.reason, what), lineno,
+                                   start + err.pos + 1) from None
 
 
 def _parse_knot(token, lineno, col):
@@ -141,10 +116,12 @@ def parse_recurrence(text):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = [(m.group(0), m.start() + 1)
-                  for m in re.finditer(r"\S+", line)]
+        # a term line is read as tokens only up to num=
+        words = re.finditer(r"\S+", line)
+        tokens = [(m.group(0), m.start() + 1) for m in islice(words, 3)]
         head, col0 = tokens[0]
         if head == "recurrence":
+            tokens += [(m.group(0), m.start() + 1) for m in words]
             if spec_name is not None:
                 raise RecurrenceParseError("second recurrence header",
                                            lineno, col0)
@@ -196,15 +173,14 @@ def parse_recurrence(text):
             raise RecurrenceParseError(
                 "kind %s needs %d shift offsets, got %d"
                 % (kind, nshift, len(shift)), lineno, scol)
-        rest = tokens[2:]
-        if not rest or rest[0][0] != "num=":
+        if len(tokens) < 3 or tokens[2][0] != "num=":
             raise RecurrenceParseError("term needs num=", lineno)
-        try:
-            split = [t[0] for t in rest].index("den=")
-        except ValueError:
-            raise RecurrenceParseError("term needs den=", lineno) from None
-        num = _parse_monomials(rest[1:split], lineno, "num")
-        den = _parse_monomials(rest[split + 1:], lineno, "den")
+        start = tokens[2][1] + 3   # just past num=
+        mark = _DEN.search(line, start)
+        if mark is None:
+            raise RecurrenceParseError("term needs den=", lineno)
+        num = _coefficient(line, start, mark.start(), lineno, "num")
+        den = _coefficient(line, mark.end(), len(line), lineno, "den")
         if not den:
             raise RecurrenceParseError("zero denominator", lineno)
         if any(t.shift == shift for t in terms):
@@ -447,7 +423,7 @@ def compare_with_apoly(poly, p):
     abelian = LaurentPoly.const(1) + LaurentPoly.monomial(1, l=1, m=2)
     power = 0
     stripped = poly
-    while True:
+    while stripped:  # 0 / (1 + m^2 l) is 0 again, and would never stop
         try:
             candidate = stripped.exact_divide(abelian)
         except InexactDivision:

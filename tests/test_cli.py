@@ -230,6 +230,19 @@ class TestRecCheck:
         assert err.startswith("not certified: ")
         assert "n = 6" in err
 
+    def test_malformed_fixture_is_usage_error(self, capsys, tmp_path):
+        fixture = tmp_path / "bad.rec"
+        fixture.write_text(
+            "recurrence bad kind=kfree knot=5_2\n"
+            "term shift=(0,0,0) num= 1 + + q den= 1\n"
+            "term shift=(1,0,0) num= 1 den= 1\n")
+        code, out, err = run(capsys, "rec-check", "--fixture", str(fixture),
+                             "--n-min", "6", "--n-max", "6")
+        assert code == 2
+        assert out == ""
+        # the second + is the 29th character of line 2
+        assert err == "error: expected a factor in num (line 2, column 29)\n"
+
     # sha256 of json [rc, stdout, stderr]: the interior run certifies
     # every residual zero, the full run lists the nonzero ones
     @pytest.mark.parametrize("argv, digest", [
@@ -302,6 +315,20 @@ class TestRecQ1:
         assert out == ""
         assert err.startswith("not certified: ")
         assert "q = 1" in err
+
+    def test_zero_shadow_differs(self, capsys, tmp_path):
+        # q - 1 and q^2 - 1 both vanish at q = 1, so the shadow is 0,
+        # which no power of (1 + m^2 l) divides down to A
+        fixture = tmp_path / "zero.rec"
+        fixture.write_text(
+            "recurrence zero kind=inhom knot=5_2\n"
+            "term shift=(0) num= q - 1 den= 1\n"
+            "term shift=(1) num= q^2 - 1 den= 1\n")
+        code, out, _ = run(capsys, "rec-q1", "--fixture", str(fixture),
+                           "--compare-p", "2")
+        assert code == 1
+        assert out.splitlines()[1:3] == ["abelian factor power: 0",
+                                         "DIFFERS (12 coefficient mismatches)"]
 
 
 class TestVolume:

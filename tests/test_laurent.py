@@ -222,16 +222,14 @@ class TestTextAndJson:
         assert parse_poly("q^(-2)") == mono(1, q=-2)
 
     def test_parse_errors(self):
-        with pytest.raises(PolyParseError):
-            parse_poly("z + 1")
-        with pytest.raises(PolyParseError):
-            parse_poly("q^")
-        with pytest.raises(PolyParseError):
-            parse_poly("q +")
-        # a term ends at +, - or the end; a * takes a factor after it
-        for text in ("3 q", "2 3", "q*", "2*-q"):
-            with pytest.raises(PolyParseError):
+        # a term ends at +, - or the end; a * takes a factor after it;
+        # one sign joins two terms, and a term may add one minus
+        for text, pos in (("z + 1", 0), ("q^", 2), ("q +", 3), ("3 q", 2),
+                          ("2 3", 2), ("q*", 2), ("2*-q", 2),
+                          ("1 + + 1", 4), ("1 1", 2), ("q^(-2", 2)):
+            with pytest.raises(PolyParseError) as err:
                 parse_poly(text)
+            assert err.value.pos == pos, text
 
 
 class TestRingProperties:

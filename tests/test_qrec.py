@@ -112,11 +112,11 @@ class TestGrammar:
         ("recurrence x kind=inhom knot=5_2\nterm shift=(0) num= den= 1\n",
          "empty num"),
         ("recurrence x kind=inhom knot=5_2\nterm shift=(0) num= 1*x^2 "
-         "den= 1\n", "bad monomial factor"),
+         "den= 1\n", "polynomials in q and N"),
         ("recurrence x kind=inhom knot=5_2\nterm shift=(0) num= 1 + + 1 "
-         "den= 1\n", "misplaced '+'"),
+         "den= 1\n", "expected a factor in num"),
         ("recurrence x kind=inhom knot=5_2\nterm shift=(0) num= 1 1 "
-         "den= 1\n", "missing '+'"),
+         "den= 1\n", "expected + or - after a term in num"),
         ("recurrence x kind=inhom knot=5_2\nterm shift=[0] num= 1 den= 1\n",
          "malformed shift"),
         ("recurrence x kind=inhom knot=5_2\n"
@@ -133,7 +133,16 @@ class TestGrammar:
         with pytest.raises(RecurrenceParseError) as err:
             parse_recurrence(bad)
         assert err.value.line == 2
-        assert err.value.col is not None
+        assert err.value.col == 21  # "term shift=(0) num= " is 20 wide
+
+    def test_alien_variable_is_refused_at_its_column(self):
+        bad = ("recurrence x kind=inhom knot=5_2\n"
+               "term shift=(0) num= 1*x^2 den= 1\n")
+        with pytest.raises(RecurrenceParseError) as err:
+            parse_recurrence(bad)
+        assert (err.value.line, err.value.col) == (2, 23)
+        assert "'x'" in str(err.value)
+        assert "q and N" in str(err.value)
 
     def test_comments_and_blanks_ignored(self):
         text = "\n# leading comment\n" + TOY + "\n   # trailing\n"

@@ -1,7 +1,8 @@
 """Property tests for the two text forms: LaurentPoly.text with
 parse_poly, and serialize_recurrence with parse_recurrence.
 
-Each printed form must parse back to the value it was printed from.
+Each printed form must parse back to the value it was printed from, and
+a .rec coefficient may be spelled either way.
 """
 import pytest
 
@@ -54,3 +55,22 @@ def specs(draw):
 @given(specs())
 def test_parse_inverts_serialize(spec):
     assert parse_recurrence(serialize_recurrence(spec)) == spec
+
+
+def text_spelling(spec):
+    """spec as .rec text with each coefficient printed by text(): bare q
+    and N, omitted factors, - between terms."""
+    lines = ["recurrence %s kind=%s knot=%s"
+             % (spec.name, spec.kind, spec.knot.label())]
+    for t in spec.terms:
+        lines.append("term shift=(%s) num= %s den= %s"
+                     % (",".join(map(str, t.shift)), t.num.text(),
+                        t.den.text()))
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(specs())
+def test_both_spellings_read_the_same(spec):
+    assert (parse_recurrence(text_spelling(spec))
+            == parse_recurrence(serialize_recurrence(spec)) == spec)
