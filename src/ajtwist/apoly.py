@@ -33,10 +33,6 @@ p; the l-step meets the tower in h_via_reduction.
 Everything here is exact integer arithmetic; nothing is numeric.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .jones import KnotId, shift_ratio
 from .laurent import LaurentPoly, coefficient_diff, unit_ratio
 
@@ -271,7 +267,6 @@ def b_polynomial(p):
     return out
 
 
-@dataclass
 class AjReport:
     """Outcome of one constructed-vs-recursive comparison.
 
@@ -280,11 +275,12 @@ class AjReport:
     not part of the JSON form, which is the same either way.
     """
 
-    p: int
-    equal: bool
-    unit: LaurentPoly | None
-    diff: list = field(default_factory=list)
-    by_law: bool = False
+    def __init__(self, p, equal, unit, diff=(), by_law=False):
+        self.p = p
+        self.equal = equal
+        self.unit = unit
+        self.diff = list(diff)
+        self.by_law = by_law
 
     def to_json_dict(self):
         return {

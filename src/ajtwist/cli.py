@@ -13,22 +13,24 @@ non-hyperbolic p = 0 and p = 1 as a usage error.  verify-aj says on
 stderr which p it certified by the three-term law from the seeds and
 which it compared directly.
 
-The qrec and volnum names in _LAZY are imported on first lookup and the
-commands call them through this module, so a command loads only the
-layers it runs and a patch on ``cli.NAME`` still reaches it.
+The apoly, qrec and volnum names in _LAZY are imported on first lookup
+and the commands call them through this module, so a command loads only
+the layers it runs and a patch on ``cli.NAME`` still reaches it: jones
+and rec-check never load apoly.
 """
 import argparse
 from importlib import import_module
 import sys
 
-from .apoly import a_polynomial, b_polynomial, h_polynomial, verify_aj
 from .jones import (NAMED_KNOTS, KnotId, colored_jones,
                     colored_jones_multisum, named_form_unit)
 from .laurent import CertificationError, InexactDivision
 
 # names the package resolves on first lookup
-_LAZY = frozenset(("check_kfree", "compare_with_apoly", "kashaev_scan",
-                   "load_recurrence", "optimistic_volume", "specialize_q1"))
+_LAZY = frozenset(("a_polynomial", "b_polynomial", "check_kfree",
+                   "compare_with_apoly", "h_polynomial", "kashaev_scan",
+                   "load_recurrence", "optimistic_volume", "specialize_q1",
+                   "verify_aj"))
 _cli = sys.modules[__name__]
 
 
@@ -98,9 +100,9 @@ def _cmd_jones(args):
     return 0
 
 
-def _poly_command(kind, build):
+def _poly_command(kind):
     def run(args):
-        poly = build(args.p)
+        poly = getattr(_cli, kind + "_polynomial")(args.p)
         if args.out == "json":
             _emit(args, _json_text({
                 "p": args.p, "kind": kind, "polynomial": poly.text(),
@@ -126,7 +128,7 @@ def _p_runs(ps):
 def _cmd_verify_aj(args):
     if args.p_min > args.p_max:
         raise UsageError("empty p range")
-    reports = [verify_aj(p) for p in range(args.p_min, args.p_max + 1)]
+    reports = [_cli.verify_aj(p) for p in range(args.p_min, args.p_max + 1)]
     print("p certified by the three-term law from its seeds: %s; "
           "p compared directly: %s"
           % (_p_runs(r.p for r in reports if r.by_law),
@@ -283,13 +285,12 @@ def _build_parser():
     _add_out(sp)
     sp.set_defaults(func=_cmd_jones)
 
-    for kind, build in (("a", a_polynomial), ("b", b_polynomial),
-                        ("h", h_polynomial)):
+    for kind in "abh":
         sp = sub.add_parser(kind + "poly",
                             help="%s-polynomial at parameter p" % kind.upper())
         sp.add_argument("--p", type=int, required=True)
         _add_out(sp)
-        sp.set_defaults(func=_poly_command(kind, build))
+        sp.set_defaults(func=_poly_command(kind))
 
     sp = sub.add_parser("verify-aj",
                         help="compare constructed and recursive A-polynomials")

@@ -31,10 +31,7 @@ expands them, at q = 1; the A-polynomial construction (apoly) and the
 growth equations (volnum) are read off those q = 1 quotients.
 """
 
-from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 import math
 
 from .laurent import LaurentPoly, unit_ratio
@@ -47,8 +44,8 @@ from .qseries import (QFactors, cleared_sum, dense_divide_binoms,
 NUM, DEN = 1, -1
 
 
-@dataclass(frozen=True)
-class ProductForm:
+class ProductForm(namedtuple("ProductForm", "qexp2 pochs parity binoms",
+                             defaults=((0, 0, 0, 0), ()))):
     """(-1)^parity q^(qexp2/2) prod (q^base)_index^side prod (1 - q^index).
 
     parity and each index are affine forms (c0, cn, ck, cl), worth
@@ -60,10 +57,7 @@ class ProductForm:
     DEN.  binoms are the indices of numerator factors (1 - q^index).
     """
 
-    qexp2: tuple
-    pochs: tuple
-    parity: tuple = (0, 0, 0, 0)
-    binoms: tuple = ()
+    __slots__ = ()
 
     def __mul__(self, other):
         return ProductForm(
@@ -114,18 +108,17 @@ _SUMMAND_FORMS = {key: SIGMA * level
 _UNIT_POINTS = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
 
 
-@dataclass(frozen=True)
-class KnotId:
+class KnotId(namedtuple("KnotId", "twist name")):
     """A twist knot K_p, or one of the named knots 5_2 and 6_1."""
 
-    twist: int | None = None
-    name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.twist is None) == (self.name is None):
+    def __new__(cls, twist=None, name=None):
+        if (twist is None) == (name is None):
             raise ValueError("exactly one of twist, name must be given")
-        if self.name is not None and self.name not in NAMED_KNOTS:
-            raise ValueError("unknown knot name %r" % self.name)
+        if name is not None and name not in NAMED_KNOTS:
+            raise ValueError("unknown knot name %r" % name)
+        return super().__new__(cls, twist, name)
 
     @classmethod
     def twist_knot(cls, p):
@@ -275,18 +268,14 @@ def colored_jones_multisum(knot, n):
 # shift structure of the double-sum summand
 
 
-@dataclass(frozen=True)
-class ShiftRatio:
+class ShiftRatio(namedtuple("ShiftRatio", "sign mono num den")):
     """sign * monomial * prod (1 - q^a N^b K^c L2^d) / prod (...).
 
     Binomials are 4-tuples (a, b, c, d) of exponents on (q, N, K, L2).
     The monomial is a tuple of (variable, exponent) pairs.
     """
 
-    sign: int
-    mono: tuple
-    num: tuple
-    den: tuple
+    __slots__ = ()
 
     def at_q1(self, **bind):
         """(numerator, denominator) at q = 1, as LaurentPolys.
@@ -314,14 +303,10 @@ def _times_binomials(out, binoms):
     return out
 
 
-@dataclass(frozen=True)
-class SummandSpec:
+class SummandSpec(namedtuple("SummandSpec", "knot n_step k_step l_step")):
     """Shift quotients of a double-sum summand in the three directions."""
 
-    knot: KnotId
-    n_step: ShiftRatio
-    k_step: ShiftRatio
-    l_step: ShiftRatio
+    __slots__ = ()
 
 
 def shift_ratio(knot, shift):

@@ -16,8 +16,6 @@ those 8-tuples, largest first.  The one serialized form is text(); parse_poly
 reads it back, and reads the coefficients of qrec's .rec fixtures.
 """
 
-from __future__ import annotations
-
 import re
 
 VARS = ("q", "N", "K", "L2", "l", "m", "x", "y")

@@ -24,22 +24,35 @@ GRAMMAR (UTF-8, line oriented, # comments):
     term shift=(i[,jk,jl]) num= <poly> den= <poly>
 
 Each <poly> is laurent.parse_poly text in q and N = q^n, fully expanded,
-never a factored product: "-q^2*N + 3 - q^(-1)".  serialize_recurrence
-writes every monomial as c*q^a*N^b, joined by " + ".
+never a factored product: "-q^2*N + 3 - q^(-1)".  The fixture writer
+the tests keep (tests/oracles.py) spells every monomial c*q^a*N^b.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
 import os
 import re
+import sys
 
 from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       coefficient_diff, parse_poly, unit_ratio)
-from .qseries import QFactors, NegativeIndex, is_zero_sum, to_dense
+from .qseries import (QFactors, NegativeIndex, from_dense, is_zero_sum,
+                      to_dense, to_dense_qn)
 from .jones import KnotId, NAMED_KNOTS, summand_factors
-from .apoly import a_polynomial
+
+_qrec = sys.modules[__name__]
+
+
+def __getattr__(name):
+    # a_polynomial is bound on first lookup, so that rec-check never
+    # loads apoly; compare_with_apoly calls it as _qrec.a_polynomial, so
+    # a patch on qrec.a_polynomial still reaches it
+    if name != "a_polynomial":
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from .apoly import a_polynomial
+    globals()[name] = a_polynomial
+    return a_polynomial
 
 
 class RecurrenceParseError(ValueError):
@@ -54,25 +67,20 @@ class RecurrenceParseError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class RecurrenceTerm:
+class RecurrenceTerm(namedtuple("RecurrenceTerm", "shift num den")):
     """One summand of a recurrence: coefficient times a shifted value.
 
     shift is (i,) for sequence recurrences and (i, jk, jl) for summand
     ones; num/den hold the coefficient as Laurent polynomials in (q, N).
     """
 
-    shift: tuple
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    name: str
-    kind: str
-    knot: KnotId
-    terms: tuple
+class RecurrenceSpec(namedtuple("RecurrenceSpec", "name kind knot terms")):
+    """A parsed .rec file: its header fields and a tuple of terms."""
+
+    __slots__ = ()
 
 
 _DEN = re.compile(r"(?<!\S)den=(?!\S)")
@@ -194,28 +202,6 @@ def parse_recurrence(text):
     return RecurrenceSpec(spec_name, kind, knot, tuple(terms))
 
 
-def _coeff_text(poly):
-    # the serialized form is always the explicit triple c*q^a*N^b, in
-    # descending (q, N) order
-    if set(poly.variables()) - {"q", "N"}:
-        raise ValueError("coefficient uses a variable other than q and N")
-    return " + ".join(
-        "%d*q^%d*N^%d" % (c, a, b)
-        for a, rest in sorted(poly.coefficients_in("q").items(), reverse=True)
-        for b, c in sorted(rest.univariate_coefficients("N").items(),
-                           reverse=True))
-
-
-def serialize_recurrence(spec):
-    lines = ["recurrence %s kind=%s knot=%s"
-             % (spec.name, spec.kind, spec.knot.label())]
-    for t in spec.terms:
-        shift = "(%s)" % ",".join(str(x) for x in t.shift)
-        lines.append("term shift=%s num= %s den= %s"
-                     % (shift, _coeff_text(t.num), _coeff_text(t.den)))
-    return "\n".join(lines) + "\n"
-
-
 def fixture_path(name):
     """Absolute path of a shipped fixture; accepts bare names."""
     if os.sep in name or os.path.exists(name):
@@ -230,18 +216,19 @@ def load_recurrence(path):
         return parse_recurrence(fh.read())
 
 
-@dataclass
 class CheckReport:
     """Outcome of a grid certification run."""
 
-    name: str
-    mode: str
-    n_lo: int
-    n_hi: int
-    points: int = 0
-    skipped: int = 0
-    failures: list = field(default_factory=list)
-    note: str = ""
+    def __init__(self, name, mode, n_lo, n_hi, points=0, skipped=0,
+                 failures=(), note=""):
+        self.name = name
+        self.mode = mode
+        self.n_lo = n_lo
+        self.n_hi = n_hi
+        self.points = points
+        self.skipped = skipped
+        self.failures = list(failures)
+        self.note = note
 
     @property
     def ok(self):
@@ -311,6 +298,10 @@ def _in_support(n, k, l):
     return n >= 1 and 0 <= l <= k <= n - 1
 
 
+# the dense value 1: a denominator that clears nothing
+_DENSE_ONE = (0, [1])
+
+
 def _coeffs_at(spec, n):
     """Dense coefficients in q at N = q^n, denominators cleared.
 
@@ -318,25 +309,22 @@ def _coeffs_at(spec, n):
     into every other term so the zero test still runs on polynomials.
     Each coefficient is converted once here, for every (k, l) at this n.
     """
-    qn = LaurentPoly.monomial(1, q=n)
     nums = []
     dens = []
     for t in spec.terms:
-        nums.append(t.num.substitute_monomials(N=qn))
-        den = t.den.substitute_monomials(N=qn)
-        if not den:
+        nums.append(to_dense_qn(t.num, n))
+        den = to_dense_qn(t.den, n)
+        if not den[1]:
             raise ZeroDivisionError("denominator of shift %r vanishes at "
                                     "n = %d" % (t.shift, n))
         dens.append(den)
-    trivial = all(d.is_const() and d.const_value() == 1 for d in dens)
     out = {}
     for i, t in enumerate(spec.terms):
-        poly = nums[i]
-        if not trivial:
-            for j, d in enumerate(dens):
-                if j != i:
-                    poly = poly * d
-        out[t.shift] = to_dense(poly)
+        value = nums[i]
+        for j, d in enumerate(dens):
+            if j != i and d != _DENSE_ONE:
+                value = to_dense(from_dense(value) * from_dense(d))
+        out[t.shift] = value
     return out
 
 
@@ -394,15 +382,15 @@ def _m_remainder_text(num, den):
     return txt or "0 (content mismatch)"
 
 
-@dataclass
 class CompareReport:
     """Specialized recurrence vs the recursively built A-polynomial."""
 
-    p: int
-    abelian_power: int
-    equal: bool
-    unit: LaurentPoly | None
-    diff: list = field(default_factory=list)
+    def __init__(self, p, abelian_power, equal, unit, diff=()):
+        self.p = p
+        self.abelian_power = abelian_power
+        self.equal = equal
+        self.unit = unit
+        self.diff = list(diff)
 
     def to_json_dict(self):
         return {"p": self.p, "abelian_power": self.abelian_power,
@@ -430,7 +418,7 @@ def compare_with_apoly(poly, p):
             break
         stripped = candidate
         power += 1
-    target = a_polynomial(p)
+    target = _qrec.a_polynomial(p)
     u = unit_ratio(stripped, target)
     if u is not None:
         return CompareReport(p, power, True, u)

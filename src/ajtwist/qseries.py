@@ -12,8 +12,9 @@ their cyclotomic coefficients included, is held densely:
 (lo, [c_lo, c_lo+1, ...]) is sum_i c_i q^(lo + i), trimmed so that both
 end coefficients are nonzero, with (0, []) for zero.  to_dense is the
 one converter from a LaurentPoly in a single variable (q unless named)
-to the dense form, and from_dense converts back to q; dense_times_binoms
-and dense_divide_binoms multiply and exactly divide by a product of
+to the dense form, to_dense_qn reads one in q and N at N = q^n, and
+from_dense converts back to q; dense_times_binoms and
+dense_divide_binoms multiply and exactly divide by a product of
 (1 - q^j).
 
 Sums are expanded in one step, by Kronecker substitution: each value is
@@ -27,10 +28,7 @@ routes, and is_zero_sum, its exact zero test on the same dense parts,
 is how the recurrence checks stay both exact and fast.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 import operator
@@ -42,15 +40,24 @@ class NegativeIndex(ValueError):
     """A Pochhammer with negative index appeared in a numerator."""
 
 
-@dataclass
 class QFactors:
-    """sign * q^qpow * prod num / prod den with (1-q^j) factors, j >= 1."""
+    """sign * q^qpow * prod num / prod den with (1-q^j) factors, j >= 1.
 
-    zero: bool = False
-    sign: int = 1
-    qpow: int = 0
-    num: Counter = field(default_factory=Counter)
-    den: Counter = field(default_factory=Counter)
+    num and den are Counters of the indices j.
+    """
+
+    __slots__ = ("zero", "sign", "qpow", "num", "den")
+
+    def __init__(self, zero=False, sign=1, qpow=0, num=None, den=None):
+        self.zero = zero
+        self.sign = sign
+        self.qpow = qpow
+        self.num = Counter() if num is None else num
+        self.den = Counter() if den is None else den
+
+    def __repr__(self):
+        return ("QFactors(zero=%r, sign=%r, qpow=%r, num=%r, den=%r)"
+                % (self.zero, self.sign, self.qpow, self.num, self.den))
 
     @classmethod
     def one(cls):
@@ -123,8 +130,10 @@ class QFactors:
 
 DENSE_ZERO = (0, [])
 
-# q is the first of laurent.VARS, so a q-only exponent tuple is (e,) + this
+# q and N are the first two of laurent.VARS, so a q-only exponent tuple
+# is (e,) + _NOT_Q, and one in q and N is (a, b) + _NOT_QN
 _NOT_Q = (0,) * (NV - 1)
+_NOT_QN = _NOT_Q[1:]
 
 
 def _trimmed(lo, coeffs):
@@ -138,9 +147,8 @@ def _trimmed(lo, coeffs):
     return lo + start, coeffs[start:end]
 
 
-def to_dense(poly, var="q"):
-    """The dense form of a LaurentPoly in var alone."""
-    coeffs = poly.univariate_coefficients(var)
+def _dense(coeffs):
+    """The dense list of {exponent: coefficient}, untrimmed."""
     if not coeffs:
         return DENSE_ZERO
     lo = min(coeffs)
@@ -148,6 +156,26 @@ def to_dense(poly, var="q"):
     for a, c in coeffs.items():
         out[a - lo] = c
     return lo, out
+
+
+def to_dense(poly, var="q"):
+    """The dense form of a LaurentPoly in var alone."""
+    return _dense(poly.univariate_coefficients(var))
+
+
+def to_dense_qn(poly, n):
+    """The dense form in q of a LaurentPoly in q and N, at N = q^n.
+
+    Each term c q^a N^b adds c at q^(a + n b); terms that meet there may
+    cancel, so the result is trimmed.
+    """
+    folded = {}
+    for e, c in poly.terms.items():
+        if e[2:] != _NOT_QN:
+            raise ValueError("not a polynomial in q and N alone")
+        a = e[0] + n * e[1]
+        folded[a] = folded.get(a, 0) + c
+    return _trimmed(*_dense(folded))
 
 
 def from_dense(value):

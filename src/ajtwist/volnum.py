@@ -32,11 +32,9 @@ their twist parameter; that changes the sum by a unit of modulus one,
 so magnitudes, volumes and scans are unaffected.
 """
 
-from __future__ import annotations
-
 import cmath
+from collections import namedtuple
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import mpmath as mp
@@ -386,14 +384,14 @@ def _bloch_wigner(z):
 # saddle solutions and volumes
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
-    """One certified root of the cleared growth equations."""
+class SaddleSolution(namedtuple("SaddleSolution",
+                                "x0 y0 volume_candidate residuals")):
+    """One certified root of the cleared growth equations.
 
-    x0: mp.mpc
-    y0: mp.mpc
-    volume_candidate: mp.mpf
-    residuals: tuple
+    x0 and y0 are mpc, volume_candidate an mpf, residuals a pair.
+    """
+
+    __slots__ = ()
 
 
 def _growth_polys(p):

@@ -6,7 +6,8 @@ functions in a canonical form and substitution through them, Pochhammer
 products multiplied out one binomial at a time, QFactors values expanded
 term by term or evaluated at a rational point, shift quotients
 expanded in (q, N, K, L2), and cyclotomic polynomials built and
-divided by integer long division.
+divided by integer long division.  serialize_recurrence, the .rec
+writer, lives here too: only tests write fixtures.
 """
 from collections import Counter
 from fractions import Fraction
@@ -268,6 +269,30 @@ def residual_at(spec, n, k, l, base=2):
     t = Fraction(base)
     return sum(sum(c * t ** (lo + i) for i, c in enumerate(coeffs))
                * qfactors_at(f, t) for (lo, coeffs), f in parts)
+
+
+# the .rec fixture writer: parse_recurrence reads back what it writes
+
+def _coeff_text(poly):
+    # the serialized form is always the explicit triple c*q^a*N^b, in
+    # descending (q, N) order
+    if set(poly.variables()) - {"q", "N"}:
+        raise ValueError("coefficient uses a variable other than q and N")
+    return " + ".join(
+        "%d*q^%d*N^%d" % (c, a, b)
+        for a, rest in sorted(poly.coefficients_in("q").items(), reverse=True)
+        for b, c in sorted(rest.univariate_coefficients("N").items(),
+                           reverse=True))
+
+
+def serialize_recurrence(spec):
+    lines = ["recurrence %s kind=%s knot=%s"
+             % (spec.name, spec.kind, spec.knot.label())]
+    for t in spec.terms:
+        shift = "(%s)" % ",".join(str(x) for x in t.shift)
+        lines.append("term shift=%s num= %s den= %s"
+                     % (shift, _coeff_text(t.num), _coeff_text(t.den)))
+    return "\n".join(lines) + "\n"
 
 
 # shift quotients

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 import hashlib
 
@@ -383,7 +382,7 @@ class TestChainReadsSummand:
 
     def mutate(self, monkeypatch, **changes):
         monkeypatch.setitem(jones._SUMMAND_FORMS, "K_p",
-                            dataclasses.replace(self.FORM, **changes))
+                            self.FORM._replace(**changes))
 
     def test_level_pochhammer_breaks_verify_aj(self, monkeypatch):
         # the level part's numerator (q)_k becomes (q)_(2k)

@@ -1,9 +1,10 @@
 """What each command imports, and the lazily bound names behind it.
 
-``ajtwist`` and ``ajtwist.cli`` import qrec, volnum and mpmath on first
-lookup, so a command loads only the layers it runs.  These tests pin
-that footprint in a fresh interpreter, and check that every lazily
-bound name still resolves and can still be patched on ``cli``.
+``ajtwist`` and ``ajtwist.cli`` import apoly, qrec, volnum and mpmath
+on first lookup, and ``qrec`` imports apoly the same way, so a command
+loads only the layers it runs.  These tests pin that footprint in a
+fresh interpreter, and check that every lazily bound name still
+resolves and can still be patched where its command looks it up.
 """
 import ast
 import os
@@ -34,9 +35,13 @@ print(repr({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 HEAVY = {"mpmath", "ajtwist.volnum", "ajtwist.qrec"}
+APOLY = {"ajtwist.apoly"}
 # fractions loads decimal and numbers; a command that prints text and
 # evaluates no Fraction needs none of them
 NUMERIC = {"fractions", "decimal", "numbers", "json"}
+# dataclasses loads inspect; together they cost every request about
+# 10 ms, and no command needs either
+SLOW = {"dataclasses", "inspect"}
 
 
 def probe(code, *argv):
@@ -50,19 +55,23 @@ def probe(code, *argv):
 
 class TestImportFootprint:
     @pytest.mark.parametrize("argv, absent", [
-        ([], HEAVY),
-        (["jones", "--p", "2", "--n", "3"], HEAVY | NUMERIC),
-        (["apoly", "--p", "2"], HEAVY | NUMERIC),
-        (["apoly", "--p", "1"], HEAVY | NUMERIC),
-        (["verify-aj", "--p-min", "1", "--p-max", "2"], HEAVY | NUMERIC),
-        (["verify-aj", "--p-min", "-3", "--p-max", "3"], HEAVY | NUMERIC),
+        ([], HEAVY | APOLY | SLOW),
+        (["jones", "--p", "2", "--n", "3"], HEAVY | APOLY | NUMERIC | SLOW),
+        (["apoly", "--p", "2"], HEAVY | NUMERIC | SLOW),
+        (["apoly", "--p", "1"], HEAVY | NUMERIC | SLOW),
+        (["verify-aj", "--p-min", "1", "--p-max", "2"],
+         HEAVY | NUMERIC | SLOW),
+        (["verify-aj", "--p-min", "-3", "--p-max", "3"],
+         HEAVY | NUMERIC | SLOW),
         (["rec-check", "--fixture", "fivetwo_kfree",
           "--n-min", "6", "--n-max", "6"],
-         {"mpmath", "ajtwist.volnum"} | NUMERIC),
+         {"mpmath", "ajtwist.volnum"} | APOLY | NUMERIC | SLOW),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
-         {"mpmath", "ajtwist.volnum"} | NUMERIC),
+         {"mpmath", "ajtwist.volnum"} | NUMERIC | SLOW),
+        (["volume", "--p", "2"], SLOW),
+        (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"], SLOW),
     ], ids=["import-cli", "jones", "apoly", "apoly-setup", "verify-aj",
-            "verify-aj-law", "rec-check", "rec-q1"])
+            "verify-aj-law", "rec-check", "rec-q1", "volume", "kashaev"])
     def test_command_leaves_out(self, argv, absent):
         out = probe(PROBE, *argv)
         assert out["rc"] == 0
@@ -138,6 +147,24 @@ class TestLazyCliNames:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="nope"):
             cli.nope
+
+
+class TestLazyQrecName:
+    # compare_with_apoly calls a_polynomial through qrec, where
+    # perfbench/traced.py wraps it, and rec-check never looks it up
+    def test_patch_reaches_rec_q1(self, monkeypatch):
+        monkeypatch.delitem(vars(qrec), "a_polynomial", raising=False)
+        assert qrec.a_polynomial is apoly.a_polynomial
+
+        def fake(*args, **kwargs):
+            raise _Reached("a_polynomial")
+        monkeypatch.setattr(qrec, "a_polynomial", fake)
+        with pytest.raises(_Reached, match="a_polynomial"):
+            cli.main(REC_Q1)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="nope"):
+            qrec.nope
 
 
 class TestCertificationError:

@@ -6,13 +6,13 @@ import hashlib
 import pytest
 
 from ajtwist.laurent import LaurentPoly, InexactDivision, parse_poly
+from ajtwist import qrec
 from ajtwist.apoly import a_polynomial
 from ajtwist.qrec import (RecurrenceTerm, RecurrenceSpec,
                           RecurrenceParseError, parse_recurrence,
-                          serialize_recurrence, load_recurrence,
-                          fixture_path, check_kfree, specialize_q1,
-                          compare_with_apoly)
-from oracles import residual_at
+                          load_recurrence, fixture_path, check_kfree,
+                          specialize_q1, compare_with_apoly)
+from oracles import residual_at, serialize_recurrence
 
 KFREE = load_recurrence("fivetwo_kfree")
 FIVETWO = load_recurrence("fivetwo_inhom")
@@ -191,28 +191,27 @@ class TestKfreeCertification:
 
     def test_each_coefficient_is_converted_once(self, monkeypatch):
         # the parser builds each coefficient in one LaurentPoly call, and
-        # check_kfree turns each coefficient into its dense q form once
-        # per n, not again at every (k, l)
+        # check_kfree turns each coefficient, numerator and denominator,
+        # into its dense q form once per n, not again at every (k, l)
         calls = Counter()
-        convert = LaurentPoly.univariate_coefficients
+        convert = qrec.to_dense_qn
         add = LaurentPoly.__add__
 
-        def counted_convert(poly, name):
-            calls[name] += 1
-            return convert(poly, name)
+        def counted_convert(poly, n):
+            calls[n] += 1
+            return convert(poly, n)
 
         def counted_add(poly, other):
             calls["+"] += 1
             return add(poly, other)
 
-        monkeypatch.setattr(LaurentPoly, "univariate_coefficients",
-                            counted_convert)
+        monkeypatch.setattr(qrec, "to_dense_qn", counted_convert)
         monkeypatch.setattr(LaurentPoly, "__add__", counted_add)
         spec = load_recurrence("fivetwo_kfree")
         assert calls["+"] == 0
         rep = check_kfree(spec, (6, 9))
         assert rep.ok and rep.points == 118
-        assert 0 < calls["q"] <= len(spec.terms) * 4 == 64
+        assert calls == {n: 2 * len(spec.terms) for n in range(6, 10)}
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):

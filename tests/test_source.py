@@ -1,9 +1,9 @@
 """Rules the package source keeps: no cached check, no unused import,
-no orphaned private name.
+no costly import at module level, no orphaned private name.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
-other two rules stand in for a linter; they read each module with ast.
+other rules stand in for a linter; they read each module with ast.
 """
 import ast
 from importlib import import_module
@@ -40,6 +40,32 @@ def test_module_level_imports_are_used(path):
             bound += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in bound if name not in used] == []
+
+
+# Every command runs in a fresh interpreter, so a module-level import is
+# paid by each request that loads the module.  Outside the package, only
+# these stdlib modules are cheap enough; dataclasses (which loads
+# inspect), typing, fractions or json would cost every command
+# milliseconds.  volnum alone may load mpmath: only volume and kashaev
+# import it.
+CHEAP_IMPORTS = {"argparse", "cmath", "collections", "functools",
+                 "importlib", "itertools", "math", "operator", "os", "re",
+                 "sys"}
+ALSO_ALLOWED = {"volnum.py": {"mpmath"}}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_level_imports_are_cheap(path):
+    tree = ast.parse(path.read_text())
+    loaded = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            loaded.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            loaded.add(node.module.split(".")[0])
+    allowed = CHEAP_IMPORTS | ALSO_ALLOWED.get(path.name, set())
+    assert sorted(loaded - allowed) == []
 
 
 def test_private_module_names_are_used():

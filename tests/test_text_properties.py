@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from ajtwist.jones import KnotId
 from ajtwist.laurent import VARS, LaurentPoly, parse_poly
-from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, parse_recurrence,
-                          serialize_recurrence)
+from ajtwist.qrec import RecurrenceSpec, RecurrenceTerm, parse_recurrence
+from oracles import serialize_recurrence
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
