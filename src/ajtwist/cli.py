@@ -1,17 +1,26 @@
 """Command line front end; every library operation as one subcommand.
 
+COMMANDS is the whole command line: per subcommand its help text,
+handler, arguments and --out choices; every subcommand also takes
+--out-file.  A handler returns (exit code, text, JSON value) and writes
+only its own notes to stderr.  main alone writes the result, to stdout
+or --out-file, as the text or, under --out json, the JSON value; it
+also maps exceptions to exit codes, once for every command.  A request
+builds the parser of its own subcommand only.
+
 Results go to stdout, diagnostics to stderr, and nothing is written to
 disk unless --out-file says so.  Identical invocations produce byte
 identical output.  Exit codes: 0 success or verified, 1 a verification
-ran and failed (the diff is in the output), 2 usage error, 3 a
-numerical certificate could not be established.  rec-check exits 3
-when its n range holds no grid points to check, rather than passing
-vacuously, and always says on stderr how many grid points it skipped;
-rec-check and rec-q1 also exit 3 when a fixture denominator vanishes at
-a point they must evaluate.  volume, like kashaev, refuses the
-non-hyperbolic p = 0 and p = 1 as a usage error.  verify-aj says on
-stderr which p it certified by the three-term law from the seeds and
-which it compared directly.
+ran and failed (the diff is in the output), 2 usage error (UsageError,
+ValueError, OSError: "error: ..."), 3 a numerical certificate could
+not be established (CertificationError, ZeroDivisionError: "not
+certified: ...").  rec-check exits 3 when its n range holds no grid
+points to check, rather than passing vacuously, and always says on
+stderr how many grid points it skipped; a fixture denominator that
+vanishes where a command must evaluate it is a ZeroDivisionError, so
+exit 3.  volume, like kashaev, refuses the non-hyperbolic p = 0 and
+p = 1 as a usage error.  verify-aj says on stderr which p it certified
+by the three-term law from the seeds and which it compared directly.
 
 The apoly, qrec and volnum names in _LAZY are imported on first lookup
 and the commands call them through this module, so a command loads only
@@ -47,37 +56,17 @@ class UsageError(Exception):
     """Bad argument values that argparse's grammar cannot see."""
 
 
-def _emit(args, text):
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "out_file", None):
-        with open(args.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj):
-    import json
-    return json.dumps(obj, indent=2)
-
-
 def _check_prec(args):
     if args.prec < 64:
         raise UsageError("precision must be at least 64 bits")
     return args.prec
 
 
-def _selected_knot(args):
-    if args.knot is not None:
-        return KnotId.named(args.knot)
-    return KnotId.twist_knot(args.p)
-
-
 def _cmd_jones(args):
     if args.n < 1:
         raise UsageError("color n must be >= 1")
-    knot = _selected_knot(args)
+    knot = (KnotId.named(args.knot) if args.knot is not None
+            else KnotId.twist_knot(args.p))
     if args.form == "masbaum":
         conv = "habiro" if args.habiro_normalize else "printed"
         poly = colored_jones(knot.twist_parameter(), args.n, conv)
@@ -87,30 +76,16 @@ def _cmd_jones(args):
             # the named double sums sit a constant unit away from the
             # already normalized twist-parameter ones
             poly = poly.exact_divide(named_form_unit(knot.name))
-    if args.out == "json":
-        _emit(args, _json_text({
-            "knot": knot.label(),
-            "n": args.n,
-            "form": args.form,
-            "habiro_normalize": bool(args.habiro_normalize),
-            "polynomial": poly.text(),
-        }))
-    else:
-        _emit(args, poly.text())
-    return 0
+    text = poly.text()
+    return 0, text, {"knot": knot.label(), "n": args.n, "form": args.form,
+                     "habiro_normalize": bool(args.habiro_normalize),
+                     "polynomial": text}
 
 
-def _poly_command(kind):
-    def run(args):
-        poly = getattr(_cli, kind + "_polynomial")(args.p)
-        if args.out == "json":
-            _emit(args, _json_text({
-                "p": args.p, "kind": kind, "polynomial": poly.text(),
-            }))
-        else:
-            _emit(args, poly.text())
-        return 0
-    return run
+def _cmd_poly(args):
+    kind = args.command[0]
+    text = getattr(_cli, kind + "_polynomial")(args.p).text()
+    return 0, text, {"p": args.p, "kind": kind, "polynomial": text}
 
 
 def _p_runs(ps):
@@ -134,37 +109,27 @@ def _cmd_verify_aj(args):
           % (_p_runs(r.p for r in reports if r.by_law),
              _p_runs(r.p for r in reports if not r.by_law)),
           file=sys.stderr)
-    if args.out == "json":
-        _emit(args, _json_text([r.to_json_dict() for r in reports]))
-    else:
-        lines = []
-        for r in reports:
-            if r.equal:
-                lines.append("p = %d: equal" % r.p)
-            elif r.unit is not None:
-                lines.append("p = %d: differs by unit %s"
-                             % (r.p, r.unit.text()))
-            else:
-                lines.append("p = %d: DIFFERS (%d coefficient mismatches)"
-                             % (r.p, len(r.diff)))
-                for d in r.diff:
-                    lines.append("  %s: constructed %s, recursive %s"
-                                 % (d["term"], d["constructed"],
-                                    d["recursive"]))
-        _emit(args, "\n".join(lines))
-    return 0 if all(r.equal for r in reports) else 1
+    lines = []
+    for r in reports:
+        if r.equal:
+            lines.append("p = %d: equal" % r.p)
+        elif r.unit is not None:
+            lines.append("p = %d: differs by unit %s" % (r.p, r.unit.text()))
+        else:
+            lines.append("p = %d: DIFFERS (%d coefficient mismatches)"
+                         % (r.p, len(r.diff)))
+            for d in r.diff:
+                lines.append("  %s: constructed %s, recursive %s"
+                             % (d["term"], d["constructed"], d["recursive"]))
+    return (0 if all(r.equal for r in reports) else 1, "\n".join(lines),
+            [r.to_json_dict() for r in reports])
 
 
 def _cmd_rec_check(args):
     if args.n_min > args.n_max:
         raise UsageError("empty n range")
     spec = _cli.load_recurrence(args.fixture)
-    try:
-        rep = _cli.check_kfree(spec, (args.n_min, args.n_max),
-                               mode=args.mode)
-    except ZeroDivisionError as exc:
-        print("not certified: %s" % exc, file=sys.stderr)
-        return 3
+    rep = _cli.check_kfree(spec, (args.n_min, args.n_max), mode=args.mode)
     lines = ["fixture %s: mode %s, n in [%d, %d], %d points"
              % (rep.name, rep.mode, rep.n_lo, rep.n_hi, rep.points)]
     print("skipped %d of %d grid points"
@@ -173,16 +138,16 @@ def _cmd_rec_check(args):
         print(rep.note, file=sys.stderr)
     if rep.points == 0:
         lines.append("no grid points checked")
-        _emit(args, "\n".join(lines))
-        return 3
-    if rep.ok:
+        code = 3
+    elif rep.ok:
         lines.append("all residuals zero")
+        code = 0
     else:
         lines.append("FAILURES:")
         for n, k, l, why in rep.failures:
             lines.append("  n = %d, k = %d, l = %d: %s" % (n, k, l, why))
-    _emit(args, "\n".join(lines))
-    return 0 if rep.ok else 1
+        code = 1
+    return code, "\n".join(lines), None
 
 
 def _cmd_rec_q1(args):
@@ -191,29 +156,20 @@ def _cmd_rec_q1(args):
         shadow = _cli.specialize_q1(spec)
     except InexactDivision as exc:
         print("q = 1 cancellation failed: %s" % exc, file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
-        print("not certified: %s" % exc, file=sys.stderr)
-        return 3
+        return 1, None, None
     rep = _cli.compare_with_apoly(shadow, args.compare_p)
-    if args.out == "json":
-        out = {"fixture": spec.name}
-        out.update(rep.to_json_dict())
-        _emit(args, _json_text(out))
+    lines = ["fixture %s: q = 1 shadow vs A-polynomial at p = %d"
+             % (spec.name, rep.p),
+             "abelian factor power: %d" % rep.abelian_power]
+    if rep.equal:
+        lines.append("equal up to unit %s" % rep.unit.text())
     else:
-        lines = ["fixture %s: q = 1 shadow vs A-polynomial at p = %d"
-                 % (spec.name, rep.p),
-                 "abelian factor power: %d" % rep.abelian_power]
-        if rep.equal:
-            lines.append("equal up to unit %s" % rep.unit.text())
-        else:
-            lines.append("DIFFERS (%d coefficient mismatches)"
-                         % len(rep.diff))
-            for d in rep.diff:
-                lines.append("  %s: computed %s, expected %s"
-                             % (d["term"], d["computed"], d["expected"]))
-        _emit(args, "\n".join(lines))
-    return 0 if rep.equal else 1
+        lines.append("DIFFERS (%d coefficient mismatches)" % len(rep.diff))
+        for d in rep.diff:
+            lines.append("  %s: computed %s, expected %s"
+                         % (d["term"], d["computed"], d["expected"]))
+    return (0 if rep.equal else 1, "\n".join(lines),
+            {"fixture": spec.name, **rep.to_json_dict()})
 
 
 def _cmd_volume(args):
@@ -226,8 +182,7 @@ def _cmd_volume(args):
             lines.append("x0 = %s  y0 = %s  volume = %s"
                          % (mp.nstr(s.x0, 20), mp.nstr(s.y0, 20),
                             mp.nstr(s.volume_candidate, 20)))
-    _emit(args, "\n".join(lines))
-    return 0
+    return 0, "\n".join(lines), None
 
 
 def _cmd_kashaev(args):
@@ -237,121 +192,111 @@ def _cmd_kashaev(args):
         raise UsageError("empty n range")
     rows = _cli.kashaev_scan(args.p, range(args.n_min, args.n_max + 1),
                              prec=prec)
-    if args.out == "json":
-        _emit(args, _json_text({
-            "p": args.p,
-            "prec": prec,
-            "rows": [{"n": n, "v_n": None if v is None else mp.nstr(v, 20)}
-                     for n, v in rows],
-        }))
-    else:
-        lines = ["n,v_n"]
-        for n, v in rows:
-            lines.append("%d,%s"
-                         % (n, "undefined" if v is None else mp.nstr(v, 20)))
-        _emit(args, "\n".join(lines))
-    return 0
+    rows = [(n, None if v is None else mp.nstr(v, 20)) for n, v in rows]
+    text = "\n".join(["n,v_n"] + ["%d,%s" % (n, v or "undefined")
+                                   for n, v in rows])
+    return 0, text, {"p": args.p, "prec": prec,
+                     "rows": [{"n": n, "v_n": v} for n, v in rows]}
 
 
-def _add_out(sp, choices=("text", "json"), default="text"):
-    sp.add_argument("--out", choices=choices, default=default,
-                    help="output format (default %(default)s)")
-    sp.add_argument("--out-file", metavar="PATH",
-                    help="write the result here instead of stdout")
+# The command line, one row per subcommand: (help, handler, --out
+# choices with the default first or None for no --out, arguments).  An
+# argument is (flag, add_argument keywords); a list of them is one
+# required either-or group.
+_P = ("--p", {"type": int, "required": True})
+_FIXTURE = ("--fixture", {"required": True,
+                          "help": "fixture name or path to a .rec file"})
+_PREC = ("--prec", {"type": int, "default": 128, "help": "bits, >= 64"})
+_N_MIN = ("--n-min", {"type": int, "required": True})
+_N_MAX = ("--n-max", {"type": int, "required": True})
+_TEXT_JSON = ("text", "json")
+COMMANDS = {
+    "jones": ("colored Jones polynomial", _cmd_jones, _TEXT_JSON, [
+        [("--p", {"type": int, "help": "twist parameter"}),
+         ("--knot", {"choices": NAMED_KNOTS,
+                     "help": "named knot instead of a twist parameter"})],
+        ("--n", {"type": int, "required": True, "help": "color"}),
+        ("--form", {"choices": ("masbaum", "multisum"),
+                    "default": "masbaum"}),
+        ("--habiro-normalize", {
+            "action": "store_true",
+            "help": "use the sign convention with value 1 at color 1"})]),
+    "apoly": ("A-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
+    "bpoly": ("B-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
+    "hpoly": ("H-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
+    "verify-aj": ("compare constructed and recursive A-polynomials",
+                  _cmd_verify_aj, _TEXT_JSON, [
+                      ("--p-min", {"type": int, "default": -6}),
+                      ("--p-max", {"type": int, "default": 6})]),
+    "rec-check": ("certify a k-free recurrence on a summand grid",
+                  _cmd_rec_check, None, [
+                      _FIXTURE, _N_MIN, _N_MAX,
+                      ("--mode", {"choices": ("interior", "full"),
+                                  "default": "interior"})]),
+    "rec-q1": ("q = 1 shadow of a recurrence vs the A-polynomial",
+               _cmd_rec_q1, _TEXT_JSON, [
+                   _FIXTURE,
+                   ("--compare-p", {"type": int, "required": True})]),
+    "volume": ("optimistic volume at parameter p", _cmd_volume, None, [
+        _P, _PREC,
+        ("--all-solutions", {"action": "store_true",
+                             "help": "also list every saddle candidate"})]),
+    "kashaev": ("growth rates of the root-of-unity evaluations",
+                _cmd_kashaev, ("csv", "json"), [_P, _N_MIN, _N_MAX, _PREC]),
+}
 
 
-def _add_knot_selector(sp):
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=int, help="twist parameter")
-    group.add_argument("--knot", choices=NAMED_KNOTS,
-                       help="named knot instead of a twist parameter")
-
-
-def _build_parser():
+def _parser(argv):
+    """The parser, with only argv's subcommand when argv names one."""
     top = argparse.ArgumentParser(
         prog="ajtwist",
         description="Exact twist-knot computations: colored Jones sums, "
                     "A-polynomials, recurrence checks, volumes.")
     sub = top.add_subparsers(dest="command", required=True,
                              metavar="command")
-
-    sp = sub.add_parser("jones", help="colored Jones polynomial")
-    _add_knot_selector(sp)
-    sp.add_argument("--n", type=int, required=True, help="color")
-    sp.add_argument("--form", choices=("masbaum", "multisum"),
-                    default="masbaum")
-    sp.add_argument("--habiro-normalize", action="store_true",
-                    help="use the sign convention with value 1 at color 1")
-    _add_out(sp)
-    sp.set_defaults(func=_cmd_jones)
-
-    for kind in "abh":
-        sp = sub.add_parser(kind + "poly",
-                            help="%s-polynomial at parameter p" % kind.upper())
-        sp.add_argument("--p", type=int, required=True)
-        _add_out(sp)
-        sp.set_defaults(func=_poly_command(kind))
-
-    sp = sub.add_parser("verify-aj",
-                        help="compare constructed and recursive A-polynomials")
-    sp.add_argument("--p-min", type=int, default=-6)
-    sp.add_argument("--p-max", type=int, default=6)
-    _add_out(sp)
-    sp.set_defaults(func=_cmd_verify_aj)
-
-    sp = sub.add_parser("rec-check",
-                        help="certify a k-free recurrence on a summand grid")
-    sp.add_argument("--fixture", required=True,
-                    help="fixture name or path to a .rec file")
-    sp.add_argument("--n-min", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--mode", choices=("interior", "full"),
-                    default="interior")
-    sp.add_argument("--out-file", metavar="PATH",
-                    help="write the result here instead of stdout")
-    sp.set_defaults(func=_cmd_rec_check)
-
-    sp = sub.add_parser("rec-q1",
-                        help="q = 1 shadow of a recurrence vs the A-polynomial")
-    sp.add_argument("--fixture", required=True,
-                    help="fixture name or path to a .rec file")
-    sp.add_argument("--compare-p", type=int, required=True)
-    _add_out(sp)
-    sp.set_defaults(func=_cmd_rec_q1)
-
-    sp = sub.add_parser("volume", help="optimistic volume at parameter p")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=128, help="bits, >= 64")
-    sp.add_argument("--all-solutions", action="store_true",
-                    help="also list every saddle candidate")
-    sp.add_argument("--out-file", metavar="PATH",
-                    help="write the result here instead of stdout")
-    sp.set_defaults(func=_cmd_volume)
-
-    sp = sub.add_parser("kashaev",
-                        help="growth rates of the root-of-unity evaluations")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n-min", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--prec", type=int, default=128, help="bits, >= 64")
-    _add_out(sp, choices=("csv", "json"), default="csv")
-    sp.set_defaults(func=_cmd_kashaev)
-
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        help_text, run, outs, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = sp.add_mutually_exclusive_group(required=True)
+                for flag, keywords in arg:
+                    group.add_argument(flag, **keywords)
+            else:
+                sp.add_argument(arg[0], **arg[1])
+        if outs:
+            sp.add_argument("--out", choices=outs, default=outs[0],
+                            help="output format (default %(default)s)")
+        sp.add_argument("--out-file", metavar="PATH",
+                        help="write the result here instead of stdout")
+        sp.set_defaults(run=run)
     return top
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        return args.func(args)
+        code, text, value = args.run(args)
+        if text is None:
+            return code
+        if getattr(args, "out", None) == "json":
+            import json
+            text = json.dumps(value, indent=2)
+        if args.out_file:
+            with open(args.out_file, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+        return code
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except CertificationError as exc:
+    except (CertificationError, ZeroDivisionError) as exc:
         print("not certified: %s" % exc, file=sys.stderr)
         return 3
 

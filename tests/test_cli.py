@@ -13,7 +13,7 @@ import pytest
 from ajtwist import apoly, cli, volnum
 from ajtwist.apoly import a_polynomial, h_polynomial
 from ajtwist.jones import colored_jones
-from ajtwist.laurent import parse_poly
+from ajtwist.laurent import InexactDivision, parse_poly
 from ajtwist.volnum import CertificationError, kashaev_scan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +45,90 @@ class TestUsageErrors:
     def test_exit_two(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+
+# sha256 of the parser's text: stdout of each --help, stderr of the two
+# bad top-level calls.  The command table must rebuild argparse's text
+# exactly, whether a request builds one subparser or all nine.
+# argparse wraps help to the terminal width, hence COLUMNS.
+PARSER_TEXT = [
+    (["--help"],
+     "4413c18abeebb7de43d797122712201924e15a36e86e4ce61438467ea7b5636d"),
+    (["jones", "--help"],
+     "ea301db036dae790b30734143d6f7e1f73c7d99b94cbaa9d3569876ac38d3e4f"),
+    (["apoly", "--help"],
+     "c24ab3666fe1b53efef4cf5955f26b4501192da8f3eb8b060321f757991aac61"),
+    (["bpoly", "--help"],
+     "72da4939bd84252313a6aee9094c1ad698ac61afcb2f812ad01c2da35ec65a64"),
+    (["hpoly", "--help"],
+     "1ad5c9bcade23bc821e6d22952fb6f8240a0b628afd906c373b90ff3decc5b32"),
+    (["verify-aj", "--help"],
+     "14ffc638c7e9f8fbc847c4a9a7b02a23b9e09647511dac4688aa17e7fef31149"),
+    (["rec-check", "--help"],
+     "3bb98f117f178ec41a324026495a22aaabf8007810b2d313df00e4712418a9e6"),
+    (["rec-q1", "--help"],
+     "4baa2d334fc6f20fc5af3d6358ae814b8a4026c70f83b5a28f1a7d5359f75809"),
+    (["volume", "--help"],
+     "5e14285016056f0a6fd3412296deb0b1958695b9041b99fcdf470680a82d60f0"),
+    (["kashaev", "--help"],
+     "dcfa30f0ce89bf44195902d619b8ae6dd452856d4c3e7e758236875e8a3f2391"),
+    ([], "89b5aac18bb8e5c55604a103a74b9d326edc5c2d6c15c543785f0ea490398966"),
+    (["frobnicate"],
+     "1de93c3c23e3407b20d886e629e667dc2b18d7c9856e9212222eaa0c550b18fa"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PARSER_TEXT,
+                         ids=[" ".join(a) or "none" for a, _ in PARSER_TEXT])
+def test_parser_text(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    help_asked = "--help" in argv
+    assert code == (0 if help_asked else 2)
+    text = out if help_asked else err
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# a name each command calls through cli, and a cheap request of it
+COMMAND_CALLS = {
+    "jones": ("colored_jones", ["--p", "2", "--n", "3"]),
+    "apoly": ("a_polynomial", ["--p", "1"]),
+    "bpoly": ("b_polynomial", ["--p", "1"]),
+    "hpoly": ("h_polynomial", ["--p", "2", "--out", "json"]),
+    "verify-aj": ("verify_aj", ["--p-min", "0", "--p-max", "1"]),
+    "rec-check": ("check_kfree", ["--fixture", "fivetwo_kfree",
+                                  "--n-min", "6", "--n-max", "6"]),
+    "rec-q1": ("specialize_q1", ["--fixture", "fivetwo_inhom",
+                                 "--compare-p", "2"]),
+    "volume": ("optimistic_volume", ["--p", "-1"]),
+    "kashaev": ("kashaev_scan", ["--p", "-1", "--n-min", "10",
+                                 "--n-max", "11", "--out", "json"]),
+}
+
+
+def test_command_calls_cover_the_table():
+    assert list(COMMAND_CALLS) == list(cli.COMMANDS)
+
+
+class TestExitCodes:
+    # main maps every command's exceptions to one exit code each
+    @pytest.mark.parametrize("exc, code, prefix", [
+        pytest.param(exc, code, prefix, id=exc.__name__)
+        for exc, code, prefix in [
+            (cli.UsageError, 2, "error: "),
+            (ValueError, 2, "error: "),
+            (OSError, 2, "error: "),
+            (CertificationError, 3, "not certified: "),
+            (ZeroDivisionError, 3, "not certified: ")]])
+    @pytest.mark.parametrize("command", list(COMMAND_CALLS))
+    def test_exception_maps_to_exit_code(self, capsys, monkeypatch,
+                                         command, exc, code, prefix):
+        name, argv = COMMAND_CALLS[command]
+
+        def fail(*args, **kwargs):
+            raise exc("forced")
+        monkeypatch.setattr(cli, name, fail)
+        assert run(capsys, command, *argv) == (code, "", prefix + "forced\n")
 
 
 class TestJones:
@@ -316,6 +400,16 @@ class TestRecQ1:
         assert err.startswith("not certified: ")
         assert "q = 1" in err
 
+    @pytest.mark.parametrize("out", ["text", "json"])
+    def test_inexact_cancellation_fails(self, capsys, monkeypatch, out):
+        # exit 1 with the reason on stderr, and no report in either format
+        def inexact(spec):
+            raise InexactDivision("remainder 1")
+        monkeypatch.setattr(cli, "specialize_q1", inexact)
+        assert run(capsys, "rec-q1", "--fixture", "fivetwo_inhom",
+                   "--compare-p", "2", "--out", out) == (
+            1, "", "q = 1 cancellation failed: remainder 1\n")
+
     def test_zero_shadow_differs(self, capsys, tmp_path):
         # q - 1 and q^2 - 1 both vanish at q = 1, so the shadow is 0,
         # which no power of (1 + m^2 l) divides down to A
@@ -461,6 +555,25 @@ class TestOutFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("volume = 2.02988")
+
+    @pytest.mark.parametrize("command", list(COMMAND_CALLS))
+    def test_same_bytes_as_stdout(self, capsys, tmp_path, command):
+        argv = [command] + COMMAND_CALLS[command][1]
+        printed = run(capsys, *argv)
+        target = tmp_path / "result"
+        code, out, err = run(capsys, *argv, "--out-file", str(target))
+        assert (code, out, err) == (printed[0], "", printed[2])
+        assert target.read_bytes() == printed[1].encode()
+
+    @pytest.mark.parametrize("command", list(COMMAND_CALLS))
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path,
+                                            command):
+        argv = [command] + COMMAND_CALLS[command][1]
+        code, out, err = run(capsys, *argv, "--out-file",
+                             str(tmp_path / "no_dir" / "x"))
+        assert (code, out) == (2, "")
+        # after any note the command wrote before it returned
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestTracedRunner:

@@ -1,5 +1,6 @@
 """Rules the package source keeps: no cached check, no unused import,
-no costly import at module level, no orphaned private name.
+no costly import at module level, no orphaned private name, one writer
+of the command line's stdout.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
@@ -94,3 +95,25 @@ def test_private_module_names_are_used():
     private = {name for name in defined
                if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - used) == []
+
+
+def _writes_stdout(node):
+    if isinstance(node, ast.Attribute) and node.attr == "stdout":
+        return isinstance(node.value, ast.Name) and node.value.id == "sys"
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"):
+        return not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                       for k in node.keywords)
+    return False
+
+
+def test_only_cli_main_writes_stdout():
+    # main writes each command's result, to stdout or to --out-file; a
+    # command that wrote its own would bypass --out and --out-file
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    assert any(_writes_stdout(node) for node in ast.walk(main))
+    assert [node.lineno for node in ast.walk(tree)
+            if _writes_stdout(node) and id(node) not in in_main] == []
