@@ -32,14 +32,25 @@ _HOME = {
 __all__ = [*_HOME, "__version__"]
 
 
-def __getattr__(name):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    value = getattr(import_module("." + home, __name__), name)
-    globals()[name] = value
-    return value
+def _bind_on_lookup(namespace):
+    """A module __getattr__ that binds each _HOME name into namespace.
+
+    The name's submodule is imported on the first lookup, so a module
+    that calls a layer as module.NAME (cli, qrec) loads it only when it
+    runs it, and a patch on that attribute reaches the call.
+    """
+    def __getattr__(name):
+        home = _HOME.get(name)
+        if home is None:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (namespace["__name__"], name))
+        value = getattr(import_module("." + home, __name__), name)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+__getattr__ = _bind_on_lookup(globals())
 
 
 def __dir__():

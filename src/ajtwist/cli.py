@@ -12,44 +12,32 @@ Results go to stdout, diagnostics to stderr, and nothing is written to
 disk unless --out-file says so.  Identical invocations produce byte
 identical output.  Exit codes: 0 success or verified, 1 a verification
 ran and failed (the diff is in the output), 2 usage error (UsageError,
-ValueError, OSError: "error: ..."), 3 a numerical certificate could
-not be established (CertificationError, ZeroDivisionError: "not
-certified: ...").  rec-check exits 3 when its n range holds no grid
-points to check, rather than passing vacuously, and always says on
-stderr how many grid points it skipped; a fixture denominator that
-vanishes where a command must evaluate it is a ZeroDivisionError, so
-exit 3.  volume, like kashaev, refuses the non-hyperbolic p = 0 and
-p = 1 as a usage error.  verify-aj says on stderr which p it certified
-by the three-term law from the seeds and which it compared directly.
+ValueError, OSError: "error: ..."), 3 a certificate or an exact step
+could not be established (any ArithmeticError: CertificationError,
+InexactDivision, ZeroDivisionError: "not certified: ...").  rec-check
+exits 3 when its n range holds no grid points to check, rather than
+passing vacuously, and always says on stderr how many grid points it
+skipped; a fixture denominator that vanishes where a command must
+evaluate it is a ZeroDivisionError, so exit 3.  volume, like kashaev,
+refuses the non-hyperbolic p = 0 and p = 1 as a usage error.
+verify-aj says on stderr which p it certified by the three-term law
+from the seeds and which it compared directly.
 
-The apoly, qrec and volnum names in _LAZY are imported on first lookup
-and the commands call them through this module, so a command loads only
+The commands call apoly, qrec and volnum names as _cli.NAME, bound on
+first lookup from the package's _HOME table, so a command loads only
 the layers it runs and a patch on ``cli.NAME`` still reaches it: jones
 and rec-check never load apoly.
 """
 import argparse
-from importlib import import_module
 import sys
 
+from . import _bind_on_lookup
 from .jones import (NAMED_KNOTS, KnotId, colored_jones,
                     colored_jones_multisum, named_form_unit)
-from .laurent import CertificationError, InexactDivision
+from .laurent import InexactDivision
 
-# names the package resolves on first lookup
-_LAZY = frozenset(("a_polynomial", "b_polynomial", "check_kfree",
-                   "compare_with_apoly", "h_polynomial", "kashaev_scan",
-                   "load_recurrence", "optimistic_volume", "specialize_q1",
-                   "verify_aj"))
 _cli = sys.modules[__name__]
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    value = getattr(import_module(__package__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _bind_on_lookup(globals())
 
 
 class UsageError(Exception):
@@ -296,7 +284,7 @@ def main(argv=None):
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (CertificationError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         print("not certified: %s" % exc, file=sys.stderr)
         return 3
 

@@ -356,6 +356,22 @@ class LaurentPoly:
         out.terms = quo
         return out
 
+    def divide_out(self, factor):
+        """(quotient, k) with self = factor^k * quotient and k maximal.
+
+        A monomial factor raises ValueError: exact division by a unit
+        never fails, so the loop would not end.  Zero gives (0, 0).
+        """
+        if len(factor.terms) < 2:
+            raise ValueError("divide_out needs a factor of two or more terms")
+        quo, k = self, 0
+        while quo:
+            try:
+                quo, k = quo.exact_divide(factor), k + 1
+            except InexactDivision:
+                break
+        return quo, k
+
     # substitution and evaluation
 
     def substitute_monomials(self, **bindings):

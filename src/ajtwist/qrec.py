@@ -15,8 +15,8 @@ instead of a buried constant.  Two kinds are supported:
           sends q to 1, q^n to m^2, J(n + i) to l^i, divides each
           coefficient's numerator by its own denominator exactly (the
           shifts are distinct, so the shadow is a polynomial exactly
-          when every such division is), and compare_with_apoly holds
-          the result against the recursively built A-polynomial.
+          when every such division is), and compare_with_apoly divides
+          out 1 + m^2 l and holds the rest against A(p).
 
 GRAMMAR (UTF-8, line oriented, # comments):
 
@@ -34,25 +34,18 @@ import os
 import re
 import sys
 
+from . import _bind_on_lookup
 from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       coefficient_diff, parse_poly, unit_ratio)
 from .qseries import (QFactors, NegativeIndex, from_dense, is_zero_sum,
                       to_dense, to_dense_qn)
 from .jones import KnotId, NAMED_KNOTS, summand_factors
 
+# a_polynomial is bound on first lookup, so that rec-check never loads
+# apoly; compare_with_apoly calls it as _qrec.a_polynomial, so a patch on
+# qrec.a_polynomial still reaches it
 _qrec = sys.modules[__name__]
-
-
-def __getattr__(name):
-    # a_polynomial is bound on first lookup, so that rec-check never
-    # loads apoly; compare_with_apoly calls it as _qrec.a_polynomial, so
-    # a patch on qrec.a_polynomial still reaches it
-    if name != "a_polynomial":
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from .apoly import a_polynomial
-    globals()[name] = a_polynomial
-    return a_polynomial
+__getattr__ = _bind_on_lookup(globals())
 
 
 class RecurrenceParseError(ValueError):
@@ -408,16 +401,8 @@ def compare_with_apoly(poly, p):
     When not, the report carries the exact coefficient diff of the
     min-exponent-normalized polynomials.
     """
-    abelian = LaurentPoly.const(1) + LaurentPoly.monomial(1, l=1, m=2)
-    power = 0
-    stripped = poly
-    while stripped:  # 0 / (1 + m^2 l) is 0 again, and would never stop
-        try:
-            candidate = stripped.exact_divide(abelian)
-        except InexactDivision:
-            break
-        stripped = candidate
-        power += 1
+    stripped, power = poly.divide_out(
+        LaurentPoly.const(1) + LaurentPoly.monomial(1, l=1, m=2))
     target = _qrec.a_polynomial(p)
     u = unit_ratio(stripped, target)
     if u is not None:

@@ -7,12 +7,13 @@ Pochhammer hits the vanishing factor 1 - q^n are combined by explicit
 simple-pole cancellation, with an integer certificate that the poles do
 cancel.  dilog and bloch_wigner provide the principal-branch
 dilogarithm and its imaginary-part combination D(z).  saddle_solve
-clears the two growth equations of the summand to polynomials in
-(x, y), eliminates x by putting the root of the second, which is linear
-in x, into the first, which is quadratic (that is their resultant),
-finds every root of the reduced eliminant with mpmath's polyroots,
-started from double-precision roots so that it needs only a few sweeps
-at full precision, certifies each root, and scores each solution with
+takes the two growth equations in (x, y) from apoly (quad_a's
+quadratic at m = 1, and saddle_constraint), eliminates x by putting the
+root of the second, which is linear in x, into the first, which is
+quadratic (that is their resultant), finds every root of the reduced
+eliminant with mpmath's polyroots, started from double-precision roots
+so that it needs only a few sweeps at full precision, certifies each
+root, and scores each solution with
 
     3 D(x0) - D(x0 y0) - D(x0 / y0).
 
@@ -40,9 +41,9 @@ from itertools import accumulate
 import mpmath as mp
 from mpmath.libmp import NoConvergence
 
-from .apoly import clear_at_root, linear_root, saddle_constraint
-from .jones import KnotId, shift_ratio
-from .laurent import CertificationError, InexactDivision, LaurentPoly
+from .apoly import clear_at_root, linear_root, quad_a, saddle_constraint
+from .jones import KnotId
+from .laurent import CertificationError, LaurentPoly
 from .qseries import to_dense
 
 GUARD_BITS = 32
@@ -397,17 +398,14 @@ class SaddleSolution(namedtuple("SaddleSolution",
 def _growth_polys(p):
     """The two cleared growth equations as polynomials in x and y.
 
-    The first is the k-step quotient of the summand at q = 1, N = 1,
-    K = x, L2 = y, set equal to 1: numerator minus denominator, cleared.
-    That is knot independent, y (1 - x)^3 - (1 - x y)(y - x) =
-    x (1 - 3 y + y^2 + 2 x y - x^2 y), and the factor x is divided out:
-    D scores 0 on x = 0, so its roots would only be candidates on a
-    degenerate locus.  The second is the l-direction constraint shared
-    with the A-polynomial construction.
+    The first is apoly's y^2 - (a/m^2) y + 1 at m = 1, a = quad_a(),
+    which is the k-step quotient at q = 1 set equal to 1 and cleared,
+    with the factor x divided out (D scores 0 on x = 0): knot
+    independent, 1 - 3 y + y^2 + 2 x y - x^2 y.  The second is the
+    l-direction constraint shared with the A-polynomial construction.
     """
-    num, den = shift_ratio(KnotId.twist_knot(p), (0, 1, 0)).at_q1(
-        N=1, K=LaurentPoly.var("x"), L2=LaurentPoly.var("y"))
-    return ((num - den).cleared().exact_divide(LaurentPoly.var("x")),
+    y = LaurentPoly.var("y")
+    return (y * y - quad_a().substitute_monomials(m=1) * y + 1,
             saddle_constraint(p))
 
 
@@ -434,13 +432,8 @@ def reduced_eliminant(p):
     if lo:
         res = res.exact_divide(LaurentPoly.monomial(1, y=lo))
     y = LaurentPoly.var("y")
-    one = LaurentPoly.const(1)
-    for factor in (y - one, y + one):
-        while True:
-            try:
-                res = res.exact_divide(factor)
-            except InexactDivision:
-                break
+    for factor in (y - 1, y + 1):
+        res, _ = res.divide_out(factor)
     if res.variables() not in ((), ("y",)):
         raise ArithmeticError("eliminant kept a variable besides y")
     if res.leading()[1] < 0:
@@ -559,12 +552,13 @@ def optimistic_volume(p, prec=128):
 
     p must pick a hyperbolic twist knot (not 0, not 1), as for
     kashaev_scan: at p = 1 every candidate is precision noise around 0.
+    No certified solution raises CertificationError.
     """
     if p in (0, 1):
         raise ValueError("p = %d is not hyperbolic" % p)
     sols = saddle_solve(p, prec)
     if not sols:
-        raise ValueError("no saddle solutions at p = %d" % p)
+        raise CertificationError("no saddle solutions at p = %d" % p)
     return max(s.volume_candidate for s in sols), sols
 
 

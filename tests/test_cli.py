@@ -10,9 +10,9 @@ import mpmath as mp
 from mpmath.libmp import NoConvergence
 import pytest
 
-from ajtwist import apoly, cli, volnum
+from ajtwist import apoly, cli, jones, volnum
 from ajtwist.apoly import a_polynomial, h_polynomial
-from ajtwist.jones import colored_jones
+from ajtwist.jones import NUM, colored_jones
 from ajtwist.laurent import InexactDivision, parse_poly
 from ajtwist.volnum import CertificationError, kashaev_scan
 
@@ -110,6 +110,22 @@ def test_command_calls_cover_the_table():
     assert list(COMMAND_CALLS) == list(cli.COMMANDS)
 
 
+def _mutate_summand(monkeypatch):
+    # TestChainReadsSummand's mutation: the level part's numerator
+    # (q)_k becomes (q)_(2k), so the k-step at q = 1 loses its shape
+    form = jones._SUMMAND_FORMS["K_p"]
+    level = (NUM, 1, (0, 0, 1, 0))
+    monkeypatch.setitem(jones._SUMMAND_FORMS, "K_p", form._replace(
+        pochs=tuple((NUM, 1, (0, 0, 2, 0)) if poch == level else poch
+                    for poch in form.pochs)))
+
+
+def _inexact_a_polynomial(monkeypatch):
+    def fail(p):
+        raise InexactDivision("forced")
+    monkeypatch.setattr(cli, "a_polynomial", fail)
+
+
 class TestExitCodes:
     # main maps every command's exceptions to one exit code each
     @pytest.mark.parametrize("exc, code, prefix", [
@@ -119,7 +135,8 @@ class TestExitCodes:
             (ValueError, 2, "error: "),
             (OSError, 2, "error: "),
             (CertificationError, 3, "not certified: "),
-            (ZeroDivisionError, 3, "not certified: ")]])
+            (ZeroDivisionError, 3, "not certified: "),
+            (ArithmeticError, 3, "not certified: ")]])
     @pytest.mark.parametrize("command", list(COMMAND_CALLS))
     def test_exception_maps_to_exit_code(self, capsys, monkeypatch,
                                          command, exc, code, prefix):
@@ -129,6 +146,17 @@ class TestExitCodes:
             raise exc("forced")
         monkeypatch.setattr(cli, name, fail)
         assert run(capsys, command, *argv) == (code, "", prefix + "forced\n")
+
+    # an ArithmeticError raised deep in the library, of any class
+    @pytest.mark.parametrize("setup, argv", [
+        (_mutate_summand, ["volume", "--p", "2"]),
+        (_inexact_a_polynomial, ["apoly", "--p", "1"])],
+        ids=["mutated-summand", "inexact-division"])
+    def test_library_arithmetic_error(self, capsys, monkeypatch, setup, argv):
+        setup(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("not certified: ")
 
 
 class TestJones:

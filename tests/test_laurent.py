@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ajtwist.apoly import a_polynomial
 from ajtwist.laurent import (LaurentPoly, InexactDivision, PolyParseError,
                              parse_poly, VARS)
 from oracles import RatFunc, substitute
@@ -94,6 +95,32 @@ class TestExactDivide:
                 continue
             ab = a * b
             assert ab.exact_divide(b) == a
+
+
+class TestDivideOut:
+    def test_abelian_factor_of_a_polynomial(self):
+        a2 = a_polynomial(2)
+        abelian = ONE + L * M ** 2
+        assert (abelian ** 3 * a2).divide_out(abelian) == (a2, 3)
+        assert a2.divide_out(abelian) == (a2, 0)
+
+    def test_eliminant_factors(self):
+        y = LaurentPoly.var("y")
+        e = parse_poly("y^4 - 3*y^3 + 5*y^2 - 3*y + 1")
+        poly = (y - 1) ** 2 * (y + 1) * e
+        assert poly.divide_out(y - 1) == ((y + 1) * e, 2)
+        assert poly.divide_out(y + 1) == ((y - 1) ** 2 * e, 1)
+
+    def test_zero(self):
+        assert LaurentPoly.zero().divide_out(ONE + Q) == (0, 0)
+
+    @pytest.mark.parametrize("factor", [
+        LaurentPoly.zero(), ONE, -Q, mono(2, q=1, m=-1)],
+        ids=["zero", "one", "unit", "monomial"])
+    def test_monomial_or_zero_is_refused(self, factor):
+        # division by a unit never fails, so the loop would never end
+        with pytest.raises(ValueError, match="two or more terms"):
+            (ONE + Q).divide_out(factor)
 
 
 def _random_poly(rng, names, max_terms=4, max_exp=3, max_coeff=6):

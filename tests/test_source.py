@@ -117,3 +117,16 @@ def test_only_cli_main_writes_stdout():
     assert any(_writes_stdout(node) for node in ast.walk(main))
     assert [node.lineno for node in ast.walk(tree)
             if _writes_stdout(node) and id(node) not in in_main] == []
+
+
+def test_only_apoly_reads_the_summand_at_q1():
+    # the growth system at q = 1 has one reader, the one verify-aj
+    # certifies; volnum takes its growth equations from apoly
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at_q1"):
+                readers.append(path.name)
+    assert readers and set(readers) == {"apoly.py"}
