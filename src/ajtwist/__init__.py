@@ -20,7 +20,7 @@ _HOME = {
                      "PolyParseError", "parse_poly", "VARS"), "laurent"),
     **dict.fromkeys(("KnotId", "masbaum_coeff", "sigma_basis",
                      "colored_jones", "colored_jones_multisum",
-                     "summand_spec", "named_form_unit"), "jones"),
+                     "named_form_unit"), "jones"),
     **dict.fromkeys(("a_polynomial", "b_polynomial", "h_polynomial",
                      "cd_coefficients", "verify_aj"), "apoly"),
     **dict.fromkeys(("parse_recurrence", "load_recurrence", "check_kfree",

@@ -51,8 +51,6 @@ def _check_prec(args):
 
 
 def _cmd_jones(args):
-    if args.n < 1:
-        raise UsageError("color n must be >= 1")
     knot = (KnotId.named(args.knot) if args.knot is not None
             else KnotId.twist_knot(args.p))
     if args.form == "masbaum":
@@ -61,8 +59,8 @@ def _cmd_jones(args):
     else:
         poly = colored_jones_multisum(knot, args.n)
         if args.habiro_normalize and knot.is_named:
-            # the named double sums sit a constant unit away from the
-            # already normalized twist-parameter ones
+            # a named double sum sits a constant unit, its value at
+            # color 1, away from the already normalized twist-parameter one
             poly = poly.exact_divide(named_form_unit(knot.name))
     text = poly.text()
     return 0, text, {"knot": knot.label(), "n": args.n, "form": args.form,

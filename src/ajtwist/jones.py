@@ -18,7 +18,9 @@ selected by the convention argument:
             for the trefoil and figure eight values.
 
 The two flavors do NOT differ by a single global unit, since the sign
-alternates inside the k-sum.
+alternates inside the k-sum.  The named double sums (5_2, 6_1) have
+their own presentations, a constant unit away from their twist-knot
+ones: their value at color 1, which named_form_unit returns.
 
 One description per summand.  Each double-sum summand is the block
 sigma_k(n) (SIGMA) times a level part c(k, l), stored once per knot as
@@ -34,7 +36,7 @@ growth equations (volnum) are read off those q = 1 quotients.
 from collections import Counter, namedtuple
 import math
 
-from .laurent import LaurentPoly, unit_ratio
+from .laurent import LaurentPoly
 from .qseries import (QFactors, cleared_sum, dense_divide_binoms,
                       dense_times_binoms, from_dense, to_dense)
 
@@ -282,7 +284,7 @@ class ShiftRatio(namedtuple("ShiftRatio", "sign mono num den")):
 
         Every binomial and the monomial lose their q-exponent, binomials
         that then coincide on both sides cancel, and bind sends N, K and
-        L2 to monomials (substitute_monomials).
+        L2 to unit monomials (substitute_monomials).
         """
         num = Counter((0,) + b[1:] for b in self.num)
         den = Counter((0,) + b[1:] for b in self.den)
@@ -301,12 +303,6 @@ def _times_binomials(out, binoms):
     for a, b, c, d in binoms:
         out = out * (one - LaurentPoly.monomial(1, q=a, N=b, K=c, L2=d))
     return out
-
-
-class SummandSpec(namedtuple("SummandSpec", "knot n_step k_step l_step")):
-    """Shift quotients of a double-sum summand in the three directions."""
-
-    __slots__ = ()
 
 
 def shift_ratio(knot, shift):
@@ -344,39 +340,18 @@ def shift_ratio(knot, shift):
         num=tuple(num), den=tuple(den))
 
 
-def summand_spec(knot):
-    """The three one-step shift quotients of knot's summand."""
-    if not isinstance(knot, KnotId):
-        knot = KnotId.twist_knot(knot)
-    return SummandSpec(knot, shift_ratio(knot, (1, 0, 0)),
-                       shift_ratio(knot, (0, 1, 0)),
-                       shift_ratio(knot, (0, 0, 1)))
-
-
 # units between presentations
 
 
-def named_form_unit(name, n_max=8):
-    """Constant unit between a named double sum and its twist-knot one.
+def named_form_unit(name):
+    """The named double sum at color 1, which must be a unit monomial.
 
-    Checks every color n <= n_max, insists the unit does not move, and
-    returns it as a monomial LaurentPoly.
+    Dividing the named sum by it gives value 1 at color 1, the
+    normalization of the twist-parameter sums; any other value at color
+    1 raises ArithmeticError.
     """
-    knot = KnotId.named(name)
-    ref = KnotId.twist_knot(knot.twist_parameter())
-    unit = None
-    for n in range(1, n_max + 1):
-        a = colored_jones_multisum(knot, n)
-        b = colored_jones_multisum(ref, n)
-        u = unit_ratio(a, b)
-        if u is None:
-            raise ArithmeticError(
-                "%s sum is not a unit multiple of %s at n = %d"
-                % (name, ref.label(), n))
-        if unit is None:
-            unit = u
-        elif unit != u:
-            raise ArithmeticError(
-                "unit between %s and %s moved at n = %d: %s vs %s"
-                % (name, ref.label(), n, u.text(), unit.text()))
+    unit = colored_jones_multisum(KnotId.named(name), 1)
+    if len(unit) != 1 or abs(unit.leading()[1]) != 1:
+        raise ArithmeticError("%s sum at color 1 is not a unit: %s"
+                              % (name, unit.text()))
     return unit

@@ -98,16 +98,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and _ZEROS in self.terms)
-
-    def const_value(self):
-        if not self.terms:
-            return 0
-        if self.is_const():
-            return self.terms[_ZEROS]
-        raise ValueError("not a constant")
-
     def __len__(self):
         return len(self.terms)
 
@@ -375,48 +365,32 @@ class LaurentPoly:
     # substitution and evaluation
 
     def substitute_monomials(self, **bindings):
-        """Exact substitution where every value is a monomial (or 0, 1, -1).
+        """Exact substitution of a unit monomial for each named variable.
 
-        Returns a LaurentPoly.  A value with |coefficient| != 1 is accepted
-        only where the substituted exponents are nonnegative.
+        A value is 1, -1 or a monomial with coefficient +-1; any other
+        raises ValueError.  Returns a LaurentPoly.
         """
         maps = {}
         for name, val in bindings.items():
             if isinstance(val, int):
                 val = LaurentPoly.const(val)
-            if len(val.terms) > 1:
-                raise ValueError("value for %s is not a monomial" % name)
-            maps[VAR_INDEX[name]] = val
+            terms = list(val.terms.items())
+            if len(terms) != 1 or terms[0][1] not in (1, -1):
+                raise ValueError("value for %s is not a unit monomial" % name)
+            maps[VAR_INDEX[name]] = terms[0]
         out = {}
         for e, c in self.terms.items():
             ne = list(e)
-            cc = c
-            for i, val in maps.items():
+            for i, (ev, cv) in maps.items():
                 a = ne[i]
                 ne[i] = 0
-                if not val.terms:
-                    if a > 0:
-                        cc = 0
-                        break
-                    if a == 0:  # 0^0 = 1
-                        continue
-                    raise ZeroDivisionError("0 raised to a negative power")
-                (ev, cv), = val.terms.items()
-                if cv in (1, -1):
-                    if a % 2 and cv == -1:
-                        cc = -cc
-                elif a >= 0:
-                    cc *= cv ** a
-                else:
-                    raise InexactDivision(
-                        "negative power of coefficient %d" % cv)
+                if a % 2 and cv == -1:
+                    c = -c
                 for j, b in enumerate(ev):
                     if b:
                         ne[j] += a * b
-            if not cc:
-                continue
             key = tuple(ne)
-            nc = out.get(key, 0) + cc
+            nc = out.get(key, 0) + c
             if nc:
                 out[key] = nc
             elif key in out:

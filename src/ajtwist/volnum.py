@@ -422,8 +422,6 @@ def reduced_eliminant(p):
     so no root comes from x = 0.  The leading coefficient is normalized
     positive.
     """
-    if p == 0:
-        raise ValueError("p = 0 is not a twist knot")
     p1, p2 = _growth_polys(p)
     res = clear_at_root(p1, linear_root(p2, "l-step at q = 1"), 2, p)
     if not res:
@@ -504,8 +502,6 @@ def saddle_solve(p, prec=128):
     the degenerate loci x = 1, y = 0, x y = 1, y = x are discarded.
     Solutions are sorted by y for determinism.
     """
-    if p == 0:
-        raise ValueError("p = 0 is not a twist knot")
     with mp.workprec(prec + GUARD_BITS):
         # reduced_eliminant strips every factor of y, so its lowest
         # y-exponent is 0 and the dense list needs no padding

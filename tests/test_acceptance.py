@@ -12,7 +12,7 @@ import mpmath as mp
 from ajtwist.apoly import (a_polynomial, b_polynomial, cd_coefficients,
                            verify_aj)
 from ajtwist.jones import (KnotId, colored_jones, colored_jones_multisum,
-                           named_form_unit, summand_spec)
+                           named_form_unit, shift_ratio)
 from ajtwist.laurent import LaurentPoly, parse_poly
 from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, check_kfree,
                           compare_with_apoly, load_recurrence, specialize_q1)
@@ -86,8 +86,16 @@ def test_criterion_04_jones_consistency():
             # the recorded global unit between the two forms is +1
             assert colored_jones(p, n, "habiro") == \
                 colored_jones_multisum(p, n), (p, n)
-    assert named_form_unit("5_2", n_max=8) == LaurentPoly.const(-1)
-    assert named_form_unit("6_1", n_max=8) == ONE
+    # each named sum is its unit, its value at color 1, times its twist
+    # knot's
+    for name, want in (("5_2", LaurentPoly.const(-1)), ("6_1", ONE)):
+        u = named_form_unit(name)
+        assert u == want, name
+        named = KnotId.named(name)
+        twist = KnotId.twist_knot(named.twist_parameter())
+        for n in range(1, 9):
+            assert colored_jones_multisum(named, n) == \
+                u * colored_jones_multisum(twist, n), (name, n)
     took = time.time() - t0
     assert took < 30
     print("criterion 4: PASS - cyclotomic sum equals double sum (unit +1) "
@@ -100,15 +108,14 @@ def test_criterion_05_ratio_identities():
     counts = {}
     for p in (-2, -1, 1, 2):
         knot = KnotId.twist_knot(p)
-        spec = summand_spec(knot)
+        ratios = [(shift_ratio(knot, d), d)
+                  for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         checked = 0
         for n in range(1, 8):
             for k in range(n):
                 for l in range(k + 1):
-                    for ratio, shifted in (
-                            (spec.n_step, (n + 1, k, l)),
-                            (spec.k_step, (n, k + 1, l)),
-                            (spec.l_step, (n, k, l + 1))):
+                    for ratio, d in ratios:
+                        shifted = (n + d[0], k + d[1], l + d[2])
                         held = ratio_holds(ratio, knot, (n, k, l), shifted)
                         if held is not None:
                             assert held, (p, n, k, l, shifted)

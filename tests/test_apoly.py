@@ -9,7 +9,7 @@ from ajtwist.apoly import (quad_a, quad_b, cd_coefficients, a_polynomial,
                            solve_meridian_x, h_polynomial, quad_reduce,
                            h_via_reduction, b_polynomial, verify_aj,
                            compare_aj, saddle_constraint, linear_root)
-from ajtwist.jones import NUM, summand_spec
+from ajtwist.jones import NUM, KnotId, shift_ratio
 from oracles import RatFunc, ratio_ratfunc, substitute
 
 
@@ -91,7 +91,7 @@ class TestMeridianX:
     def test_n_ratio_forces_it(self):
         # q = 1, N = m^2 in the n-direction ratio, then x at its coupled
         # value, collapses to the longitude eigenvalue l
-        f0 = ratio_ratfunc(summand_spec(2).n_step)
+        f0 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(2), (1, 0, 0)))
         m2 = LaurentPoly.monomial(1, m=2)
         got = f0.substitute(q=1, N=m2, K=RatFunc(*solve_meridian_x()))
         assert got == RatFunc(LaurentPoly.var("l"))
@@ -99,7 +99,7 @@ class TestMeridianX:
     def test_k_ratio_forces_quadratic(self):
         # with x generic the k-direction ratio minus 1 clears to a
         # monomial multiple of the defining quadratic m^2 y^2 - a y + m^2
-        f1 = ratio_ratfunc(summand_spec(2).k_step)
+        f1 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(2), (0, 1, 0)))
         m2 = LaurentPoly.monomial(1, m=2)
         got = f1.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
                             L2=LaurentPoly.var("y"))
@@ -114,7 +114,7 @@ class TestMeridianX:
         # RatFunc takes no polynomial gcds, so the specialized ratio
         # still carries the spectator factor (1 - y^2) on both sides.
         p = 2
-        f2 = ratio_ratfunc(summand_spec(p).l_step)
+        f2 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(p), (0, 0, 1)))
         m2 = LaurentPoly.monomial(1, m=2)
         got = f2.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
                             L2=LaurentPoly.var("y"))

@@ -120,6 +120,13 @@ def _mutate_summand(monkeypatch):
                     for poch in form.pochs)))
 
 
+def _non_unit_color_one(monkeypatch):
+    # every double sum doubled: named_form_unit then reads -2 at color 1
+    real = jones.colored_jones_multisum
+    monkeypatch.setattr(jones, "colored_jones_multisum",
+                        lambda knot, n: 2 * real(knot, n))
+
+
 def _inexact_a_polynomial(monkeypatch):
     def fail(p):
         raise InexactDivision("forced")
@@ -150,8 +157,10 @@ class TestExitCodes:
     # an ArithmeticError raised deep in the library, of any class
     @pytest.mark.parametrize("setup, argv", [
         (_mutate_summand, ["volume", "--p", "2"]),
-        (_inexact_a_polynomial, ["apoly", "--p", "1"])],
-        ids=["mutated-summand", "inexact-division"])
+        (_inexact_a_polynomial, ["apoly", "--p", "1"]),
+        (_non_unit_color_one, ["jones", "--knot", "5_2", "--form",
+                               "multisum", "--habiro-normalize", "--n", "3"])],
+        ids=["mutated-summand", "inexact-division", "non-unit-color-1"])
     def test_library_arithmetic_error(self, capsys, monkeypatch, setup, argv):
         setup(monkeypatch)
         code, out, err = run(capsys, *argv)

@@ -4,17 +4,20 @@ import hashlib
 import pytest
 
 from ajtwist import jones
-from ajtwist.laurent import InexactDivision, LaurentPoly
+from ajtwist.laurent import InexactDivision, LaurentPoly, unit_ratio
 from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
                            colored_jones_multisum, summand_factors,
-                           summand_spec, shift_ratio, named_form_unit,
-                           unit_ratio)
+                           shift_ratio, named_form_unit)
 from oracles import (RatFunc, inv_qpoch, qfactors_ratfunc, ratio_holds,
                      ratio_polys, ratio_ratfunc)
 
 
 def qmono(c=1, **e):
     return LaurentPoly.monomial(c, **e)
+
+
+# the one-step shifts (dn, dk, dl) of the summand
+N_STEP, K_STEP, L_STEP = STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class TestKnotId:
@@ -201,38 +204,33 @@ class TestSummandF:
 
 class TestShiftRatios:
     def test_n_step_closed_form(self):
-        spec = summand_spec(2)
+        n_step = shift_ratio(KnotId.twist_knot(2), N_STEP)
         q1 = LaurentPoly.monomial(1, q=-1)
         N = LaurentPoly.var("N")
         K = LaurentPoly.var("K")
         num = K * (1 - q1 * N ** -1 * K ** -1) * (1 - N ** -1)
         den = (1 - q1 * N ** -1) * (1 - N ** -1 * K)
-        assert ratio_ratfunc(spec.n_step) == RatFunc(num, den)
+        assert ratio_ratfunc(n_step) == RatFunc(num, den)
 
     def test_l_step_sign_is_carried(self):
         # the numerator of the l quotient is negative: dropping its sign
         # breaks annihilation
-        spec = summand_spec(1)
         knot = KnotId.twist_knot(1)
+        l_step = shift_ratio(knot, L_STEP)
         point, shifted = (4, 2, 1), (4, 2, 2)
-        assert ratio_holds(spec.l_step, knot, point, shifted)
-        flipped = type(spec.l_step)(sign=-spec.l_step.sign,
-                                    mono=spec.l_step.mono,
-                                    num=spec.l_step.num, den=spec.l_step.den)
+        assert ratio_holds(l_step, knot, point, shifted)
+        flipped = l_step._replace(sign=-l_step.sign)
         assert ratio_holds(flipped, knot, point, shifted) is False
 
     def test_k_step_requires_shifted_binomial(self):
         # the third numerator binomial of the k quotient steps with k;
         # the unstepped variant annihilates nothing
-        spec = summand_spec(1)
-        assert (1, 0, 1, 0) in spec.k_step.num
-        broken = type(spec.k_step)(sign=spec.k_step.sign,
-                                   mono=spec.k_step.mono,
-                                   num=((-1, -1, -1, 0), (1, -1, 1, 0),
-                                        (0, 0, 1, 0)),
-                                   den=spec.k_step.den)
         knot = KnotId.twist_knot(1)
-        assert ratio_holds(spec.k_step, knot, (3, 1, 0), (3, 2, 0))
+        k_step = shift_ratio(knot, K_STEP)
+        assert (1, 0, 1, 0) in k_step.num
+        broken = k_step._replace(num=((-1, -1, -1, 0), (1, -1, 1, 0),
+                                      (0, 0, 1, 0)))
+        assert ratio_holds(k_step, knot, (3, 1, 0), (3, 2, 0))
         assert ratio_holds(broken, knot, (3, 1, 0), (3, 2, 0)) is False
 
     def test_all_pairs_on_grid(self):
@@ -240,15 +238,13 @@ class TestShiftRatios:
         cases.append(KnotId.named("5_2"))
         cases.append(KnotId.named("6_1"))
         for knot in cases:
-            spec = summand_spec(knot)
+            ratios = [(shift_ratio(knot, d), d) for d in STEPS]
             checked = 0
             for n in range(1, 8):
                 for k in range(n):
                     for l in range(k + 1):
-                        for ratio, shifted in (
-                                (spec.n_step, (n + 1, k, l)),
-                                (spec.k_step, (n, k + 1, l)),
-                                (spec.l_step, (n, k, l + 1))):
+                        for ratio, d in ratios:
+                            shifted = (n + d[0], k + d[1], l + d[2])
                             r = ratio_holds(ratio, knot, (n, k, l), shifted)
                             if r is not None:
                                 assert r, (knot.label(), n, k, l, shifted)
@@ -261,8 +257,8 @@ class TestShiftRatios:
         qn = LaurentPoly.monomial(1, q=1, N=1)
         for knot in (KnotId.twist_knot(-2), KnotId.twist_knot(1),
                      KnotId.named("5_2"), KnotId.named("6_1")):
-            spec = summand_spec(knot)
-            f0, f1 = ratio_ratfunc(spec.n_step), ratio_ratfunc(spec.k_step)
+            f0 = ratio_ratfunc(shift_ratio(knot, N_STEP))
+            f1 = ratio_ratfunc(shift_ratio(knot, K_STEP))
             assert ratio_ratfunc(shift_ratio(knot, (0, 2, 0))) == \
                 f1 * f1.substitute_monomials(K=qk), knot.label()
             assert ratio_ratfunc(shift_ratio(knot, (1, 1, 0))) == \
@@ -307,9 +303,8 @@ def _multisets(sign, mono, num, den):
 
 class TestGoldenShiftTuples:
     def _check(self, knot, golden):
-        spec = summand_spec(knot)
-        for ratio, want in zip((spec.n_step, spec.k_step, spec.l_step),
-                               golden):
+        for d, want in zip(STEPS, golden):
+            ratio = shift_ratio(knot, d)
             got = _multisets(ratio.sign, ratio.mono, ratio.num, ratio.den)
             assert got == _multisets(*want), (knot.label(), want)
 
@@ -334,7 +329,7 @@ def _divides(b, poly):
 class TestAtQ1:
     def test_twist_l_step_cancels_its_spectator(self):
         # (1 - q^3 L2^2) over (1 - q L2^2) both become (1 - L2^2)
-        step = summand_spec(2).l_step
+        step = shift_ratio(KnotId.twist_knot(2), L_STEP)
         assert (3, 0, 0, 2) in step.num and (1, 0, 0, 2) in step.den
         K, L2 = LaurentPoly.var("K"), LaurentPoly.var("L2")
         assert step.at_q1() == (K * L2 ** 4 - L2 ** 5, 1 - K * L2)
@@ -345,8 +340,7 @@ class TestAtQ1:
         knots = [KnotId.twist_knot(p) for p in range(-4, 5)]
         knots += [KnotId.named("5_2"), KnotId.named("6_1")]
         for knot in knots:
-            spec = summand_spec(knot)
-            for step in (spec.n_step, spec.k_step, spec.l_step):
+            for step in (shift_ratio(knot, d) for d in STEPS):
                 num, den = step.at_q1()
                 assert num and den
                 assert "q" not in num.variables() + den.variables()
@@ -362,7 +356,7 @@ class TestAnnihilatorGenerators:
     def test_l_step_example_point(self):
         # B*F(n,k,l+1) - A*F(n,k,l) at (6,4,2) for the 5_2 summand
         knot = KnotId.named("5_2")
-        A, B = ratio_polys(summand_spec(knot).l_step)
+        A, B = ratio_polys(shift_ratio(knot, L_STEP))
         n, k, l = 6, 4, 2
         point = {"N": LaurentPoly.monomial(1, q=n),
                  "K": LaurentPoly.monomial(1, q=k),
@@ -380,12 +374,10 @@ class TestAnnihilatorGenerators:
         point = {"N": LaurentPoly.monomial(1, q=n),
                  "K": LaurentPoly.monomial(1, q=k),
                  "L2": LaurentPoly.monomial(1, q=l)}
-        spec = summand_spec(knot)
         f0 = qfactors_ratfunc(summand_factors(knot, n, k, l))
-        for ratio, shifted in ((spec.n_step, (n + 1, k, l)),
-                               (spec.k_step, (n, k + 1, l)),
-                               (spec.l_step, (n, k, l + 1))):
-            A, B = ratio_polys(ratio)
+        for d in STEPS:
+            shifted = (n + d[0], k + d[1], l + d[2])
+            A, B = ratio_polys(shift_ratio(knot, d))
             f1 = qfactors_ratfunc(summand_factors(knot, *shifted))
             assert f1 != f0
             assert RatFunc(B.substitute_monomials(**point)) * f1 == \
@@ -394,8 +386,16 @@ class TestAnnihilatorGenerators:
 
 class TestNamedFormUnits:
     def test_units(self):
-        assert named_form_unit("5_2", 6) == LaurentPoly.const(-1)
-        assert named_form_unit("6_1", 6) == LaurentPoly.const(1)
+        # the unit is the named sum at color 1, and ties the named sum
+        # to its twist knot's at every color
+        for name, want in (("5_2", -1), ("6_1", 1)):
+            u = named_form_unit(name)
+            assert u == LaurentPoly.const(want)
+            named = KnotId.named(name)
+            twist = KnotId.twist_knot(named.twist_parameter())
+            for n in range(1, 9):
+                assert colored_jones_multisum(named, n) == \
+                    u * colored_jones_multisum(twist, n), (name, n)
 
 
 class TestUnitRatio:
