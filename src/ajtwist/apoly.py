@@ -10,8 +10,8 @@ whose multipliers c, d come from cd_coefficients().  Its data is printed
 here and is the independent reference.
 
 The constructive route starts from the summand of the double sum: its
-shift quotients (jones.shift_ratio) at q = 1 (ShiftRatio.at_q1), with
-N = m^2, K = x and L2 = y.
+shift quotients (jones.shift_ratio) at q = 1, with N = m^2, K = x and
+L2 = y (_at_q1, the package's one reader of the summand at q = 1).
 
   k-step   numerator minus denominator is x (y + 1/y - a/m^2), which
            gives the rank-2 algebra y^2 = (a / m^2) * y - 1 (quad_a);
@@ -33,6 +33,8 @@ p; the l-step meets the tower in h_via_reduction.
 Everything here is exact integer arithmetic; nothing is numeric.
 """
 
+from collections import Counter
+
 from .jones import KnotId, shift_ratio
 from .laurent import LaurentPoly, coefficient_diff, unit_ratio
 
@@ -45,12 +47,29 @@ _M2 = _mono(m=2)
 _X = LaurentPoly.var("x")
 _Y = LaurentPoly.var("y")
 _L = LaurentPoly.var("l")
-_BIND = {"N": _M2, "K": _X, "L2": _Y}
+
+
+def _at_q1(ratio):
+    """(numerator, denominator) of a shift_ratio at q = 1, in (m, x, y).
+
+    Every binomial and the monomial lose their q-exponent, binomials
+    that then coincide on both sides cancel, and N, K, L2 become
+    m^2, x, y.
+    """
+    num = Counter(b[1:] for b in ratio.num)
+    den = Counter(b[1:] for b in ratio.den)
+    e = dict(ratio.mono)
+    sides = [_mono(ratio.sign, m=2 * e.get("N", 0), x=e.get("K", 0),
+                   y=e.get("L2", 0)), LaurentPoly.const(1)]
+    for i, binoms in enumerate((num - den, den - num)):
+        for n, k, l2 in binoms.elements():
+            sides[i] = sides[i] * (1 - _mono(m=2 * n, x=k, y=l2))
+    return tuple(sides)
 
 
 def _step_at_q1(p, step):
     """K_p's summand quotient for one (dn, dk, dl) step, at q = 1."""
-    return shift_ratio(KnotId.twist_knot(p), step).at_q1(**_BIND)
+    return _at_q1(shift_ratio(KnotId.twist_knot(p), step))
 
 
 def quad_a():
@@ -238,8 +257,6 @@ def h_via_reduction(p):
     raises ArithmeticError, since it would mean the tower and the
     quotient algebra disagree.
     """
-    if p == 0:
-        raise ValueError("p = 0 has no reduction to perform")
     got = quad_reduce(saddle_constraint(p).exact_divide(_Y + 1))
     h = h_polynomial(p)
     want = tuple(c * (1 - _X) * h for c in quad_reduce(_mono(1, y=abs(p))))

@@ -28,12 +28,12 @@ data in LEVEL_PARTS.  summand_factors, masbaum_coeff and shift_ratio all
 read that data, so every knot, 6_1 included, has closed-form shift
 quotients in (q, N, K, L2) = (q, q^n, q^k, q^l).  A quotient
 F(shifted) / F = num / den is the annihilator pair den * F(shifted) =
-num * F.  ShiftRatio keeps both sides factored, and only ShiftRatio.at_q1
-expands them, at q = 1; the A-polynomial construction (apoly) and the
-growth equations (volnum) are read off those q = 1 quotients.
+num * F.  ShiftRatio keeps both sides factored; only apoly expands them,
+at q = 1, and the A-polynomial construction and volnum's growth
+equations are read off those q = 1 quotients.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 import math
 
 from .laurent import LaurentPoly
@@ -278,31 +278,6 @@ class ShiftRatio(namedtuple("ShiftRatio", "sign mono num den")):
     """
 
     __slots__ = ()
-
-    def at_q1(self, **bind):
-        """(numerator, denominator) at q = 1, as LaurentPolys.
-
-        Every binomial and the monomial lose their q-exponent, binomials
-        that then coincide on both sides cancel, and bind sends N, K and
-        L2 to unit monomials (substitute_monomials).
-        """
-        num = Counter((0,) + b[1:] for b in self.num)
-        den = Counter((0,) + b[1:] for b in self.den)
-        shared = num & den
-        mono = LaurentPoly.monomial(
-            self.sign, **{v: e for v, e in self.mono if v != "q"})
-        return (_times_binomials(mono, (num - shared).elements())
-                .substitute_monomials(**bind),
-                _times_binomials(LaurentPoly.const(1),
-                                 (den - shared).elements())
-                .substitute_monomials(**bind))
-
-
-def _times_binomials(out, binoms):
-    one = LaurentPoly.const(1)
-    for a, b, c, d in binoms:
-        out = out * (one - LaurentPoly.monomial(1, q=a, N=b, K=c, L2=d))
-    return out
 
 
 def shift_ratio(knot, shift):

@@ -102,7 +102,8 @@ def _jhat_pole_cancel(p, n):
     O(n) setup.  q^k and (q)_k^3 multiply each level's sum once, and
     the factor (-1)^l q^(F-k) (1 - q^(2l+1)) is tabulated once per l,
     so a regular term takes two complex products and a singular one
-    three.
+    three.  The exponents F - k are typed once, in one table that the
+    finite part and the certificate both read.
 
     The sum runs in fixed point on Python ints: a complex value is a
     pair of ints over 2^g.  Only the roots of unity come from mpmath,
@@ -142,8 +143,8 @@ def _jhat_pole_cancel(p, n):
         pr[m], pi[m] = _fmul(pr[m - 1], pi[m - 1], vr[m], vi[m], g)
     ipr = [x // n for x in reversed(pr)]
     ipi = [-x // n for x in reversed(pi)]
-    jr = [x // (n * n) for x in reversed(pr)]
-    ji = [-x // (n * n) for x in reversed(pi)]
+    jr = [x // n for x in ipr]
+    ji = [x // n for x in ipi]
     # lam[j] = -j q^(j-1) / (1 - q^j), and its prefix sums, which skip
     # j = n: logd[m] for m < n, logdskip[m] for m > n
     lr, li = [0] * (2 * n), [0] * (2 * n)
@@ -153,11 +154,14 @@ def _jhat_pole_cancel(p, n):
         lr[j], li[j] = j * mr, j * mi
         lr[n + j], li[n + j] = (n + j) * mr, (n + j) * mi
     dr, di = list(accumulate(lr)), list(accumulate(li))
-    # per l: s = (-1)^l q^(F-k), c = s (1 - q^(2l+1)), and the l-part of
-    # the log-derivative, e = (F - k) / q + lam[2l+1]
+    # per l: the exponent F - k, unreduced since e multiplies by it,
+    # s = (-1)^l q^(F-k), c = s (1 - q^(2l+1)), and the l-part of the
+    # log-derivative, e = (F - k) / q + lam[2l+1]
+    fs = [l * (l + 1) * p + l * (l - 1) // 2 for l in range(n)]
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and all(r % d for d in range(2, r))]
     sl, cl, el = [None] * n, [None] * n, [None] * n
-    for l in range(n):
-        fl = l * (l + 1) * p + l * (l - 1) // 2
+    for l, fl in enumerate(fs):
         a, b = wr[fl % n], wi[fl % n]
         if l % 2:
             a, b = -a, -b
@@ -180,7 +184,7 @@ def _jhat_pole_cancel(p, n):
             ai += xr * d + xi * c
         l0 = max(0, n - 1 - k)
         if l0 <= k:
-            _residue_certificate(p, n, k, l0)
+            _residue_certificate(n, k, l0, fs, primes)
             ckr, cki = k * wr[1] + 3 * dr[k], -k * wi[1] + 3 * di[k]
             er = ei = 0
             for l in range(l0, k + 1):
@@ -218,10 +222,12 @@ def _fmul(a, b, c, d, g):
     return (a * c - b * d) >> g, (a * d + b * c) >> g
 
 
-def _residue_certificate(p, n, k, l0):
+def _residue_certificate(n, k, l0, fs, primes):
     """Integer proof that the level-k pole residues cancel.
 
-    Clearing the common nonvanishing Pochhammer content from the
+    fs[l] is the exponent F - k of _jhat_pole_cancel's summand, the
+    table its finite part reads, and primes lists the primes dividing
+    n.  Clearing the common nonvanishing Pochhammer content from the
     residues at q = exp(2*pi*i/n) leaves, for each singular l,
 
         c_l A_l B_l,    c_l = (-1)^l q^F (1 - q^(2l+1)),
@@ -248,28 +254,26 @@ def _residue_certificate(p, n, k, l0):
     is, so S T == 0 exactly when its residue is 0 or 2^(nW) - 1.
     """
     span = k - l0 + 1
-    primes = [r for r in range(2, n + 1)
-              if n % r == 0 and all(r % d for d in range(2, r))]
     width = span + len(primes) + span.bit_length() + 2
     nbits = n * width
     mod = (1 << nbits) - 1
-    acc = _residue_sum(p, n, k, l0, width)
+    acc = _residue_sum(n, k, l0, fs, width)
     for r in primes:
         acc = _times_binomial(acc, n // r * width, nbits, mod)
     if acc not in (0, mod):
         raise CertificationError(
-            "pole residues fail to cancel at n = %d, k = %d, p = %d"
-            % (n, k, p))
+            "pole residues fail to cancel at n = %d, k = %d" % (n, k))
 
 
-def _residue_sum(p, n, k, l0, width):
+def _residue_sum(n, k, l0, fs, width):
     """Sum over l = l0..k of c_l A_l B_l in Z[q]/(q^n - 1), packed.
 
     Z[q]/(q^n - 1) evaluated at q = 2^W, W = width, is the ring
     Z/(2^(nW) - 1), in which q^j is a rotation by jW bits and
     (1 - q^j) one rotation and one subtraction (_times_binomial).  With
     A_l = A_{l-1} (1 - q^(k-l+1)) and
-    S_l = S_{l-1} (1 - q^(k+l+1)) + c_l A_l, S_k is the sum.  Each
+    S_l = S_{l-1} (1 - q^(k+l+1)) + c_l A_l, S_k is the sum; c_l has
+    the exponent F = k + fs[l] (_residue_certificate).  Each
     step after the first costs three binomial multiplications.  The
     result is S_k(2^W) reduced into [0, 2^(nW) - 1].
     """
@@ -280,7 +284,7 @@ def _residue_sum(p, n, k, l0, width):
         if l > l0:
             a = _times_binomial(a, (k - l + 1) % n * width, nbits, mod)
             acc = _times_binomial(acc, (k + l + 1) % n * width, nbits, mod)
-        f = (k + l * (l + 1) * p + l * (l - 1) // 2) % n
+        f = (k + fs[l]) % n
         term = _times_binomial(a, (2 * l + 1) % n * width, nbits, mod)
         term = ((term << f * width) & mod) | (term >> (nbits - f * width))
         acc = acc - term if l % 2 else acc + term - mod

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end, in process."""
 import hashlib
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -618,26 +619,31 @@ class TestTracedRunner:
     # so a refactor that moves a lookup would silently drop that span
     @pytest.mark.parametrize("argv, focus", [
         (["jones", "--p", "2", "--n", "6", "--habiro-normalize"],
-         "jones.assemble_sum"),
+         {"jones.assemble_sum"}),
         (["jones", "--knot", "5_2", "--form", "multisum", "--n", "6"],
-         "jones.assemble_sum"),
+         {"jones.assemble_sum"}),
         (["rec-check", "--fixture", "fivetwo_kfree",
-          "--n-min", "6", "--n-max", "6"], "qseries.is_zero_sum"),
+          "--n-min", "6", "--n-max", "6"], {"qseries.is_zero_sum"}),
         # three residuals of this grid are nonzero, so the trace runs the
         # decode path of qseries.cleared_sum
         (["rec-check", "--fixture", "fivetwo_kfree",
           "--n-min", "1", "--n-max", "3", "--mode", "full"],
-         "qseries.is_zero_sum"),
+         {"qseries.is_zero_sum"}),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
-         "apoly.a_polynomial"),
+         {"apoly.a_polynomial"}),
         (["verify-aj", "--p-min", "-2", "--p-max", "2"],
-         "apoly.a_polynomial"),
+         {"apoly.a_polynomial"}),
         (["verify-aj", "--p-min", "11", "--p-max", "11"],
-         "apoly.a_polynomial"),
+         {"apoly.a_polynomial"}),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "11"],
-         "volnum.jhat"),
+         {"volnum.jhat"}),
+        # the eliminant (with its degree count), polyroots and complex
+        # evaluation are wrapped for volume alone
+        (["volume", "--p", "2"],
+         {"volnum.saddle_solve", "volnum.reduced_eliminant",
+          "mpmath.polyroots", "laurent.eval_complex"}),
     ], ids=["jones", "jones-multisum", "rec-check", "rec-check-full",
-            "rec-q1", "verify-aj", "verify-aj-law", "kashaev"])
+            "rec-q1", "verify-aj", "verify-aj-law", "kashaev", "volume"])
     def test_matches_cli_and_reaches_focus(self, capsys, argv, focus):
         code, out, _ = run(capsys, *argv)
         proc = subprocess.run(
@@ -648,4 +654,24 @@ class TestTracedRunner:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert (result["rc"], result["stdout"]) == (code, out)
-        assert focus in {span[0] for span in result["spans"]}
+        assert focus <= {span[0] for span in result["spans"]}
+
+
+def test_benchmark_requests_print_their_reference_bytes(capsys):
+    # the benchmark gate compares only each request's certified part, to
+    # a tolerance; every request it can draw must also print exactly the
+    # stdout whose sha256 perfbench/reference.json records.  perfbench is
+    # not a package, so its workloads module is loaded from its path
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = workloads.load_reference()
+    assert set(reference) == {key for name in workloads.WORKLOADS
+                              for key in workloads.key_space(name)}
+    changed = []
+    for key, entry in sorted(reference.items()):
+        code, out, _ = run(capsys, *key.split())
+        if code != 0 or workloads.digest(out) != entry["sha256"]:
+            changed.append(key)
+    assert changed == []

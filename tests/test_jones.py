@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from ajtwist import jones
+from ajtwist import apoly, jones
 from ajtwist.laurent import InexactDivision, LaurentPoly, unit_ratio
 from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
                            colored_jones_multisum, summand_factors,
@@ -327,25 +327,26 @@ def _divides(b, poly):
 
 
 class TestAtQ1:
+    # apoly._at_q1 is the one reader of a shift quotient at q = 1; it
+    # sends N, K, L2 to m^2, x, y
     def test_twist_l_step_cancels_its_spectator(self):
-        # (1 - q^3 L2^2) over (1 - q L2^2) both become (1 - L2^2)
+        # (1 - q^3 L2^2) over (1 - q L2^2) both become (1 - y^2)
         step = shift_ratio(KnotId.twist_knot(2), L_STEP)
         assert (3, 0, 0, 2) in step.num and (1, 0, 0, 2) in step.den
-        K, L2 = LaurentPoly.var("K"), LaurentPoly.var("L2")
-        assert step.at_q1() == (K * L2 ** 4 - L2 ** 5, 1 - K * L2)
         x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
-        assert step.at_q1(K=x, L2=y) == (x * y ** 4 - y ** 5, 1 - x * y)
+        assert apoly._at_q1(step) == (x * y ** 4 - y ** 5, 1 - x * y)
 
     def test_no_binomial_left_on_both_sides(self):
         knots = [KnotId.twist_knot(p) for p in range(-4, 5)]
         knots += [KnotId.named("5_2"), KnotId.named("6_1")]
         for knot in knots:
             for step in (shift_ratio(knot, d) for d in STEPS):
-                num, den = step.at_q1()
+                num, den = apoly._at_q1(step)
                 assert num and den
-                assert "q" not in num.variables() + den.variables()
+                assert set(num.variables() + den.variables()) <= \
+                    {"m", "x", "y"}
                 for b in set(step.num + step.den):
-                    binom = 1 - qmono(N=b[1], K=b[2], L2=b[3])
+                    binom = 1 - qmono(m=2 * b[1], x=b[2], y=b[3])
                     assert not (_divides(binom, num)
                                 and _divides(binom, den)), (knot, b)
 

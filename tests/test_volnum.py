@@ -222,12 +222,13 @@ class TestJhat:
         # shifting the singular window start by one breaks the exact
         # cancellation, and the integer certificate must catch it; the
         # large-n cases run the recurrence over 20 to 46 rows
-        for args in ((1, 5, 3, 2), (2, 7, 4, 3), (-2, 6, 4, 2),
-                     (3, 41, 30, 11), (2, 52, 40, 12), (-5, 55, 50, 5)):
+        for p, n, k, l0 in ((1, 5, 3, 2), (2, 7, 4, 3), (-2, 6, 4, 2),
+                            (3, 41, 30, 11), (2, 52, 40, 12),
+                            (-5, 55, 50, 5)):
+            tables = level_tables(p, n)
             with pytest.raises(CertificationError):
-                volnum._residue_certificate(*args)
-            p, n, k, _ = args
-            volnum._residue_certificate(p, n, k, n - 1 - k)
+                volnum._residue_certificate(n, k, l0, *tables)
+            volnum._residue_certificate(n, k, n - 1 - k, *tables)
 
     def test_pole_cancel_matches_exact_polynomial_at_larger_n(self):
         # singular windows of up to 16 to 21 rows, past the |p| <= 2, n <= 12
@@ -285,6 +286,18 @@ class TestJhat:
         assert abs(got - jhat(3, n, prec=128)) < mp.ldexp(1, -120)
 
 
+def level_tables(p, n):
+    """The per-level exponents F - k of K_p's summand, and n's primes.
+
+    The two tables _jhat_pole_cancel builds once per call and hands to
+    its residue certificate.
+    """
+    fs = [l * (l + 1) * p + l * (l - 1) // 2 for l in range(n)]
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and all(r % d for d in range(2, r))]
+    return fs, primes
+
+
 def residue_terms(n, k, l0):
     """Per-l folded products (1 - q^(2l+1)) A_l B_l, each built whole.
 
@@ -334,7 +347,8 @@ class TestResidueSum:
                     want = residue_sum_oracle(p, n, k, l0, rows)
                     assert max(map(abs, want)) < 1 << (width - 2)
                     want = sum(c << (i * width) for i, c in enumerate(want))
-                    got = volnum._residue_sum(p, n, k, l0, width)
+                    fs, _ = level_tables(p, n)
+                    got = volnum._residue_sum(n, k, l0, fs, width)
                     assert got % mod == want % mod, (p, n, k)
 
     def test_binomial_products_are_linear_in_the_window(self, monkeypatch):
@@ -351,7 +365,7 @@ class TestResidueSum:
         monkeypatch.setattr(volnum, "_times_binomial", counted)
         p, n, k = 3, 55, 40
         l0 = n - 1 - k
-        volnum._residue_sum(p, n, k, l0, 32)
+        volnum._residue_sum(n, k, l0, level_tables(p, n)[0], 32)
         assert 0 < len(calls) <= 3 * (k - l0) + 1
 
     def test_certificate_verdict_matches_cyclotomic_division(self):
@@ -372,11 +386,12 @@ class TestResidueSum:
                         _, rem = polydivmod(
                             residue_sum_oracle(p, n, k, l0, rows),
                             cyclotomic(n))
+                        args = (n, k, l0, *level_tables(p, n))
                         if any(rem):
                             with pytest.raises(CertificationError):
-                                volnum._residue_certificate(p, n, k, l0)
+                                volnum._residue_certificate(*args)
                         else:
-                            volnum._residue_certificate(p, n, k, l0)
+                            volnum._residue_certificate(*args)
                         verdicts.add(any(rem))
             assert verdicts == {False, True}, n
 
