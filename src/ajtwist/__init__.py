@@ -6,8 +6,9 @@ A-polynomial, verifies shipped q-recurrences for the 5_2 and 6_1 knots,
 and evaluates the associated hyperbolic volume numerics.
 
 Importing the package loads no submodule: each public name is imported
-from its submodule on first access and then cached here, so a command
-that never touches the volume numerics never loads mpmath.
+from its submodule on first access and then cached here.  Only the
+volume half of volnum imports mpmath, inside its functions, so of all
+the commands only volume loads it; kashaev runs on Python ints.
 """
 
 from importlib import import_module

@@ -26,9 +26,11 @@ from the seeds and which it compared directly.
 The commands call apoly, qrec and volnum names as _cli.NAME, bound on
 first lookup from the package's _HOME table, so a command loads only
 the layers it runs and a patch on ``cli.NAME`` still reaches it: jones
-and rec-check never load apoly.
+and rec-check never load apoly, and kashaev loads neither apoly nor
+mpmath.
 """
 import argparse
+import math
 import sys
 
 from . import _bind_on_lookup
@@ -171,14 +173,57 @@ def _cmd_volume(args):
     return 0, "\n".join(lines), None
 
 
+def _nstr20(man, scale):
+    """man / 2^scale to 20 significant digits, as mpmath's nstr(x, 20).
+
+    mpmath's rule, on ints, for 2^-3500 < |x| < 2^3500: with
+    2^(e2-1) <= |x| < 2^e2, e2 = bitlen(man) - scale, f = max(86 - e2, 0)
+    bits and d = int(f / log2(10) + 0.5) digits, the digit string is
+    floor(floor(|x| 2^f) 10^d / 2^f), at least 2^83, so over 20 digits
+    long.  It is rounded half up at its 21st digit, which can carry
+    9.99... to 10.0, and stripped of trailing zeros.  Fixed notation is
+    used when the exponent of the leading digit lies in
+    -6 < exponent < 20, else d.ddd...e+E or d.ddd...e-E.
+    """
+    if not man:
+        return "0.0"
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    log2_10 = math.log(10, 2)
+    fixprec = max(int(23 * log2_10) + 10 - man.bit_length() + scale, 0)
+    fixdps = int(fixprec / log2_10 + 0.5)
+    shift = fixprec - scale
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if digits[20] in "56789":
+        digits = str(int(digits[:20]) + 1)
+        if len(digits) > 20:
+            digits, exponent = digits[:20], exponent + 1
+    else:
+        digits = digits[:20]
+    split = 1
+    if -6 < exponent < 20:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return "%s%se%+d" % (sign, digits, exponent)
+
+
 def _cmd_kashaev(args):
-    import mpmath as mp
     prec = _check_prec(args)
     if args.n_min > args.n_max:
         raise UsageError("empty n range")
     rows = _cli.kashaev_scan(args.p, range(args.n_min, args.n_max + 1),
                              prec=prec)
-    rows = [(n, None if v is None else mp.nstr(v, 20)) for n, v in rows]
+    rows = [(n, None if v is None else _nstr20(*v)) for n, v in rows]
     text = "\n".join(["n,v_n"] + ["%d,%s" % (n, v or "undefined")
                                    for n, v in rows])
     return 0, text, {"p": args.p, "prec": prec,

@@ -1,36 +1,40 @@
 """Hyperbolic volume numerics for twist knots.
 
-Three ingredients.  jhat evaluates the two-index Jones sum of K_p at
-q = exp(2*pi*i/n); the sum truncates at k <= n - 1 because the plain
-Pochhammer (q)_k vanishes there, and the inner terms whose denominator
-Pochhammer hits the vanishing factor 1 - q^n are combined by explicit
-simple-pole cancellation, with an integer certificate that the poles do
-cancel.  dilog and bloch_wigner provide the principal-branch
-dilogarithm and its imaginary-part combination D(z).  saddle_solve
-takes the two growth equations in (x, y) from apoly (quad_a's
-quadratic at m = 1, and saddle_constraint), eliminates x by putting the
-root of the second, which is linear in x, into the first, which is
-quadratic (that is their resultant), finds every root of the reduced
-eliminant with mpmath's polyroots, started from double-precision roots
-so that it needs only a few sweeps at full precision, certifies each
-root, and scores each solution with
-
-    3 D(x0) - D(x0 y0) - D(x0 / y0).
-
-optimistic_volume picks the maximal score, and kashaev_scan tabulates
-2*pi*log|jhat(n)|/n over a range of n.
-
-All numerics run at the requested precision plus 32 guard bits and are
-deterministic for fixed inputs.  jhat's double sum runs on Python ints
-instead: in fixed point, with a width that grows with n so that its
-cancellation costs none of those bits, and its residue certificate in
-the packed ring Z/(2^(nW) - 1).  The certificate needs no cyclotomic
+Two halves.  The Kashaev half runs on Python ints from start to finish.
+jhat evaluates the two-index Jones sum of K_p at q = exp(2*pi*i/n); the
+sum truncates at k <= n - 1 because the plain Pochhammer (q)_k vanishes
+there, and the inner terms whose denominator Pochhammer hits the
+vanishing factor 1 - q^n are combined by explicit simple-pole
+cancellation, with an integer certificate that the poles do cancel.
+kashaev_scan tabulates 2*pi*log|jhat(n)|/n over a range of n.  The sum
+runs in fixed point, with a width that grows with n so that its
+cancellation costs none of the requested bits; the roots of unity come
+from a cos and sin series with pi from Machin's formula, and the
+logarithm from an atanh series, all on ints.  The residue certificate
+runs in the packed ring Z/(2^(nW) - 1).  It needs no cyclotomic
 polynomial: Phi_n divides the folded residue sum S exactly when
 S prod (1 - q^(n/r)) == 0 modulo q^n - 1, r over the primes dividing n
 (Chinese remainder theorem), and W is wide enough that the packed
 product is 0 only when that vector is.  Named knots evaluate through
 their twist parameter; that changes the sum by a unit of modulus one,
-so magnitudes, volumes and scans are unaffected.
+so magnitudes and scans are unaffected.
+
+The volume half runs on mpmath.  dilog and bloch_wigner provide the
+principal-branch dilogarithm and its imaginary-part combination D(z).
+saddle_solve takes the two growth equations in (x, y) from apoly
+(quad_a's quadratic at m = 1, and saddle_constraint), eliminates x by
+putting the root of the second, which is linear in x, into the first,
+which is quadratic (that is their resultant), finds every root of the
+reduced eliminant with mpmath's polyroots, started from
+double-precision roots so that it needs only a few sweeps at full
+precision, certifies each root, and scores each solution with
+
+    3 D(x0) - D(x0 y0) - D(x0 / y0).
+
+optimistic_volume picks the maximal score.  mpmath and apoly are
+imported inside the volume half only, so a kashaev request loads
+neither.  All numerics run at the requested precision plus 32 guard
+bits and are deterministic for fixed inputs.
 """
 
 import cmath
@@ -38,15 +42,98 @@ from collections import namedtuple
 import math
 from itertools import accumulate
 
-import mpmath as mp
-from mpmath.libmp import NoConvergence
-
-from .apoly import clear_at_root, linear_root, quad_a, saddle_constraint
 from .jones import KnotId
 from .laurent import CertificationError, LaurentPoly
 from .qseries import to_dense
 
 GUARD_BITS = 32
+
+
+# ---------------------------------------------------------------------------
+# fixed-point constants and series on Python ints
+
+
+def _odd_series(z, w, alternate):
+    """sum of (-1)^i z^(2i+1) / (2i+1) (alternate) or z^(2i+1) / (2i+1).
+
+    atan or atanh of z / 2^w, over 2^w, for 0 <= z <= 2^w / 3.  Each
+    term is truncated once, z^2 once, and every term is at most 1/9 of
+    the one before, so the result is within w + 3 units of the exact
+    series at z.
+    """
+    z2 = z * z >> w
+    total = term = z
+    k = 1
+    while term:
+        term = term * z2 >> w
+        k += 2
+        total += -(term // k) if alternate and k % 4 == 3 else term // k
+    return total
+
+
+def _fixed_constant(bits, series):
+    """series(w) over 2^w, rounded to bits, w = bits + bitlen(bits) + 10.
+
+    For a series within 20 (w + 4) units of its constant, the guard
+    bits leave under 0.04 units at bits, so the result is within one
+    unit of 2^bits times the constant, for bits >= 16.
+    """
+    guard = bits.bit_length() + 10
+    return (series(bits + guard) + (1 << (guard - 1))) >> guard
+
+
+def _pi_fixed(bits):
+    """pi over 2^bits, within one unit: pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each atan is within w + 4 units: w + 3 from _odd_series, and one
+    from truncating 2^w / x.
+    """
+    return _fixed_constant(bits, lambda w: (
+        16 * _odd_series((1 << w) // 5, w, True)
+        - 4 * _odd_series((1 << w) // 239, w, True)))
+
+
+def _ln2_fixed(bits):
+    """log 2 over 2^bits, within one unit: log 2 = 2 atanh(1/3)."""
+    return _fixed_constant(
+        bits, lambda w: 2 * _odd_series((1 << w) // 3, w, False))
+
+
+def _roots_of_unity(n, g):
+    """Re and Im of q^j, q = exp(2*pi*i/n), over 2^g, for j < n.
+
+    q itself is the cos and sin series at the angle 2 pi / n, and q^j
+    for j <= n/2 the running product, both at w = g + bitlen(n) + 24
+    bits; the rest are conjugates.  Each entry is rounded to nearest at
+    g bits.  The angle is within 2 units of 2^-w (pi from _pi_fixed),
+    each series term within 2.7, and at most w/2 + 9 terms are nonzero,
+    so q is within 2w units for w >= 50; each product adds at most that
+    error and sqrt(2) units more, so q^j for j <= n/2 < 2^(bitlen(n)-1)
+    is within (w + 1) 2^bitlen(n) units.  Every rounded entry is thus
+    within 1/2 + (w + 1) 2^-24 units of 2^-g of the exact value.
+    """
+    w = g + n.bit_length() + 24
+    one = 1 << w
+    theta = 2 * _pi_fixed(w) // n
+    cs = [one, 0]                       # cos, sin
+    term, k = one, 0
+    while term:
+        k += 1
+        term = term * theta >> w
+        term //= k
+        cs[k % 2] += -term if k % 4 > 1 else term
+    cr, ci = cs
+    shift = w - g
+    half = 1 << (shift - 1)
+    wr, wi = [0] * n, [0] * n
+    zr, zi = one, 0
+    for j in range(n // 2 + 1):
+        if j:
+            zr, zi = _fmul(zr, zi, cr, ci, w)
+        wr[j] = wr[-j] = (zr + half) >> shift
+        wi[j] = (zi + half) >> shift
+        wi[-j] = -wi[j]
+    return wr, wi
 
 
 # ---------------------------------------------------------------------------
@@ -56,38 +143,49 @@ GUARD_BITS = 32
 def jhat(knot, n, prec=128):
     """The two-index Jones sum of a twist knot at q = exp(2*pi*i/n).
 
-    Truncated at k <= n - 1.  Inner terms whose denominator Pochhammer
-    contains the vanishing factor 1 - q^n are summed by simple-pole
-    cancellation; the cancellation itself is certified in integer
-    arithmetic and CertificationError is raised if it fails.  No
-    division by a vanishing Pochhammer can occur after the truncation.
-    The sum runs in fixed point, prec + 32 + 2B + 16 bits wide with B
-    about 0.233 n (_jhat_pole_cancel); at every hyperbolic K_p tested
-    with n <= 200 it was good to about prec + 32 bits relative.  p = -1
-    takes a closed-form product.
+    Returns its exact fixed-point value as ints (re, im, scale), the
+    number (re + i im) / 2^scale.  Truncated at k <= n - 1.  Inner
+    terms whose denominator Pochhammer contains the vanishing factor
+    1 - q^n are summed by simple-pole cancellation; the cancellation
+    itself is certified in integer arithmetic and CertificationError is
+    raised if it fails.  No division by a vanishing Pochhammer can occur
+    after the truncation.  The sum runs in fixed point, g = prec + 32 +
+    2B + 16 bits wide with B about 0.233 n (_jhat_pole_cancel); at every
+    hyperbolic K_p tested with n <= 200 it was good to about prec + 32
+    bits relative.  p = -1 takes a closed-form product over the same
+    table of roots of unity, and its value is exactly real.
     """
     if not isinstance(knot, KnotId):
         knot = KnotId.twist_knot(knot)
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
     p = knot.twist_parameter()
-    with mp.workprec(prec + GUARD_BITS):
-        if p == -1:
-            # every cleared inner sum is 1, leaving the running products
-            # |(q)_k|^2 = prod_{j<=k} 4 sin^2(pi j / n)
-            total = mp.mpf(0)
-            prod = mp.mpf(1)
-            for k in range(n):
-                if k:
-                    sk = 2 * mp.sinpi(mp.mpf(k) / n)
-                    prod = prod * (sk * sk)
-                total = total + prod
-            return mp.mpc(total)
-        return _jhat_pole_cancel(p, n)
+    g = _width(n, prec + GUARD_BITS)
+    wr, wi = _roots_of_unity(n, g)
+    if p == -1:
+        # every cleared inner sum is 1, leaving the running products
+        # |(q)_k|^2 = prod_{j<=k} |1 - q^j|^2 = prod_{j<=k} 2 (1 - Re q^j)
+        total = prod = one = 1 << g
+        for j in range(1, n):
+            prod = prod * 2 * (one - wr[j]) >> g
+            total += prod
+        return total, 0, g
+    return _jhat_pole_cancel(p, n, g, wr, wi)
 
 
-def _jhat_pole_cancel(p, n):
-    """Generic-p evaluator, to the current working precision.
+def _width(n, bits):
+    """The fixed-point width g = bits + 2B + 16 of jhat's sum.
+
+    B is the bit size of the largest |(q)_m|, from prefix sums of
+    log2 |1 - q^j| = log2 (2 sin(pi j / n)); see _jhat_pole_cancel.
+    """
+    top = max(accumulate(math.log2(2 * math.sin(math.pi * j / n))
+                         for j in range(1, n)))
+    return bits + 2 * math.ceil(max(top, 0)) + 16
+
+
+def _jhat_pole_cancel(p, n, g, wr, wi):
+    """Generic-p evaluator: (re, im, 2g) as jhat returns it.
 
     The summand at (k, l), with the inverted-base Pochhammer folded
     into the plain base, is
@@ -106,10 +204,10 @@ def _jhat_pole_cancel(p, n):
     finite part and the certificate both read.
 
     The sum runs in fixed point on Python ints: a complex value is a
-    pair of ints over 2^g.  Only the roots of unity come from mpmath,
-    rounded from expjpi at g + 16 bits, and the sum becomes an mpc once,
-    at the end.  No table needs a division by a Pochhammer:
-    prod_{j<n} (1 - q^j) = n gives 1/(q)_m = conj((q)_{n-1-m}) / n, and
+    pair of ints over 2^g, and wr, wi are the roots of unity from
+    _roots_of_unity at g bits.  No table needs a division by a
+    Pochhammer: prod_{j<n} (1 - q^j) = n gives
+    1/(q)_m = conj((q)_{n-1-m}) / n, and
     1/(1 - q^j) = 1/2 + i Im(q^j) / (2 Re(1 - q^j)).
 
     Width rule: g = prec + 2B + 16, where prec is the working precision
@@ -123,18 +221,7 @@ def _jhat_pole_cancel(p, n):
     p = 1, where |jhat| grows only polynomially, the loss is larger
     (59 bits at n = 60) and so is the error.
     """
-    # B from prefix sums of log2 |1 - q^j| = log2 (2 sin(pi j / n))
-    top = max(accumulate(math.log2(2 * math.sin(math.pi * j / n))
-                         for j in range(1, n)))
-    g = mp.mp.prec + 2 * math.ceil(max(top, 0)) + 16
     one = 1 << g
-    wr, wi = [0] * n, [0] * n
-    with mp.workprec(g + 16):
-        for j in range(n // 2 + 1):
-            z = mp.expjpi(mp.mpf(2 * j) / n)
-            wr[j] = wr[-j] = int(mp.nint(mp.ldexp(z.real, g)))
-            wi[j] = int(mp.nint(mp.ldexp(z.imag, g)))
-            wi[-j] = -wi[j]
     vr = [one - x for x in wr]
     vi = [-x for x in wi]
     # (q)_m; 1/(q)_m for m < n, and 1/(q)_(n+m) without its factor 1 - q^n
@@ -214,7 +301,7 @@ def _jhat_pole_cancel(p, n):
         ar, ai = ar >> g, ai >> g
         tr += c * ar - d * ai
         ti += c * ai + d * ar
-    return mp.mpc(mp.ldexp(tr, -2 * g), mp.ldexp(ti, -2 * g))
+    return tr, ti, 2 * g
 
 
 def _fmul(a, b, c, d, g):
@@ -300,6 +387,106 @@ def _times_binomial(x, s, nbits, mod):
 
 
 # ---------------------------------------------------------------------------
+# growth rates
+
+
+def kashaev_scan(p, n_range, prec=128):
+    """Table of (n, v_n), ascending in n, v_n = 2*pi*log|jhat(n)|/n.
+
+    Each v_n is an exact dyadic (man, scale), the number man / 2^scale.
+    p must pick a hyperbolic twist knot (not 0, not 1).  A vanishing
+    |jhat(n)| is recorded as None rather than raised.  For p = -1 (the
+    figure-eight knot) the entries decrease to Vol(4_1) from above,
+    following Vol + 2*pi*((3/2)*log n - (1/4)*log 3)/n + O(1/n^2)
+    (Andersen-Hansen).  |jhat(n)| is read at 53 bits (_mag53), and v_n
+    is good to about prec + 32 bits relative for that magnitude
+    (_log_rate).
+    """
+    if p in (0, 1):
+        raise ValueError("p = %d is not hyperbolic" % p)
+    ns = sorted(set(int(n) for n in n_range))
+    if ns and ns[0] < 3:
+        raise ValueError("scan needs n >= 3")
+    knot = KnotId.twist_knot(p)
+    bits = prec + GUARD_BITS
+    table = []
+    for n in ns:
+        mag = _mag53(*jhat(knot, n, prec), bits)
+        table.append((n, None if mag is None else _log_rate(*mag, n, bits)))
+    return table
+
+
+def _nearest(m, e, bits):
+    """m 2^e rounded to nearest at bits bits, ties to even, as (m', e').
+
+    m > 0.  A carry can leave m' = 2^bits.
+    """
+    drop = m.bit_length() - bits
+    if drop <= 0:
+        return m, e
+    r = m >> drop
+    rest, half = m - (r << drop), 1 << (drop - 1)
+    if rest > half or (rest == half and r & 1):
+        r += 1
+    return r, e + drop
+
+
+def _mag53(re, im, scale, bits):
+    """|(re + i im) / 2^scale| as (m, e), the number m 2^e, or None at 0.
+
+    This is the magnitude the printed growth rates have always read:
+    mpmath's abs of the sum as an mpc at its default 53 bits, not at
+    the working precision.  The parts are rounded to nearest at bits,
+    the sum of their squares is truncated to 57 bits, and the square
+    root is rounded to nearest at 53 bits; a part that is 0 skips the
+    57-bit step.  The printed values thus keep about 16 correct digits
+    of 20.  perfbench/reference.json records those digits, so this
+    step stays until the reference is re-recorded (ROADMAP item 1).
+    """
+    parts = [_nearest(abs(x), -scale, bits) for x in (re, im) if x]
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return _nearest(*parts[0], 53)
+    (a, ea), (b, eb) = parts
+    lo = min(ea, eb)
+    s = (a * a << 2 * (ea - lo)) + (b * b << 2 * (eb - lo))
+    drop = max(s.bit_length() - 57, 0)
+    s, e = s >> drop, 2 * lo + drop
+    if e % 2:
+        s, e = s << 1, e - 1
+    # isqrt to at least 56 bits; a nonzero remainder becomes a sticky
+    # bit below the rounding position
+    shift = max(0, 112 - s.bit_length()) // 2 + 1
+    s <<= 2 * shift
+    r = math.isqrt(s)
+    return _nearest(2 * r + (r * r != s), e // 2 - shift - 1, 53)
+
+
+def _log_rate(m, e, n, bits):
+    """2 pi log(m 2^e) / n over 2^w, as (man, w), w = bits + 80; m > 0.
+
+    m 2^e = x 2^c with x in (1/sqrt 2, sqrt 2], and
+    log x = 2 atanh(z), z = (x - 1)/(x + 1), |z| < 0.18, so the log is
+    2 atanh(z) + c log 2 (_odd_series, _ln2_fixed), within 2 w + 9 +
+    |c| units of 2^-w.  Times 2 pi / n (_pi_fixed), the result is within
+    (13 w + 8 |c| + 60) / n + 1 units.  A 53-bit m 2^e other than 1 has
+    |log| >= 2^-54, so the result is then within 2^-bits relative while
+    13 w + 8 |c| + n + 60 < 2^28; at m 2^e = 1 it is exactly 0.
+    """
+    w = bits + 80
+    d = 1 << (m.bit_length() - 1)       # m / d in [1, 2)
+    if m * m > 2 * d * d:
+        d <<= 1
+    z = (abs(m - d) << w) // (m + d)
+    log = 2 * _odd_series(z, w, False)
+    if m < d:
+        log = -log
+    log += (e + d.bit_length() - 1) * _ln2_fixed(w)
+    return (2 * _pi_fixed(w) * log >> w) // n, w
+
+
+# ---------------------------------------------------------------------------
 # dilogarithm and the Bloch-Wigner combination
 
 
@@ -314,11 +501,13 @@ def dilog(z, prec=128):
     The error is absolute, about 2^-(prec + 32); near z = 0, where
     1 - z rounds, it is not relative.
     """
+    import mpmath as mp
     with mp.workprec(prec + GUARD_BITS):
         return _dilog(mp.mpc(z))
 
 
 def _dilog(z):
+    import mpmath as mp
     if z == 0:
         return mp.mpc(0)
     if z == 1:
@@ -348,6 +537,7 @@ def _dilog_bernoulli(z):
     fixed before the loop: the last term is under 2^-(prec + 8), and the
     tail after it below 1/24 of that.  1/(2m+1)! is carried as a ratio.
     """
+    import mpmath as mp
     w = -mp.log(1 - z)
     total = w - w * w / 4
     r = abs(complex(w)) / (2 * math.pi)
@@ -372,6 +562,7 @@ def bloch_wigner(z, prec=128):
     summands vanish for real z < 1, and the from-below branch makes the
     two halves cancel for real z > 1.
     """
+    import mpmath as mp
     with mp.workprec(prec + GUARD_BITS):
         z = mp.mpc(z)
         if z == 0 or z == 1:
@@ -380,6 +571,7 @@ def bloch_wigner(z, prec=128):
 
 
 def _bloch_wigner(z):
+    import mpmath as mp
     if mp.im(z) == 0:
         return mp.mpf(0)
     return mp.im(_dilog(z)) + mp.log(abs(z)) * mp.arg(1 - z)
@@ -408,6 +600,7 @@ def _growth_polys(p):
     independent, 1 - 3 y + y^2 + 2 x y - x^2 y.  The second is the
     l-direction constraint shared with the A-polynomial construction.
     """
+    from .apoly import quad_a, saddle_constraint
     y = LaurentPoly.var("y")
     return (y * y - quad_a().substitute_monomials(m=1) * y + 1,
             saddle_constraint(p))
@@ -426,6 +619,7 @@ def reduced_eliminant(p):
     so no root comes from x = 0.  The leading coefficient is normalized
     positive.
     """
+    from .apoly import clear_at_root, linear_root
     p1, p2 = _growth_polys(p)
     res = clear_at_root(p1, linear_root(p2, "l-step at q = 1"), 2, p)
     if not res:
@@ -452,6 +646,7 @@ def _float_start(coeffs):
     coefficient ratio too large for a float, or an overflow on the way,
     gives None.
     """
+    import mpmath as mp
     deg = len(coeffs) - 1
     try:
         roots = _durand_kerner(coeffs)
@@ -506,6 +701,9 @@ def saddle_solve(p, prec=128):
     the degenerate loci x = 1, y = 0, x y = 1, y = x are discarded.
     Solutions are sorted by y for determinism.
     """
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
+    from .apoly import linear_root
     with mp.workprec(prec + GUARD_BITS):
         # reduced_eliminant strips every factor of y, so its lowest
         # y-exponent is 0 and the dense list needs no padding
@@ -560,29 +758,3 @@ def optimistic_volume(p, prec=128):
     if not sols:
         raise CertificationError("no saddle solutions at p = %d" % p)
     return max(s.volume_candidate for s in sols), sols
-
-
-def kashaev_scan(p, n_range, prec=128):
-    """Table of (n, 2*pi*log|jhat(n)|/n), ascending in n.
-
-    p must pick a hyperbolic twist knot (not 0, not 1).  A vanishing
-    |jhat(n)| is recorded as None rather than raised.  For p = -1 (the
-    figure-eight knot) the entries decrease to Vol(4_1) from above,
-    following Vol + 2*pi*((3/2)*log n - (1/4)*log 3)/n + O(1/n^2)
-    (Andersen-Hansen).
-    """
-    if p in (0, 1):
-        raise ValueError("p = %d is not hyperbolic" % p)
-    ns = sorted(set(int(n) for n in n_range))
-    if ns and ns[0] < 3:
-        raise ValueError("scan needs n >= 3")
-    knot = KnotId.twist_knot(p)
-    table = []
-    for n in ns:
-        mag = abs(jhat(knot, n, prec))
-        if mag == 0:
-            table.append((n, None))
-            continue
-        with mp.workprec(prec + GUARD_BITS):
-            table.append((n, 2 * mp.pi * mp.log(mag) / n))
-    return table

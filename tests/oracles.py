@@ -337,6 +337,20 @@ def ratio_holds(ratio, knot, point, shifted):
 
 # the Jones sum at a root of unity
 
+def as_mp(value):
+    """jhat's (re, im, scale) as an mpc, kashaev_scan's (man, scale) as an mpf.
+
+    The number is (re + i im) / 2^scale or man / 2^scale, and the
+    conversion keeps every bit of it, whatever the working precision.
+    """
+    *parts, scale = value
+    exact = [mp.ldexp(x, -scale) for x in parts]
+    if len(exact) == 1:
+        return exact[0]
+    with mp.workprec(max(abs(x).bit_length() for x in parts) + 1):
+        return mp.mpc(*exact)
+
+
 def jhat_per_term(p, n):
     """volnum._jhat_pole_cancel with one division per term.
 

@@ -18,7 +18,7 @@ from ajtwist.qrec import (RecurrenceSpec, RecurrenceTerm, check_kfree,
                           compare_with_apoly, load_recurrence, specialize_q1)
 from ajtwist.volnum import (bloch_wigner, dilog, jhat, kashaev_scan,
                             optimistic_volume)
-from oracles import RatFunc, ratio_holds, residual_at, substitute
+from oracles import RatFunc, as_mp, ratio_holds, residual_at, substitute
 
 FIG8 = parse_poly("-l + l*m^2 + m^4 + 2*l*m^4 + l^2*m^4 + l*m^6 - l*m^8")
 FIVETWO = parse_poly("-l^2 + l^3 + 2*l^2*m^2 + l*m^4 + 2*l^2*m^4 - l*m^6"
@@ -205,7 +205,7 @@ def test_criterion_10_jhat_cross_check():
     with mp.workprec(200):
         for p in (-2, -1, 1, 2):
             for n in range(3, 13):
-                got = jhat(p, n, prec=128)
+                got = as_mp(jhat(p, n, prec=128))
                 poly = colored_jones(p, n, convention="habiro")
                 want = poly.eval_complex({"q": mp.expjpi(mp.mpf(2) / n)})
                 worst = max(worst, abs(got - want))
@@ -227,8 +227,8 @@ def test_criterion_11_kashaev_scan():
     # v_200 within 1e-3 of the large-n form.
     t0 = time.time()
     rows = kashaev_scan(-1, range(10, 201), prec=128)
-    vols = [v for _, v in rows]
-    assert all(v is not None for v in vols)
+    assert all(v is not None for _, v in rows)
+    vols = [as_mp(v) for _, v in rows]
     took = time.time() - t0
     assert took < 300
     with mp.workprec(160):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from ajtwist.apoly import a_polynomial, h_polynomial
 from ajtwist.jones import NUM, colored_jones
 from ajtwist.laurent import InexactDivision, parse_poly
 from ajtwist.volnum import CertificationError, kashaev_scan
+from oracles import as_mp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -520,7 +522,7 @@ class TestVolume:
         def stuck(coeffs, **kw):
             raise NoConvergence("Didn't converge in maxsteps=200 steps.")
 
-        monkeypatch.setattr(volnum.mp, "polyroots", stuck)
+        monkeypatch.setattr(mp, "polyroots", stuck)
         code, out, err = run(capsys, "volume", "--p", "2")
         assert (code, out) == (3, "")
         assert err == ("not certified: eliminant roots did not converge "
@@ -537,7 +539,7 @@ class TestKashaev:
         assert len(lines) == 4
         rows = kashaev_scan(-1, range(10, 13), prec=128)
         for line, (n, v) in zip(lines[1:], rows):
-            assert line == "%d,%s" % (n, mp.nstr(v, 20))
+            assert line == "%d,%s" % (n, mp.nstr(as_mp(v), 20))
 
     def test_json_matches_csv_values(self, capsys):
         _, csv_out, _ = run(capsys, "kashaev", "--p", "2",
@@ -553,7 +555,7 @@ class TestKashaev:
 
     def test_undefined_rows(self, capsys, monkeypatch):
         def fake(p, ns, prec=128):
-            return [(10, mp.mpf(2)), (11, None)]
+            return [(10, (2, 0)), (11, None)]
         monkeypatch.setattr(cli, "kashaev_scan", fake)
         _, csv_out, _ = run(capsys, "kashaev", "--p", "-1",
                             "--n-min", "10", "--n-max", "11")
@@ -583,6 +585,91 @@ class TestKashaev:
                            str(n_min), "--n-max", str(n_max))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of stdout past the benchmark's keys: the closed-form p = -1
+    # route over its whole range, and both precision extremes.  The
+    # magnitude is read at 53 bits (volnum._mag53), so --prec 64 and 256
+    # print the same bytes
+    @pytest.mark.parametrize("argv, digest", [
+        (["--p", "-1", "--n-min", "3", "--n-max", "60"],
+         "b823ea8dcbe7fab60de3152814f5f011"
+         "8770d5d6430b21f6402402502e38f851"),
+        (["--p", "2", "--n-min", "3", "--n-max", "40", "--prec", "64"],
+         "ba5da241913c5c051c8d7eb900d371ba"
+         "d6659d508da488a5429379ec10bd664b"),
+        (["--p", "2", "--n-min", "3", "--n-max", "40", "--prec", "256"],
+         "ba5da241913c5c051c8d7eb900d371ba"
+         "d6659d508da488a5429379ec10bd664b"),
+        (["--p", "-3", "--n-min", "3", "--n-max", "40", "--prec", "64"],
+         "204301d2e1bd7bbc732886b39a67cd65"
+         "63129e33fd08b2a55cc913e7c02b5542"),
+        (["--p", "-3", "--n-min", "3", "--n-max", "40", "--prec", "256"],
+         "204301d2e1bd7bbc732886b39a67cd65"
+         "63129e33fd08b2a55cc913e7c02b5542"),
+    ], ids=["fig8", "p2-prec64", "p2-prec256", "p-3-prec64",
+            "p-3-prec256"])
+    def test_wide_window_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "kashaev", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "|jhat| is read at 53 bits (volnum._mag53), so only about 16 of "
+        "the 20 printed digits are correct; perfbench/reference.json "
+        "records those digits (ROADMAP item 1)"))
+    def test_prints_twenty_correct_digits(self, capsys):
+        # the value at 160 bits; at 53 bits the tail reads ...03254
+        code, out, _ = run(capsys, "kashaev", "--p", "3",
+                           "--n-min", "40", "--n-max", "40")
+        assert (code, out) == (0, "n,v_n\n40,4.0671959455126703179\n")
+
+
+class TestNstr20:
+    # cli._nstr20 prints kashaev's dyadics on ints; mpmath's nstr(x, 20)
+    # on the same exact value is the oracle
+    @staticmethod
+    def oracle(man, scale):
+        return mp.nstr(mp.ldexp(man, -scale), 20)
+
+    def test_random_dyadics(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            man = rng.getrandbits(rng.randint(1, 300))
+            if rng.random() < 0.5:
+                man = -man
+            scale = rng.randint(-120, 420)
+            assert cli._nstr20(man, scale) == self.oracle(man, scale), \
+                (man, scale)
+
+    def test_zero(self):
+        assert cli._nstr20(0, 17) == self.oracle(0, 17) == "0.0"
+
+    @staticmethod
+    def dyadic(value):
+        """The 400-bit binary value nearest to a decimal string."""
+        with mp.workprec(400):
+            sign, man, exp, _ = mp.mpf(value)._mpf_
+        return -man if sign else man, -exp
+
+    @pytest.mark.parametrize("value, printed", [
+        ("9.999999999999999999951", "10.0"),
+        ("9.999999999999999999949", "9.9999999999999999999"),
+        ("-99999.999999999999999951", "-100000.0"),
+        ("0.99999999999999999999951", "1.0"),
+    ])
+    def test_carry_at_the_twenty_first_digit(self, value, printed):
+        # a 5 in the 21st digit carries through every 9 before it
+        man, scale = self.dyadic(value)
+        assert cli._nstr20(man, scale) == self.oracle(man, scale) == printed
+
+    @pytest.mark.parametrize("value", ["1e-6", "9.99e-6", "1e-5",
+                                       "1.5e-5", "9.9999e19", "1e20",
+                                       "123456789012345678901", "-1e-6",
+                                       "-1.25e19", "1", "0.5"])
+    def test_notation_boundaries(self, value):
+        # fixed notation exactly when -6 < exponent < 20
+        man, scale = self.dyadic(value)
+        assert cli._nstr20(man, scale) == self.oracle(man, scale)
 
 
 class TestOutFile:

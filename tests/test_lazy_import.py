@@ -69,7 +69,9 @@ class TestImportFootprint:
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
          {"mpmath", "ajtwist.volnum"} | NUMERIC | SLOW),
         (["volume", "--p", "2"], SLOW),
-        (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"], SLOW),
+        # the Kashaev half of volnum runs on ints and needs no apoly
+        (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
+         {"mpmath"} | APOLY | NUMERIC | SLOW),
     ], ids=["import-cli", "jones", "apoly", "apoly-setup", "verify-aj",
             "verify-aj-law", "rec-check", "rec-q1", "volume", "kashaev"])
     def test_command_leaves_out(self, argv, absent):
@@ -80,9 +82,9 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, present", [
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
          {"ajtwist.qrec"}),
-        (["volume", "--p", "2"], {"mpmath", "ajtwist.volnum"}),
+        (["volume", "--p", "2"], {"mpmath", "ajtwist.volnum"} | APOLY),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
-         {"mpmath", "ajtwist.volnum"}),
+         {"ajtwist.volnum"}),
         (["apoly", "--p", "1", "--out", "json"], {"json"}),
     ], ids=["rec-q1", "volume", "kashaev", "apoly-json"])
     def test_command_loads_what_it_runs(self, argv, present):

@@ -49,12 +49,11 @@ def test_module_level_imports_are_used(path):
 # paid by each request that loads the module.  Outside the package, only
 # these stdlib modules are cheap enough; dataclasses (which loads
 # inspect), typing, fractions or json would cost every command
-# milliseconds.  volnum alone may load mpmath: only volume and kashaev
-# import it.
+# milliseconds.  mpmath is imported only inside the functions of
+# volnum's volume half, so only volume loads it.
 CHEAP_IMPORTS = {"argparse", "cmath", "collections", "functools",
                  "importlib", "itertools", "math", "operator", "os", "re",
                  "sys"}
-ALSO_ALLOWED = {"volnum.py": {"mpmath"}}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -67,8 +66,7 @@ def test_module_level_imports_are_cheap(path):
             loaded.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             loaded.add(node.module.split(".")[0])
-    allowed = CHEAP_IMPORTS | ALSO_ALLOWED.get(path.name, set())
-    assert sorted(loaded - allowed) == []
+    assert sorted(loaded - CHEAP_IMPORTS) == []
 
 
 def test_private_module_names_are_used():

@@ -11,14 +11,14 @@ import mpmath as mp
 from mpmath.libmp import NoConvergence
 import pytest
 
-from ajtwist import volnum
+from ajtwist import apoly, volnum
 from ajtwist.jones import KnotId, colored_jones
 from ajtwist.laurent import LaurentPoly, parse_poly
 from ajtwist.qseries import to_dense
 from ajtwist.volnum import (CertificationError, bloch_wigner, dilog, jhat,
                             kashaev_scan, optimistic_volume,
                             reduced_eliminant, saddle_solve)
-from oracles import cyclotomic, jhat_per_term, polydivmod
+from oracles import as_mp, cyclotomic, jhat_per_term, polydivmod
 
 FIG8_VOL = "2.029883212819307250042405108549"
 
@@ -182,30 +182,29 @@ class TestJhat:
         with mp.workprec(200):
             for p in (-2, -1, 1, 2):
                 for n in range(3, 13):
-                    got = jhat(p, n, prec=128)
+                    got = as_mp(jhat(p, n, prec=128))
                     want = jones_at_root_of_unity(p, n, 192)
                     assert abs(got - want) < tol, (p, n)
 
     def test_fig8_values_are_real(self):
-        with mp.workprec(160):
-            for n in range(2, 13):
-                assert abs(mp.im(jhat(-1, n, prec=128))) < mp.mpf(10) ** -25
+        # the closed form's imaginary part is exactly 0
+        for n in range(2, 13):
+            assert jhat(-1, n, prec=128)[1] == 0
 
     def test_pole_cancel_path_agrees_with_product(self):
         # p = -1 takes a closed-form product shortcut; force the generous
         # route through the same numbers
         with mp.workprec(200):
             for n in range(3, 13):
-                fast = jhat(-1, n, prec=128)
-                with mp.workprec(128 + 32):
-                    slow = volnum._jhat_pole_cancel(-1, n)
+                fast = as_mp(jhat(-1, n, prec=128))
+                slow = as_mp(pole_cancel(-1, n, prec=128))
                 assert abs(fast - slow) < mp.mpf(10) ** -30, n
 
     def test_precision_refinement(self):
         with mp.workprec(300):
             for p, n in ((2, 9), (-2, 7), (-1, 12), (1, 5)):
-                lo = jhat(p, n, prec=128)
-                hi = jhat(p, n, prec=256)
+                lo = as_mp(jhat(p, n, prec=128))
+                hi = as_mp(jhat(p, n, prec=256))
                 assert abs(lo - hi) < mp.ldexp(1, -100), (p, n)
 
     def test_named_knot_route(self):
@@ -236,7 +235,7 @@ class TestJhat:
         tol = mp.mpf(10) ** -38
         with mp.workprec(200):
             for p, n in ((2, 16), (-2, 21), (3, 16), (-3, 20), (5, 16)):
-                got = jhat(p, n, prec=128)
+                got = as_mp(jhat(p, n, prec=128))
                 want = jones_at_root_of_unity(p, n, 200)
                 assert abs(got - want) < tol, (p, n)
 
@@ -246,9 +245,8 @@ class TestJhat:
         # form, the tables must be within 2^-prec
         prec = 128
         for p, n in ((2, 20), (-3, 31), (5, 52), (-2, 55), (2, 100)):
-            with mp.workprec(prec + volnum.GUARD_BITS):
-                new = volnum._jhat_pole_cancel(p, n)
             with mp.workprec(400):
+                new = as_mp(pole_cancel(p, n, prec))
                 ref = jhat_per_term(p, n)
                 err_new = abs(new - ref) / abs(ref)
                 assert err_new <= mp.ldexp(1, -prec), (p, n)
@@ -259,14 +257,15 @@ class TestJhat:
         # The growing width keeps the guard bits too (2^-161.7 here),
         # so 2^-(prec + 24) leaves room for the last rounding only
         prec = 128
-        got = jhat(2, 150, prec=prec)
+        got = as_mp(jhat(2, 150, prec=prec))
         with mp.workprec(480):
             ref = jhat_per_term(2, 150)
             assert abs(got - ref) / abs(ref) <= mp.ldexp(1, -(prec + 24))
 
     def test_finite_part_takes_no_mpc_products_per_term(self, monkeypatch):
         # the double sum runs on ints; an mpc sum takes Theta(n^2)
-        # products (3,975 at n = 40), and at most n (c = 1) are allowed
+        # products (3,975 at n = 40), and the roots of unity come from
+        # an integer series, so none are taken at all
         calls = []
         mul, rmul = mp.mpc.__mul__, mp.mpc.__rmul__
 
@@ -279,11 +278,21 @@ class TestJhat:
         monkeypatch.setattr(mp.mpc, "__mul__", counted(mul))
         monkeypatch.setattr(mp.mpc, "__rmul__", counted(rmul))
         n = 40
-        with mp.workprec(160):
-            got = volnum._jhat_pole_cancel(3, n)
+        got = pole_cancel(3, n)
         monkeypatch.undo()
-        assert len(calls) <= n
-        assert abs(got - jhat(3, n, prec=128)) < mp.ldexp(1, -120)
+        assert calls == []
+        with mp.workprec(160):
+            assert abs(as_mp(got) - as_mp(jhat(3, n, prec=128))) \
+                < mp.ldexp(1, -120)
+
+
+def pole_cancel(p, n, prec=128):
+    """_jhat_pole_cancel at jhat's width and roots of unity, for any p.
+
+    jhat itself sends p = -1 to its closed-form product instead.
+    """
+    g = volnum._width(n, prec + volnum.GUARD_BITS)
+    return volnum._jhat_pole_cancel(p, n, g, *volnum._roots_of_unity(n, g))
 
 
 def level_tables(p, n):
@@ -448,8 +457,8 @@ class TestSaddle:
         # x is eliminated through the constraint's root, which would
         # silently drop an x^2 term; both readers of that root refuse it
         sound = reduced_eliminant(2)
-        bent = volnum.saddle_constraint(2) + parse_poly("x^2*y")
-        monkeypatch.setattr(volnum, "saddle_constraint", lambda p: bent)
+        bent = apoly.saddle_constraint(2) + parse_poly("x^2*y")
+        monkeypatch.setattr(apoly, "saddle_constraint", lambda p: bent)
         for solve in (reduced_eliminant, saddle_solve):
             with pytest.raises(ArithmeticError, match="not linear in x"):
                 solve(2)
@@ -564,7 +573,7 @@ class TestSaddle:
             seen.append(kw.get("roots_init"))
             return real_roots(coeffs, **kw)
 
-        monkeypatch.setattr(volnum.mp, "polyroots", spy)
+        monkeypatch.setattr(mp, "polyroots", spy)
         for broken in (lambda c: [z * 1e300 * 1e300 for z in real_dk(c)],
                        lambda c: [0.5j] * (len(c) - 1),
                        lambda c: real_dk(c)[1:]):
@@ -588,7 +597,7 @@ class TestSaddle:
         def stuck(coeffs, **kw):
             raise NoConvergence("Didn't converge in maxsteps=200 steps.")
 
-        monkeypatch.setattr(volnum.mp, "polyroots", stuck)
+        monkeypatch.setattr(mp, "polyroots", stuck)
         with pytest.raises(CertificationError,
                            match="did not converge at p = -3"):
             saddle_solve(-3, 128)
@@ -598,6 +607,74 @@ class TestSaddle:
             saddle_solve(0, 128)
         with pytest.raises(ValueError):
             optimistic_volume(0, 128)
+
+
+class TestIntegerKernels:
+    # the Kashaev half's integer steps against mpmath, within the bounds
+    # their docstrings state
+    @pytest.mark.parametrize("bits", [16, 64, 160, 300, 1000])
+    def test_pi_and_log2_within_one_unit(self, bits):
+        with mp.workprec(bits + 100):
+            assert abs(volnum._pi_fixed(bits) - mp.ldexp(mp.pi, bits)) < 1
+            assert abs(volnum._ln2_fixed(bits) - mp.ldexp(mp.ln2, bits)) < 1
+
+    @pytest.mark.parametrize("n, g", [(2, 100), (3, 100), (7, 160),
+                                      (40, 200), (55, 300), (150, 260)])
+    def test_roots_of_unity_within_stated_bound(self, n, g):
+        # within 1/2 + (w + 1) 2^-24 units, and on these cases equal to
+        # the table mpmath's expjpi gave, rounded to nearest
+        wr, wi = volnum._roots_of_unity(n, g)
+        w = g + n.bit_length() + 24
+        with mp.workprec(g + 100):
+            bound = mp.mpf(1) / 2 + mp.ldexp(w + 1, -24)
+            for j in range(n):
+                q = mp.expjpi(mp.mpf(2 * j) / n)
+                re, im = mp.ldexp(q.real, g), mp.ldexp(q.imag, g)
+                assert abs(wr[j] - re) <= bound, (n, j)
+                assert abs(wi[j] - im) <= bound, (n, j)
+                assert (wr[j], wi[j]) == (int(mp.nint(re)),
+                                          int(mp.nint(im))), (n, j)
+
+    def test_log_rate_within_stated_bound(self):
+        rng = random.Random(53)
+        bits = 160
+        near_one = [((1 << 52) + 1, -52, 7), ((1 << 53) - 1, -53, 40),
+                    ((1 << 52) + 3, -51, 3)]
+        cases = near_one + [(rng.getrandbits(53) | 1 << 52,
+                             rng.randint(-300, 200), rng.randint(3, 200))
+                            for _ in range(200)]
+        for m, e, n in cases:
+            v, w = volnum._log_rate(m, e, n, bits)
+            c = abs(e + m.bit_length()) + 1
+            with mp.workprec(w + 64):
+                exact = 2 * mp.pi * mp.log(mp.ldexp(m, e)) / n
+                err = abs(v - mp.ldexp(exact, w))
+                assert err <= mp.mpf(13 * w + 8 * c + 60) / n + 1, (m, e, n)
+                assert err < abs(mp.ldexp(exact, w - bits)), (m, e, n)
+        assert volnum._log_rate(1 << 52, -52, 7, bits)[0] == 0
+
+    def test_mag53_matches_mpmath_abs(self):
+        # abs of the mpc whose parts are rounded at bits, taken at
+        # mpmath's default 53 bits; one part 0 skips the 57-bit sum
+        rng = random.Random(57)
+
+        def part():
+            x = rng.getrandbits(rng.randint(1, 600))
+            return -x if rng.random() < 0.5 else x
+
+        cases = [(part(), 0) for _ in range(150)]
+        cases += [(0, part()) for _ in range(50)]
+        cases += [(part(), part()) for _ in range(400)]
+        for re, im in cases:
+            if not (re or im):
+                continue
+            bits, scale = rng.choice([96, 160, 288]), rng.randint(0, 600)
+            m, e = volnum._mag53(re, im, scale, bits)
+            with mp.workprec(bits):
+                z = mp.mpc(mp.ldexp(re, -scale), mp.ldexp(im, -scale))
+            with mp.workprec(53):
+                assert mp.ldexp(m, e) == abs(z), (re, im, scale, bits)
+        assert volnum._mag53(0, 0, 10, 96) is None
 
 
 class TestKashaev:
@@ -620,8 +697,8 @@ class TestKashaev:
         # v_n approaches the volume from above: strictly decreasing and
         # one-sidedly bounded below by it over the whole window
         rows = kashaev_scan(-1, range(10, 61), prec=128)
-        vols = [v for _, v in rows]
-        assert all(v is not None for v in vols)
+        assert all(v is not None for _, v in rows)
+        vols = [as_mp(v) for _, v in rows]
         with mp.workprec(160):
             floor = mp.mpf(FIG8_VOL)
             assert all(v > floor for v in vols)
@@ -631,6 +708,7 @@ class TestKashaev:
         # growth rate Vol + 2*pi*((3/2)log n - (1/4)log 3)/n + O(1/n^2)
         with mp.workprec(160):
             ((n, v),) = kashaev_scan(-1, [200], prec=128)
+            v = as_mp(v)
             pred = (mp.mpf(FIG8_VOL)
                     + 2 * mp.pi * (mp.mpf(3) / 2 * mp.log(n)
                                    - mp.log(3) / 4) / n)
@@ -641,7 +719,7 @@ class TestKashaev:
 
         def fake(knot, n, prec=128):
             if n == 13:
-                return mp.mpc(0)
+                return 0, 0, 0
             return real(knot, n, prec=prec)
 
         monkeypatch.setattr(volnum, "jhat", fake)
