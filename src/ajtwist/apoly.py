@@ -53,14 +53,13 @@ def _at_q1(ratio):
     """(numerator, denominator) of a shift_ratio at q = 1, in (m, x, y).
 
     Every binomial and the monomial lose their q-exponent, binomials
-    that then coincide on both sides cancel, and N, K, L2 become
-    m^2, x, y.
+    that then coincide on both sides cancel, and the exponents (n, k,
+    l2) left on (N, K, L2) become m^(2n) x^k y^l2.
     """
     num = Counter(b[1:] for b in ratio.num)
     den = Counter(b[1:] for b in ratio.den)
-    e = dict(ratio.mono)
-    sides = [_mono(ratio.sign, m=2 * e.get("N", 0), x=e.get("K", 0),
-                   y=e.get("L2", 0)), LaurentPoly.const(1)]
+    _, n, k, l2 = ratio.mono
+    sides = [_mono(ratio.sign, m=2 * n, x=k, y=l2), LaurentPoly.const(1)]
     for i, binoms in enumerate((num - den, den - num)):
         for n, k, l2 in binoms.elements():
             sides[i] = sides[i] * (1 - _mono(m=2 * n, x=k, y=l2))

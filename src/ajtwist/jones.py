@@ -26,7 +26,8 @@ One description per summand.  Each double-sum summand is the block
 sigma_k(n) (SIGMA) times a level part c(k, l), stored once per knot as
 data in LEVEL_PARTS.  summand_factors, masbaum_coeff and shift_ratio all
 read that data, so every knot, 6_1 included, has closed-form shift
-quotients in (q, N, K, L2) = (q, q^n, q^k, q^l).  A quotient
+quotients, stated as exponent 4-tuples on (q, N, K, L2) = (q, q^n,
+q^k, q^l); no LaurentPoly carries K or L2.  A quotient
 F(shifted) / F = num / den is the annihilator pair den * F(shifted) =
 num * F.  ShiftRatio keeps both sides factored; only apoly expands them,
 at q = 1, and the A-polynomial construction and volnum's growth
@@ -51,8 +52,9 @@ class ProductForm(namedtuple("ProductForm", "qexp2 pochs parity binoms",
     """(-1)^parity q^(qexp2/2) prod (q^base)_index^side prod (1 - q^index).
 
     parity and each index are affine forms (c0, cn, ck, cl), worth
-    c0 + cn*n + ck*k + cl*l at (n, k, l); as exponents on (q, N, K, L2)
-    the tuple is q^index, the form ShiftRatio binomials take.  qexp2 is
+    c0 + cn*n + ck*k + cl*l at (n, k, l); read as exponents on
+    (q, N, K, L2) = (q, q^n, q^k, q^l), the tuple is q^index, the form
+    ShiftRatio's monomial and binomials take.  qexp2 is
     the doubled q-exponent (so k(k+3)/2 stays integral): (coefficient,
     monomial) pairs over n, k, l and the twist parameter p.  pochs are
     (side, base, index): (q^base)_index, base 1 or -1, on side NUM or
@@ -273,8 +275,10 @@ def colored_jones_multisum(knot, n):
 class ShiftRatio(namedtuple("ShiftRatio", "sign mono num den")):
     """sign * monomial * prod (1 - q^a N^b K^c L2^d) / prod (...).
 
-    Binomials are 4-tuples (a, b, c, d) of exponents on (q, N, K, L2).
-    The monomial is a tuple of (variable, exponent) pairs.
+    The monomial and each binomial are 4-tuples (a, b, c, d) of
+    exponents on (q, N, K, L2) = (q, q^n, q^k, q^l), worth q^(a + bn +
+    ck + dl) at (n, k, l).  K and L2 name positions only; apoly._at_q1
+    sends N, K, L2 to m^2, x, y.
     """
 
     __slots__ = ()
@@ -311,7 +315,7 @@ def shift_ratio(knot, shift):
             den.append(index)
     return ShiftRatio(
         sign=-1 if _at(form.parity, d) % 2 else 1,
-        mono=tuple((v, e) for v, e in zip(("q", "N", "K", "L2"), mono) if e),
+        mono=tuple(mono),
         num=tuple(num), den=tuple(den))
 
 

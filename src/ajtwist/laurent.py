@@ -7,18 +7,21 @@ needed, the callers keep the numerator and denominator as a pair.
 
 The variable universe is fixed once:
 
-    q, N, K, L2, l, m, x, y
+    q, N, l, m, x, y
 
 Every value the package computes lies in Z[q, 1/q], so the quantum
-parameter q is stored as itself.  Monomials are exponent 8-tuples in the
-order above, and the canonical term order is plain tuple comparison on
-those 8-tuples, largest first.  The one serialized form is text(); parse_poly
-reads it back, and reads the coefficients of qrec's .rec fixtures.
+parameter q is stored as itself; N stands for q^n in recurrence
+coefficients.  Monomials are exponent 6-tuples in the order above, and
+the canonical term order is plain tuple comparison on those 6-tuples,
+largest first.  This module is the only one that builds or reads an
+exponent tuple; the others go through LaurentPoly's constructors and
+views.  The one serialized form is text(); parse_poly reads it back,
+and reads the coefficients of qrec's .rec fixtures.
 """
 
 import re
 
-VARS = ("q", "N", "K", "L2", "l", "m", "x", "y")
+VARS = ("q", "N", "l", "m", "x", "y")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 NV = len(VARS)
 _ZEROS = (0,) * NV
@@ -54,8 +57,9 @@ def _exp_tuple(**exps):
 class LaurentPoly:
     """Sparse Laurent polynomial with int coefficients.
 
-    terms maps exponent 8-tuples to nonzero ints.  Instances are treated
-    as immutable; all operations return new objects.
+    terms maps exponent 6-tuples, one exponent per name of VARS, to
+    nonzero ints.  Instances are treated as immutable; all operations
+    return new objects.
     """
 
     __slots__ = ("terms",)
@@ -92,6 +96,13 @@ class LaurentPoly:
     @classmethod
     def var(cls, name, power=1):
         return cls.monomial(1, **{name: power})
+
+    @classmethod
+    def univariate(cls, name, coeffs):
+        """The inverse of univariate_coefficients: {exponent: int}."""
+        i = VAR_INDEX[name]
+        return cls({_ZEROS[:i] + (a,) + _ZEROS[i + 1:]: c
+                    for a, c in coeffs.items()})
 
     # predicates and views
 
@@ -172,8 +183,7 @@ class LaurentPoly:
                 continue
             for e1, c1 in a.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                     e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5],
-                     e1[6] + e2[6], e1[7] + e2[7])
+                     e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5])
                 nc = t.get(e, 0) + c1 * c2
                 if nc:
                     t[e] = nc

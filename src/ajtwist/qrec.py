@@ -37,8 +37,8 @@ import sys
 from . import _bind_on_lookup
 from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       coefficient_diff, parse_poly, unit_ratio)
-from .qseries import (QFactors, NegativeIndex, from_dense, is_zero_sum,
-                      to_dense, to_dense_qn)
+from .qseries import (QFactors, NegativeIndex, is_zero_sum, to_dense,
+                      to_dense_qn)
 from .jones import KnotId, NAMED_KNOTS, summand_factors
 
 # a_polynomial is bound on first lookup, so that rec-check never loads
@@ -291,33 +291,25 @@ def _in_support(n, k, l):
     return n >= 1 and 0 <= l <= k <= n - 1
 
 
-# the dense value 1: a denominator that clears nothing
-_DENSE_ONE = (0, [1])
-
-
 def _coeffs_at(spec, n):
     """Dense coefficients in q at N = q^n, denominators cleared.
 
     Kfree fixtures ship with den = 1; a nontrivial denominator is folded
-    into every other term so the zero test still runs on polynomials.
-    Each coefficient is converted once here, for every (k, l) at this n.
+    into every other term's numerator in (q, N), so the zero test still
+    runs on polynomials.  N = q^n is a ring map, so folding before it is
+    folding after it.  Each coefficient is converted once here, for
+    every (k, l) at this n.
     """
-    nums = []
-    dens = []
+    out = {}
     for t in spec.terms:
-        nums.append(to_dense_qn(t.num, n))
-        den = to_dense_qn(t.den, n)
-        if not den[1]:
+        if not to_dense_qn(t.den, n)[1]:
             raise ZeroDivisionError("denominator of shift %r vanishes at "
                                     "n = %d" % (t.shift, n))
-        dens.append(den)
-    out = {}
-    for i, t in enumerate(spec.terms):
-        value = nums[i]
-        for j, d in enumerate(dens):
-            if j != i and d != _DENSE_ONE:
-                value = to_dense(from_dense(value) * from_dense(d))
-        out[t.shift] = value
+        num = t.num
+        for u in spec.terms:
+            if u is not t and u.den != 1:
+                num = num * u.den
+        out[t.shift] = to_dense_qn(num, n)
     return out
 
 

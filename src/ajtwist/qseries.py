@@ -12,8 +12,8 @@ their cyclotomic coefficients included, is held densely:
 (lo, [c_lo, c_lo+1, ...]) is sum_i c_i q^(lo + i), trimmed so that both
 end coefficients are nonzero, with (0, []) for zero.  to_dense is the
 one converter from a LaurentPoly in a single variable (q unless named)
-to the dense form, to_dense_qn reads one in q and N at N = q^n, and
-from_dense converts back to q; dense_times_binoms and
+to the dense form, to_dense_qn substitutes N = q^n and then calls it,
+and from_dense converts back to q; dense_times_binoms and
 dense_divide_binoms multiply and exactly divide by a product of
 (1 - q^j).
 
@@ -33,7 +33,7 @@ from functools import reduce
 from itertools import accumulate
 import operator
 
-from .laurent import NV, InexactDivision, LaurentPoly
+from .laurent import InexactDivision, LaurentPoly
 
 
 class NegativeIndex(ValueError):
@@ -130,11 +130,6 @@ class QFactors:
 
 DENSE_ZERO = (0, [])
 
-# q and N are the first two of laurent.VARS, so a q-only exponent tuple
-# is (e,) + _NOT_Q, and one in q and N is (a, b) + _NOT_QN
-_NOT_Q = (0,) * (NV - 1)
-_NOT_QN = _NOT_Q[1:]
-
 
 def _trimmed(lo, coeffs):
     start, end = 0, len(coeffs)
@@ -147,8 +142,12 @@ def _trimmed(lo, coeffs):
     return lo + start, coeffs[start:end]
 
 
-def _dense(coeffs):
-    """The dense list of {exponent: coefficient}, untrimmed."""
+def to_dense(poly, var="q"):
+    """The dense form of a LaurentPoly in var alone.
+
+    A LaurentPoly keeps no zero coefficient, so the result is trimmed.
+    """
+    coeffs = poly.univariate_coefficients(var)
     if not coeffs:
         return DENSE_ZERO
     lo = min(coeffs)
@@ -158,31 +157,20 @@ def _dense(coeffs):
     return lo, out
 
 
-def to_dense(poly, var="q"):
-    """The dense form of a LaurentPoly in var alone."""
-    return _dense(poly.univariate_coefficients(var))
-
-
 def to_dense_qn(poly, n):
     """The dense form in q of a LaurentPoly in q and N, at N = q^n.
 
-    Each term c q^a N^b adds c at q^(a + n b); terms that meet there may
-    cancel, so the result is trimmed.
+    Terms that meet at N = q^n cancel in the substitution, so the
+    result is trimmed; any variable other than q and N raises
+    ValueError.
     """
-    folded = {}
-    for e, c in poly.terms.items():
-        if e[2:] != _NOT_QN:
-            raise ValueError("not a polynomial in q and N alone")
-        a = e[0] + n * e[1]
-        folded[a] = folded.get(a, 0) + c
-    return _trimmed(*_dense(folded))
+    return to_dense(poly.substitute_monomials(N=LaurentPoly.monomial(q=n)))
 
 
 def from_dense(value):
     """The LaurentPoly in q of a dense value."""
     lo, coeffs = value
-    return LaurentPoly({(lo + i,) + _NOT_Q: c
-                        for i, c in enumerate(coeffs) if c})
+    return LaurentPoly.univariate("q", dict(enumerate(coeffs, lo)))
 
 
 def dense_times_binoms(value, js):

@@ -5,9 +5,10 @@ obvious route and shares no code with the kernel it checks: rational
 functions in a canonical form and substitution through them, Pochhammer
 products multiplied out one binomial at a time, QFactors values expanded
 term by term or evaluated at a rational point, shift quotients
-expanded in (q, N, K, L2), and cyclotomic polynomials built and
-divided by integer long division.  serialize_recurrence, the .rec
-writer, lives here too: only tests write fixtures.
+expanded in (q, N, x, y) with x = q^k and y = q^l, and cyclotomic
+polynomials built and divided by integer long division.
+serialize_recurrence, the .rec writer, lives here too: only tests write
+fixtures.
 """
 from collections import Counter
 from fractions import Fraction
@@ -297,15 +298,23 @@ def serialize_recurrence(spec):
 
 # shift quotients
 
+def _qnxy(coeff, exps):
+    """coeff times the monomial of exponents (a, b, c, d) on (q, N, x, y)."""
+    a, b, c, d = exps
+    return LaurentPoly.monomial(coeff, q=a, N=b, x=c, y=d)
+
+
 def ratio_polys(ratio):
-    """(numerator, denominator) of a ShiftRatio, expanded in (q, N, K, L2)."""
+    """(numerator, denominator) of a ShiftRatio, expanded in (q, N, x, y).
+
+    x and y stand for the ratio's K = q^k and L2 = q^l.
+    """
     def times_binoms(out, binoms):
-        for a, b, c, d in binoms:
-            out = out * (ONE - LaurentPoly.monomial(1, q=a, N=b, K=c, L2=d))
+        for b in binoms:
+            out = out * (ONE - _qnxy(1, b))
         return out
 
-    return (times_binoms(LaurentPoly.monomial(ratio.sign, **dict(ratio.mono)),
-                         ratio.num),
+    return (times_binoms(_qnxy(ratio.sign, ratio.mono), ratio.num),
             times_binoms(ONE, ratio.den))
 
 
@@ -328,8 +337,7 @@ def ratio_holds(ratio, knot, point, shifted):
     for aa, bb, cc, dd in ratio.den:
         lhs.times_binom(aa + bb * n + cc * k + dd * l)
     rhs.times_sign(ratio.sign)
-    rhs.times_qpow(sum(x * {"q": 1, "N": n, "K": k, "L2": l}[nm]
-                       for nm, x in ratio.mono))
+    rhs.times_qpow(sum(a * x for a, x in zip(ratio.mono, (1, n, k, l))))
     for aa, bb, cc, dd in ratio.num:
         rhs.times_binom(aa + bb * n + cc * k + dd * l)
     return factors_equal(lhs, rhs)

@@ -90,10 +90,11 @@ class TestMeridianX:
 
     def test_n_ratio_forces_it(self):
         # q = 1, N = m^2 in the n-direction ratio, then x at its coupled
-        # value, collapses to the longitude eigenvalue l
+        # value, collapses to the longitude eigenvalue l (ratio_ratfunc
+        # already writes K, L2 as x, y)
         f0 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(2), (1, 0, 0)))
         m2 = LaurentPoly.monomial(1, m=2)
-        got = f0.substitute(q=1, N=m2, K=RatFunc(*solve_meridian_x()))
+        got = f0.substitute(q=1, N=m2, x=RatFunc(*solve_meridian_x()))
         assert got == RatFunc(LaurentPoly.var("l"))
 
     def test_k_ratio_forces_quadratic(self):
@@ -101,8 +102,7 @@ class TestMeridianX:
         # monomial multiple of the defining quadratic m^2 y^2 - a y + m^2
         f1 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(2), (0, 1, 0)))
         m2 = LaurentPoly.monomial(1, m=2)
-        got = f1.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
-                            L2=LaurentPoly.var("y"))
+        got = f1.substitute(q=1, N=m2)
         rel = (parse_poly("m^2") * (LaurentPoly.var("y") ** 2 + 1)
                - quad_a() * LaurentPoly.var("y"))
         q = (RatFunc.const(1) - got).num.exact_divide(rel)
@@ -116,8 +116,7 @@ class TestMeridianX:
         p = 2
         f2 = ratio_ratfunc(shift_ratio(KnotId.twist_knot(p), (0, 0, 1)))
         m2 = LaurentPoly.monomial(1, m=2)
-        got = f2.substitute(q=1, N=m2, K=LaurentPoly.var("x"),
-                            L2=LaurentPoly.var("y"))
+        got = f2.substitute(q=1, N=m2)
         want = parse_poly("y^5 - x*y^4 - x*y + 1")
         quotient = (RatFunc.const(1) - got).num.exact_divide(want)
         assert quotient == parse_poly("1 - y^2")

@@ -206,8 +206,9 @@ class TestShiftRatios:
     def test_n_step_closed_form(self):
         n_step = shift_ratio(KnotId.twist_knot(2), N_STEP)
         q1 = LaurentPoly.monomial(1, q=-1)
+        # ratio_ratfunc writes K = q^k as x
         N = LaurentPoly.var("N")
-        K = LaurentPoly.var("K")
+        K = LaurentPoly.var("x")
         num = K * (1 - q1 * N ** -1 * K ** -1) * (1 - N ** -1)
         den = (1 - q1 * N ** -1) * (1 - N ** -1 * K)
         assert ratio_ratfunc(n_step) == RatFunc(num, den)
@@ -252,53 +253,51 @@ class TestShiftRatios:
             assert checked >= 200
 
     def test_two_steps_are_products_of_one_steps(self):
-        # F(k+2)/F(k) = f1 * f1(K -> qK), F(n+1, k+1)/F = f0 * f1(N -> qN)
-        qk = LaurentPoly.monomial(1, q=1, K=1)
+        # F(k+2)/F(k) = f1 * f1(K -> qK), F(n+1, k+1)/F = f0 * f1(N -> qN),
+        # with K = q^k written x
+        qk = LaurentPoly.monomial(1, q=1, x=1)
         qn = LaurentPoly.monomial(1, q=1, N=1)
         for knot in (KnotId.twist_knot(-2), KnotId.twist_knot(1),
                      KnotId.named("5_2"), KnotId.named("6_1")):
             f0 = ratio_ratfunc(shift_ratio(knot, N_STEP))
             f1 = ratio_ratfunc(shift_ratio(knot, K_STEP))
             assert ratio_ratfunc(shift_ratio(knot, (0, 2, 0))) == \
-                f1 * f1.substitute_monomials(K=qk), knot.label()
+                f1 * f1.substitute_monomials(x=qk), knot.label()
             assert ratio_ratfunc(shift_ratio(knot, (1, 1, 0))) == \
                 f0 * f1.substitute_monomials(N=qn), knot.label()
 
 
 # The one-step shift quotients as shipped in closed form before they were
 # derived from the summand description: (sign, monomial, numerator
-# binomials, denominator binomials), binomials as exponent tuples on
-# (q, N, K, L2).
-GOLDEN_N_STEP = (1, (("K", 1),),
+# binomials, denominator binomials), the monomial and each binomial an
+# exponent tuple on (q, N, K, L2).
+GOLDEN_N_STEP = (1, (0, 0, 1, 0),
                  ((-1, -1, -1, 0), (0, -1, 0, 0)),
                  ((-1, -1, 0, 0), (0, -1, 1, 0)))
-GOLDEN_TWIST_K_STEP = (-1, (("q", 2), ("K", 1), ("N", 1)),
+GOLDEN_TWIST_K_STEP = (-1, (2, 1, 1, 0),
                        ((-1, -1, -1, 0), (1, -1, 1, 0), (1, 0, 1, 0)),
                        ((2, 0, 1, 1), (1, 0, 1, -1)))
 GOLDEN_TWIST_L_MONO = {
-    -6: (("q", -12), ("L2", -11)), -5: (("q", -10), ("L2", -9)),
-    -4: (("q", -8), ("L2", -7)), -3: (("q", -6), ("L2", -5)),
-    -2: (("q", -4), ("L2", -3)), -1: (("q", -2), ("L2", -1)),
-    0: (("q", 0), ("L2", 1)), 1: (("q", 2), ("L2", 3)),
-    2: (("q", 4), ("L2", 5)), 3: (("q", 6), ("L2", 7)),
-    4: (("q", 8), ("L2", 9)), 5: (("q", 10), ("L2", 11)),
-    6: (("q", 12), ("L2", 13)),
+    -6: (-12, 0, 0, -11), -5: (-10, 0, 0, -9), -4: (-8, 0, 0, -7),
+    -3: (-6, 0, 0, -5), -2: (-4, 0, 0, -3), -1: (-2, 0, 0, -1),
+    0: (0, 0, 0, 1), 1: (2, 0, 0, 3), 2: (4, 0, 0, 5), 3: (6, 0, 0, 7),
+    4: (8, 0, 0, 9), 5: (10, 0, 0, 11), 6: (12, 0, 0, 13),
 }
 GOLDEN_TWIST_L_BINOMS = (((3, 0, 0, 2), (0, 0, 1, -1)),
                          ((1, 0, 0, 2), (2, 0, 1, 1)))
 GOLDEN_FIVETWO = (
     GOLDEN_N_STEP,
-    (-1, (("q", 4), ("K", 3), ("N", 1), ("L2", -1)),
+    (-1, (4, 1, 3, -1),
      ((-1, -1, -1, 0), (1, -1, 1, 0), (-1, 0, -1, 0)),
      ((-1, 0, -1, 1),)),
-    (1, (("q", -1), ("K", -1)),
+    (1, (-1, 0, -1, 0),
      ((0, 0, -1, 1),),
      ((-1, 0, 0, -1),)),
 )
 
 
 def _multisets(sign, mono, num, den):
-    return (sign, {v: e for v, e in mono if e}, Counter(num), Counter(den))
+    return (sign, mono, Counter(num), Counter(den))
 
 
 class TestGoldenShiftTuples:
@@ -360,8 +359,8 @@ class TestAnnihilatorGenerators:
         A, B = ratio_polys(shift_ratio(knot, L_STEP))
         n, k, l = 6, 4, 2
         point = {"N": LaurentPoly.monomial(1, q=n),
-                 "K": LaurentPoly.monomial(1, q=k),
-                 "L2": LaurentPoly.monomial(1, q=l)}
+                 "x": LaurentPoly.monomial(1, q=k),
+                 "y": LaurentPoly.monomial(1, q=l)}
         bval = RatFunc(B.substitute_monomials(**point))
         aval = RatFunc(A.substitute_monomials(**point))
         lhs = bval * qfactors_ratfunc(summand_factors(knot, n, k, l + 1))
@@ -373,8 +372,8 @@ class TestAnnihilatorGenerators:
         knot = KnotId.named("6_1")
         n, k, l = 6, 3, 1
         point = {"N": LaurentPoly.monomial(1, q=n),
-                 "K": LaurentPoly.monomial(1, q=k),
-                 "L2": LaurentPoly.monomial(1, q=l)}
+                 "x": LaurentPoly.monomial(1, q=k),
+                 "y": LaurentPoly.monomial(1, q=l)}
         f0 = qfactors_ratfunc(summand_factors(knot, n, k, l))
         for d in STEPS:
             shifted = (n + d[0], k + d[1], l + d[2])

@@ -256,12 +256,22 @@ class TestTextAndJson:
             with pytest.raises(PolyParseError) as err:
                 parse_poly(text)
             assert err.value.pos == pos, text
+        # K and L2 name positions of a shift quotient, not variables
+        for text, pos in (("K", 0), ("L2", 0), ("K^2*q", 0),
+                          ("q - 2*L2", 6), ("N*K", 2)):
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.reason.startswith("unknown variable"), text
+            assert err.value.pos == pos, text
+
+    def test_variable_universe(self):
+        assert VARS == ("q", "N", "l", "m", "x", "y")
 
 
 class TestRingProperties:
     def test_seeded_ring_axioms(self):
         rng = random.Random(99)
-        names = ("q", "N", "K", "l")
+        names = ("q", "N", "x", "l")
         for _ in range(300):
             a = _random_poly(rng, names)
             b = _random_poly(rng, names)

@@ -189,6 +189,34 @@ class TestKfreeCertification:
         if mode == "full":
             assert rep.skipped == 0
 
+    def test_denominators_are_folded(self):
+        # one term's num and den times the same polynomial, nonzero at
+        # every N = q^n, is the same relation; its den alone is not
+        g = parse_poly("1 - 2*q*N + N^2")
+        t = KFREE.terms[3]
+
+        def with_term(num, den):
+            terms = list(KFREE.terms)
+            terms[3] = RecurrenceTerm(t.shift, num, den)
+            return KFREE._replace(terms=tuple(terms))
+
+        want = check_kfree(KFREE, (6, 8))
+        assert want.ok and want.points and want.skipped
+        both = check_kfree(with_term(t.num * g, t.den * g), (6, 8))
+        assert (both.points, both.skipped, both.ok) == \
+            (want.points, want.skipped, True)
+        den_only = check_kfree(with_term(t.num, t.den * g), (6, 8))
+        assert (den_only.points, den_only.skipped) == \
+            (want.points, want.skipped)
+        assert not den_only.ok and den_only.failures
+
+    def test_vanishing_denominator_is_refused(self):
+        terms = list(KFREE.terms)
+        t = terms[2]
+        terms[2] = RecurrenceTerm(t.shift, t.num, parse_poly("q^7 - N"))
+        with pytest.raises(ZeroDivisionError):
+            check_kfree(KFREE._replace(terms=tuple(terms)), (6, 8))
+
     def test_each_coefficient_is_converted_once(self, monkeypatch):
         # the parser builds each coefficient in one LaurentPoly call, and
         # check_kfree turns each coefficient, numerator and denominator,

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ajtwist.laurent import LaurentPoly
-from ajtwist.qseries import QFactors, NegativeIndex, is_zero_sum, to_dense
+from ajtwist.laurent import LaurentPoly, parse_poly
+from ajtwist.qseries import (QFactors, NegativeIndex, is_zero_sum, to_dense,
+                             to_dense_qn)
 from oracles import (RatFunc, div_binom, factors_equal, inv_qpoch, qfactors_at,
                      qfactors_ratfunc, qpoch)
 
@@ -155,3 +156,40 @@ class TestZeroCertificate:
                 sym = RatFunc.zero()
             ok, _ = zero_test(parts)
             assert ok == (not sym)
+
+
+class TestDenseAtN:
+    # to_dense_qn reads a coefficient in q and N = q^n as a dense q value
+    def test_folds_n_into_q(self):
+        assert to_dense_qn(parse_poly("q^2*N - 3 + N^(-1)"), 2) == \
+            (-2, [1, 0, -3, 0, 0, 0, 1])
+        assert to_dense_qn(parse_poly("5"), 7) == (0, [5])
+
+    def test_meeting_terms_cancel_and_trim(self):
+        assert to_dense_qn(parse_poly("q^3 - N"), 3) == (0, [])
+        assert to_dense_qn(parse_poly("q^3 - N + q*N"), 3) == (4, [1])
+        # both ends cancel
+        assert to_dense_qn(parse_poly("q^-2 - N^-1 + q - N^2 + q^4"), 2) == \
+            (1, [1])
+        assert to_dense_qn(parse_poly("q^5 + q^2*N - 2*N^2"), -1) == \
+            (-2, [-2, 0, 0, 1, 0, 0, 0, 1])
+
+    def test_refuses_other_variables(self):
+        for text in ("q*m", "N*x", "l"):
+            with pytest.raises(ValueError):
+                to_dense_qn(parse_poly(text), 3)
+
+    def test_agrees_with_evaluation(self):
+        rng = random.Random(36)
+        t = Fraction(3, 2)
+        for _ in range(200):
+            poly = LaurentPoly.zero()
+            for _ in range(rng.randint(0, 6)):
+                poly = poly + LaurentPoly.monomial(
+                    rng.randint(-3, 3), q=rng.randint(-4, 4),
+                    N=rng.randint(-2, 2))
+            n = rng.randint(-3, 3)
+            lo, coeffs = to_dense_qn(poly, n)
+            assert not coeffs or (coeffs[0] and coeffs[-1])
+            assert sum(c * t ** (lo + i) for i, c in enumerate(coeffs)) == \
+                poly.eval_fraction({"q": t, "N": t ** n})

@@ -1,6 +1,6 @@
 """Rules the package source keeps: no cached check, no unused import,
 no costly import at module level, no orphaned private or public name,
-one writer of the command line's stdout.
+one writer of the command line's stdout, one reader of exponent keys.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
@@ -163,3 +163,24 @@ def test_only_apoly_reads_the_summand_at_q1():
                     node.func).rsplit(".", 1)[-1] == "shift_ratio"):
                 readers.append(path.name)
     assert readers and set(readers) == {"apoly.py"}
+
+
+# the exponent-key layout, and the names that spell it, stay in laurent
+KEY_NAMES = {"NV", "VAR_INDEX", "_ZEROS"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "laurent.py"),
+    ids=lambda path: path.name)
+def test_only_laurent_reads_exponent_keys(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in KEY_NAMES]
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in KEY_NAMES or (
+                    node.attr in ("items", "keys")
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "terms")):
+            found.append(ast.unparse(node))
+    assert found == []
