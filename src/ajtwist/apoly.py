@@ -28,12 +28,13 @@ coefficient by coefficient (compare_aj), and at every other p by
 induction, since b_polynomial obeys the same three-term law with the
 same c, d; that takes four exact checks whose cost does not grow with
 |p|.  verify_aj reads only the k- and n-steps, which do not depend on
-p; the l-step meets the tower in h_via_reduction.
+p; the l-step meets the tower in h_via_reduction.  Its AjReport is a
+named tuple of facts; cli renders it.
 
 Everything here is exact integer arithmetic; nothing is numeric.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .jones import KnotId, shift_ratio
 from .laurent import LaurentPoly, coefficient_diff, unit_ratio
@@ -283,28 +284,16 @@ def b_polynomial(p):
     return out
 
 
-class AjReport:
-    """Outcome of one constructed-vs-recursive comparison.
+class AjReport(namedtuple("AjReport", "p equal unit diff by_law")):
+    """Outcome of one constructed-vs-recursive comparison at p.
 
+    unit is the monomial u with B(p) = u A(p), or None if there is none;
+    diff is then coefficient_diff(B(p), A(p)), and empty otherwise.
     by_law says the agreement was certified by verify_aj's three-term
-    induction rather than by comparing the two polynomials at p; it is
-    not part of the JSON form, which is the same either way.
+    induction rather than by comparing the two polynomials at p.
     """
 
-    def __init__(self, p, equal, unit, diff=(), by_law=False):
-        self.p = p
-        self.equal = equal
-        self.unit = unit
-        self.diff = list(diff)
-        self.by_law = by_law
-
-    def to_json_dict(self):
-        return {
-            "p": self.p,
-            "equal": self.equal,
-            "unit": None if self.unit is None else self.unit.text(),
-            "diff": list(self.diff),
-        }
+    __slots__ = ()
 
 
 # the p at which verify_aj always compares directly: the law's seeds
@@ -365,7 +354,7 @@ def verify_aj(p):
     change to any input of either route is seen by the next call.
     """
     if p not in _SEEDS and _law_holds(p):
-        return AjReport(p, True, LaurentPoly.const(1), by_law=True)
+        return AjReport(p, True, LaurentPoly.const(1), [], True)
     return compare_aj(p)
 
 
@@ -380,10 +369,8 @@ def compare_aj(p):
     b = b_polynomial(p)
     a = a_polynomial(p)
     if a == b:
-        return AjReport(p, True, LaurentPoly.const(1))
+        return AjReport(p, True, LaurentPoly.const(1), [], False)
     u = unit_ratio(b, a)
     if u is not None:
-        return AjReport(p, False, u)
-    diff = [{"term": term, "constructed": cb, "recursive": ca}
-            for term, cb, ca in coefficient_diff(b, a)]
-    return AjReport(p, False, None, diff)
+        return AjReport(p, False, u, [], False)
+    return AjReport(p, False, None, coefficient_diff(b, a), False)

@@ -6,7 +6,11 @@ handler, arguments and --out choices; every subcommand also takes
 only its own notes to stderr.  main alone writes the result, to stdout
 or --out-file, as the text or, under --out json, the JSON value; it
 also maps exceptions to exit codes, once for every command.  A request
-builds the parser of its own subcommand only.
+builds the parser of its own subcommand only.  cli is the one module
+that knows an output format: the library returns named tuples of
+facts, and the handlers here render them, the coefficient diffs of
+verify-aj and rec-q1 through one helper (_comparison) that takes the
+two column labels.
 
 Results go to stdout, diagnostics to stderr, and nothing is written to
 disk unless --out-file says so.  Identical invocations produce byte
@@ -88,6 +92,20 @@ def _p_runs(ps):
                      for a, b in runs) or "none"
 
 
+def _comparison(rep, first, second):
+    """An AjReport's or CompareReport's diff as text lines, and its
+    equal, unit and diff as JSON fields; each (term, a, b) row of the
+    diff shows a under the label first and b under second."""
+    lines = ["DIFFERS (%d coefficient mismatches)" % len(rep.diff)]
+    lines += ["  %s: %s %s, %s %s" % (term, first, a, second, b)
+              for term, a, b in rep.diff]
+    return lines, {
+        "equal": rep.equal,
+        "unit": None if rep.unit is None else rep.unit.text(),
+        "diff": [{"term": term, first: a, second: b}
+                 for term, a, b in rep.diff]}
+
+
 def _cmd_verify_aj(args):
     if args.p_min > args.p_max:
         raise UsageError("empty p range")
@@ -97,20 +115,16 @@ def _cmd_verify_aj(args):
           % (_p_runs(r.p for r in reports if r.by_law),
              _p_runs(r.p for r in reports if not r.by_law)),
           file=sys.stderr)
-    lines = []
+    lines, value = [], []
     for r in reports:
+        verdict, fields = _comparison(r, "constructed", "recursive")
+        value.append({"p": r.p, **fields})
         if r.equal:
-            lines.append("p = %d: equal" % r.p)
+            verdict = ["equal"]
         elif r.unit is not None:
-            lines.append("p = %d: differs by unit %s" % (r.p, r.unit.text()))
-        else:
-            lines.append("p = %d: DIFFERS (%d coefficient mismatches)"
-                         % (r.p, len(r.diff)))
-            for d in r.diff:
-                lines.append("  %s: constructed %s, recursive %s"
-                             % (d["term"], d["constructed"], d["recursive"]))
-    return (0 if all(r.equal for r in reports) else 1, "\n".join(lines),
-            [r.to_json_dict() for r in reports])
+            verdict = ["differs by unit %s" % r.unit.text()]
+        lines += ["p = %d: %s" % (r.p, verdict[0]), *verdict[1:]]
+    return 0 if all(r.equal for r in reports) else 1, "\n".join(lines), value
 
 
 def _cmd_rec_check(args):
@@ -122,9 +136,9 @@ def _cmd_rec_check(args):
              % (rep.name, rep.mode, rep.n_lo, rep.n_hi, rep.points)]
     print("skipped %d of %d grid points"
           % (rep.skipped, rep.points + rep.skipped), file=sys.stderr)
-    if rep.note:
-        print(rep.note, file=sys.stderr)
     if rep.points == 0:
+        print("no %s grid points in n range [%d, %d]"
+              % (rep.mode, rep.n_lo, rep.n_hi), file=sys.stderr)
         lines.append("no grid points checked")
         code = 3
     elif rep.ok:
@@ -132,8 +146,8 @@ def _cmd_rec_check(args):
         code = 0
     else:
         lines.append("FAILURES:")
-        for n, k, l, why in rep.failures:
-            lines.append("  n = %d, k = %d, l = %d: %s" % (n, k, l, why))
+        lines += ["  n = %d, k = %d, l = %d: nonzero residual" % f
+                  for f in rep.failures]
         code = 1
     return code, "\n".join(lines), None
 
@@ -146,18 +160,14 @@ def _cmd_rec_q1(args):
         print("q = 1 cancellation failed: %s" % exc, file=sys.stderr)
         return 1, None, None
     rep = _cli.compare_with_apoly(shadow, args.compare_p)
+    diff, fields = _comparison(rep, "computed", "expected")
     lines = ["fixture %s: q = 1 shadow vs A-polynomial at p = %d"
              % (spec.name, rep.p),
              "abelian factor power: %d" % rep.abelian_power]
-    if rep.equal:
-        lines.append("equal up to unit %s" % rep.unit.text())
-    else:
-        lines.append("DIFFERS (%d coefficient mismatches)" % len(rep.diff))
-        for d in rep.diff:
-            lines.append("  %s: computed %s, expected %s"
-                         % (d["term"], d["computed"], d["expected"]))
+    lines += ["equal up to unit %s" % rep.unit.text()] if rep.equal else diff
     return (0 if rep.equal else 1, "\n".join(lines),
-            {"fixture": spec.name, **rep.to_json_dict()})
+            {"fixture": spec.name, "p": rep.p,
+             "abelian_power": rep.abelian_power, **fields})
 
 
 def _cmd_volume(args):

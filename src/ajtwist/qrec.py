@@ -18,6 +18,9 @@ instead of a buried constant.  Two kinds are supported:
           when every such division is), and compare_with_apoly divides
           out 1 + m^2 l and holds the rest against A(p).
 
+check_kfree and compare_with_apoly return named tuples of facts
+(CheckReport, CompareReport); cli renders them.
+
 GRAMMAR (UTF-8, line oriented, # comments):
 
     recurrence <name> kind=<kfree|inhom> knot=<K_p|5_2|6_1>
@@ -209,19 +212,12 @@ def load_recurrence(path):
         return parse_recurrence(fh.read())
 
 
-class CheckReport:
-    """Outcome of a grid certification run."""
+class CheckReport(namedtuple("CheckReport", "name mode n_lo n_hi points "
+                                            "skipped failures")):
+    """Outcome of a grid certification run: the points checked and
+    skipped, and failures, the (n, k, l) whose residual is nonzero."""
 
-    def __init__(self, name, mode, n_lo, n_hi, points=0, skipped=0,
-                 failures=(), note=""):
-        self.name = name
-        self.mode = mode
-        self.n_lo = n_lo
-        self.n_hi = n_hi
-        self.points = points
-        self.skipped = skipped
-        self.failures = list(failures)
-        self.note = note
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -249,23 +245,22 @@ def check_kfree(spec, n_range, mode="interior"):
     if mode not in ("interior", "full"):
         raise ValueError("mode must be interior or full")
     n_lo, n_hi = n_range
-    rep = CheckReport(spec.name, mode, n_lo, n_hi)
+    points = skipped = 0
+    failures = []
     for n in range(n_lo, n_hi + 1):
         coeff_cache = _coeffs_at(spec, n)
         for k in range(n):
             for l in range(k + 1):
                 parts = _point_parts(spec, coeff_cache, n, k, l, mode)
                 if parts is None:
-                    rep.skipped += 1
+                    skipped += 1
                     continue
-                rep.points += 1
+                points += 1
                 zero, _ = is_zero_sum(parts)
                 if not zero:
-                    rep.failures.append((n, k, l, "nonzero residual"))
-    if rep.points == 0:
-        rep.note = ("no %s grid points in n range [%d, %d]"
-                    % (mode, n_lo, n_hi))
-    return rep
+                    failures.append((n, k, l))
+    return CheckReport(spec.name, mode, n_lo, n_hi, points, skipped,
+                       failures)
 
 
 def _point_parts(spec, coeffs, n, k, l, mode):
@@ -367,21 +362,16 @@ def _m_remainder_text(num, den):
     return txt or "0 (content mismatch)"
 
 
-class CompareReport:
-    """Specialized recurrence vs the recursively built A-polynomial."""
+class CompareReport(namedtuple("CompareReport",
+                               "p abelian_power equal unit diff")):
+    """Specialized recurrence vs the recursively built A-polynomial.
 
-    def __init__(self, p, abelian_power, equal, unit, diff=()):
-        self.p = p
-        self.abelian_power = abelian_power
-        self.equal = equal
-        self.unit = unit
-        self.diff = list(diff)
+    abelian_power is how often 1 + m^2 l divided out; unit is the
+    monomial mapping the rest onto A(p), or None if there is none, and
+    diff is then the coefficient_diff of the two, each normalized.
+    """
 
-    def to_json_dict(self):
-        return {"p": self.p, "abelian_power": self.abelian_power,
-                "equal": self.equal,
-                "unit": None if self.unit is None else self.unit.text(),
-                "diff": list(self.diff)}
+    __slots__ = ()
 
 
 def compare_with_apoly(poly, p):
@@ -398,12 +388,9 @@ def compare_with_apoly(poly, p):
     target = _qrec.a_polynomial(p)
     u = unit_ratio(stripped, target)
     if u is not None:
-        return CompareReport(p, power, True, u)
-    a = _normalize_for_diff(stripped)
-    b = _normalize_for_diff(target)
-    diff = [{"term": term, "computed": ca, "expected": cb}
-            for term, ca, cb in coefficient_diff(a, b)]
-    return CompareReport(p, power, False, None, diff)
+        return CompareReport(p, power, True, u, [])
+    return CompareReport(p, power, False, None, coefficient_diff(
+        _normalize_for_diff(stripped), _normalize_for_diff(target)))
 
 
 def _normalize_for_diff(p):

@@ -15,9 +15,9 @@ runs in the packed ring Z/(2^(nW) - 1).  It needs no cyclotomic
 polynomial: Phi_n divides the folded residue sum S exactly when
 S prod (1 - q^(n/r)) == 0 modulo q^n - 1, r over the primes dividing n
 (Chinese remainder theorem), and W is wide enough that the packed
-product is 0 only when that vector is.  Named knots evaluate through
-their twist parameter; that changes the sum by a unit of modulus one,
-so magnitudes and scans are unaffected.
+product is 0 only when that vector is.  jhat takes the twist
+parameter p alone; a named knot's sum differs from K_p's by a unit of
+modulus one there, so its magnitudes and scans are K_p's.
 
 The volume half runs on mpmath.  dilog and bloch_wigner provide the
 principal-branch dilogarithm and its imaginary-part combination D(z).
@@ -31,10 +31,10 @@ precision, certifies each root, and scores each solution with
 
     3 D(x0) - D(x0 y0) - D(x0 / y0).
 
-optimistic_volume picks the maximal score.  mpmath and apoly are
-imported inside the volume half only, so a kashaev request loads
-neither.  All numerics run at the requested precision plus 32 guard
-bits and are deterministic for fixed inputs.
+optimistic_volume picks the maximal score.  mpmath, apoly and qseries
+are imported inside the volume half only, so the Kashaev half loads
+none of them, nor jones.  All numerics run at the requested precision
+plus 32 guard bits and are deterministic for fixed inputs.
 """
 
 import cmath
@@ -42,9 +42,7 @@ from collections import namedtuple
 import math
 from itertools import accumulate
 
-from .jones import KnotId
 from .laurent import CertificationError, LaurentPoly
-from .qseries import to_dense
 
 GUARD_BITS = 32
 
@@ -140,8 +138,8 @@ def _roots_of_unity(n, g):
 # the Jones sum at a root of unity
 
 
-def jhat(knot, n, prec=128):
-    """The two-index Jones sum of a twist knot at q = exp(2*pi*i/n).
+def jhat(p, n, prec=128):
+    """The two-index Jones sum of K_p at q = exp(2*pi*i/n).
 
     Returns its exact fixed-point value as ints (re, im, scale), the
     number (re + i im) / 2^scale.  Truncated at k <= n - 1.  Inner
@@ -155,11 +153,8 @@ def jhat(knot, n, prec=128):
     bits relative.  p = -1 takes a closed-form product over the same
     table of roots of unity, and its value is exactly real.
     """
-    if not isinstance(knot, KnotId):
-        knot = KnotId.twist_knot(knot)
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
-    p = knot.twist_parameter()
     g = _width(n, prec + GUARD_BITS)
     wr, wi = _roots_of_unity(n, g)
     if p == -1:
@@ -407,11 +402,10 @@ def kashaev_scan(p, n_range, prec=128):
     ns = sorted(set(int(n) for n in n_range))
     if ns and ns[0] < 3:
         raise ValueError("scan needs n >= 3")
-    knot = KnotId.twist_knot(p)
     bits = prec + GUARD_BITS
     table = []
     for n in ns:
-        mag = _mag53(*jhat(knot, n, prec), bits)
+        mag = _mag53(*jhat(p, n, prec), bits)
         table.append((n, None if mag is None else _log_rate(*mag, n, bits)))
     return table
 
@@ -704,6 +698,7 @@ def saddle_solve(p, prec=128):
     import mpmath as mp
     from mpmath.libmp import NoConvergence
     from .apoly import linear_root
+    from .qseries import to_dense
     with mp.workprec(prec + GUARD_BITS):
         # reduced_eliminant strips every factor of y, so its lowest
         # y-exponent is 0 and the dense list needs no padding

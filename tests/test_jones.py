@@ -162,6 +162,20 @@ class TestColoredJones:
         assert extra == 0
         assert j + extra == j
 
+    def test_q_degree_window(self):
+        # ROADMAP item 25, first stage: the exact q-span of J(n), whose
+        # second differences are the Jones slopes {4p + 2, 0} for p >= 1
+        # and {4, 4p} for p <= -1
+        for p in (1, 2, 3, 4, -1, -2, -3, -4):
+            for n in range(1, 13):
+                if p >= 1:
+                    want = (n - 1,
+                            ((2 * p + 1) * n * n - (2 * p - 1) * n - 2) // 2)
+                else:
+                    want = (p * (n * n - n), n * n - n)
+                got = colored_jones(p, n, "habiro").var_range("q")
+                assert got == want, (p, n)
+
     def test_rejects_bad_color(self):
         with pytest.raises(ValueError):
             colored_jones(1, 0)

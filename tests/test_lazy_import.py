@@ -99,6 +99,14 @@ class TestImportFootprint:
         assert [m for m in out["modules"] if m.startswith("ajtwist.")] == []
         assert "mpmath" not in out["modules"]
 
+    def test_volnum_alone_loads_neither_jones_nor_qseries(self):
+        # jhat takes the twist parameter, and only the volume half reads
+        # dense coefficients, importing qseries when it runs
+        out = probe("import sys, ajtwist.volnum\n"
+                    "print(repr({'modules': sorted(sys.modules)}))")
+        assert {"ajtwist.jones", "ajtwist.qseries",
+                "mpmath"}.isdisjoint(out["modules"])
+
 
 class _Reached(Exception):
     """Raised by a patched name to show that the command called it."""

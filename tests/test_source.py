@@ -1,6 +1,7 @@
 """Rules the package source keeps: no cached check, no unused import,
 no costly import at module level, no orphaned private or public name,
-one writer of the command line's stdout, one reader of exponent keys.
+one writer of the command line's stdout, one renderer of command
+output, one reader of exponent keys.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
@@ -150,6 +151,41 @@ def test_only_cli_main_writes_stdout():
     assert any(_writes_stdout(node) for node in ast.walk(main))
     assert [node.lineno for node in ast.walk(tree)
             if _writes_stdout(node) and id(node) not in in_main] == []
+
+
+# the labels of a coefficient diff's two columns in cli's text and JSON:
+# verify-aj's constructed and recursive, rec-q1's computed and expected
+DIFF_LABELS = {"constructed", "recursive", "computed", "expected"}
+
+
+def _output_vocabulary(path):
+    """What a module knows of an output format: json imports,
+    to_json_dict definitions and diff labels spelled as strings."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (
+                node.module.split(".")[0] == "json"):
+            found.append(node.module)
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name == "to_json_dict"):
+            found.append(node.name)
+        elif isinstance(node, ast.Constant) and node.value in DIFF_LABELS:
+            found.append(node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_cli_renders_output(path):
+    # a report is a named tuple of facts, and cli alone turns it into
+    # text or JSON; cli's own vocabulary is pinned so the rule cannot
+    # go stale
+    found = set(_output_vocabulary(path))
+    assert found == ({"json"} | DIFF_LABELS if path.name == "cli.py"
+                     else set())
 
 
 def test_only_apoly_reads_the_summand_at_q1():

@@ -12,7 +12,7 @@ from mpmath.libmp import NoConvergence
 import pytest
 
 from ajtwist import apoly, volnum
-from ajtwist.jones import KnotId, colored_jones
+from ajtwist.jones import KnotId, colored_jones, colored_jones_multisum
 from ajtwist.laurent import LaurentPoly, parse_poly
 from ajtwist.qseries import to_dense
 from ajtwist.volnum import (CertificationError, bloch_wigner, dilog, jhat,
@@ -208,8 +208,18 @@ class TestJhat:
                 assert abs(lo - hi) < mp.ldexp(1, -100), (p, n)
 
     def test_named_knot_route(self):
-        assert jhat(KnotId.named("5_2"), 6) == jhat(2, 6)
-        assert jhat(KnotId.named("6_1"), 6) == jhat(-2, 6)
+        # jhat takes the twist parameter alone; a named knot reaches it
+        # through KnotId.twist_parameter, and its own double sum at
+        # q = exp(2 pi i / n) has the same magnitude as K_p's
+        with mp.workprec(200):
+            for name in ("5_2", "6_1"):
+                knot = KnotId.named(name)
+                for n in range(3, 9):
+                    poly = colored_jones_multisum(knot, n)
+                    want = abs(poly.eval_complex(
+                        {"q": mp.expjpi(mp.mpf(2) / n)}))
+                    got = abs(as_mp(jhat(knot.twist_parameter(), n)))
+                    assert abs(got - want) < mp.mpf(10) ** -30, (name, n)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -714,13 +724,31 @@ class TestKashaev:
                                    - mp.log(3) / 4) / n)
             assert abs(v - pred) < mp.mpf(10) ** -3
 
+    @pytest.mark.parametrize("p", [2, -2])
+    def test_extrapolated_rate_meets_the_volume(self, p):
+        # ROADMAP item 15: the two numeric routes share no code.  Fit
+        # g(n) - 3 pi log(n) / n = V + a/n + b/n^2 + c/n^3 through four
+        # colors; V lands within 1e-6 of the saddle volume (about 5e-8
+        # off at both p), and g(n) falls strictly toward it from above.
+        # An extrapolated number is no certificate, so it stays a test
+        ns = [60, 80, 100, 120]
+        with mp.workprec(160):
+            g = [as_mp(v) for _, v in kashaev_scan(p, ns)]
+            rows = [[mp.mpf(1) / n ** j for j in range(4)] for n in ns]
+            rhs = [gn - 3 * mp.pi * mp.log(n) / n for gn, n in zip(g, ns)]
+            fit = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+            vol, _ = optimistic_volume(p)
+            assert abs(fit - vol) < mp.mpf(10) ** -6
+            assert all(a > b for a, b in zip(g, g[1:]))
+            assert g[-1] > vol
+
     def test_undefined_magnitude_recorded_as_none(self, monkeypatch):
         real = volnum.jhat
 
-        def fake(knot, n, prec=128):
+        def fake(p, n, prec=128):
             if n == 13:
                 return 0, 0, 0
-            return real(knot, n, prec=prec)
+            return real(p, n, prec=prec)
 
         monkeypatch.setattr(volnum, "jhat", fake)
         rows = kashaev_scan(-1, range(12, 15), prec=128)
