@@ -32,9 +32,16 @@ F(shifted) / F = num / den is the annihilator pair den * F(shifted) =
 num * F.  ShiftRatio keeps both sides factored; only apoly expands them,
 at q = 1, and the A-polynomial construction and volnum's growth
 equations are read off those q = 1 quotients.
+
+One reader at a point.  _factors reads a ProductForm at a lattice point
+into a qseries.QFactors, the facts (sign, qpow, num, den) of a product
+of (1 - q^j), in one pass, and this is the one module that knows what
+a Pochhammer is: the sign and q-power of an inverted base, NegativeIndex
+where a numerator index is negative, and the conventional zero where a
+denominator index is.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 import math
 
 from .laurent import LaurentPoly
@@ -68,6 +75,60 @@ class ProductForm(namedtuple("ProductForm", "qexp2 pochs parity binoms",
             self.qexp2 + other.qexp2, self.pochs + other.pochs,
             tuple(a + b for a, b in zip(self.parity, other.parity)),
             self.binoms + other.binoms)
+
+
+class NegativeIndex(ValueError):
+    """A Pochhammer with negative index appeared in a numerator."""
+
+
+def _at(index, x):
+    c0, cn, ck, cl = index
+    one, n, k, l = x
+    return c0 * one + cn * n + ck * k + cl * l
+
+
+def _qexp(form, p, x):
+    """The q-exponent of form at x = (1, n, k, l)."""
+    vals = {"p": p, "n": x[1], "k": x[2], "l": x[3]}
+    return sum(c * math.prod(vals[v] for v in mono)
+               for c, mono in form.qexp2) // 2
+
+
+def _factors(form, p, x):
+    """QFactors of form at x = (1, n, k, l), in one pass.
+
+    (q^-1)_i = (-1)^i q^(-i(i+1)/2) (q)_i and 1 - q^-j = -q^-j (1 - q^j)
+    put every factor in the form 1 - q^j, j >= 1.  A negative numerator
+    Pochhammer index raises NegativeIndex, wherever the pochs list it:
+    the closed form is not evaluable there.  Otherwise a negative
+    denominator index (the reciprocal of such a Pochhammer is
+    conventionally zero) or a binomial 1 - q^0 makes the value 0.
+    """
+    sign = -1 if _at(form.parity, x) % 2 else 1
+    qpow = 0
+    num, den = Counter(), Counter()
+    for side, base, index in form.pochs:
+        i = _at(index, x)
+        if i < 0:
+            if side == NUM:
+                raise NegativeIndex("numerator Pochhammer with index %d" % i)
+            sign = 0
+            continue
+        if base < 0:
+            if i % 2:
+                sign = -sign
+            qpow -= side * (i * (i + 1) // 2)
+        (num if side == NUM else den).update(range(1, i + 1))
+    for index in form.binoms:
+        j = _at(index, x)
+        if j < 0:
+            sign, qpow, j = -sign, qpow + j, -j
+        elif not j:
+            sign = 0
+        num[j] += 1
+    if not sign:
+        return QFactors(0, 0, Counter(), Counter())
+    return QFactors(sign, qpow + _qexp(form, p, x), num, den)
 
 
 # sigma_k(n) = q^(nk) (q^-1)_(n+k) (q^-1)_(n-1) / ((q^-1)_n (q^-1)_(n-k-1)),
@@ -146,32 +207,6 @@ class KnotId(namedtuple("KnotId", "twist name")):
         return self.name if self.name else "K_%d" % self.twist
 
 
-def _at(index, x):
-    c0, cn, ck, cl = index
-    one, n, k, l = x
-    return c0 * one + cn * n + ck * k + cl * l
-
-
-def _qexp(form, p, x):
-    """The q-exponent of form at x = (1, n, k, l)."""
-    vals = {"p": p, "n": x[1], "k": x[2], "l": x[3]}
-    return sum(c * math.prod(vals[v] for v in mono)
-               for c, mono in form.qexp2) // 2
-
-
-def _factors(form, p, x):
-    """QFactors of form at x = (1, n, k, l)."""
-    f = QFactors.one()
-    f.times_sign(-1 if _at(form.parity, x) % 2 else 1)
-    f.times_qpow(_qexp(form, p, x))
-    for side, base, index in form.pochs:
-        poch = f.times_poch if side == NUM else f.div_poch
-        poch(_at(index, x), inverted_base=base < 0)
-    for index in form.binoms:
-        f.times_binom(_at(index, x))
-    return f
-
-
 def summand_factors(knot, n, k, l):
     """Double-sum summand sigma_k(n) c(k, l) of knot at a point, as QFactors.
 
@@ -244,14 +279,10 @@ def sigma_basis(k, n):
 def colored_jones(p, n, convention="printed"):
     """Colored Jones of K_p at color n via the cyclotomic sum.
 
+    p is the twist parameter; a named knot's is its twist_parameter().
     One assemble_sum over the parts (c_k, sigma_k(n)), each c_k dense
     and each sigma_k(n) the SIGMA block as QFactors.
     """
-    if isinstance(p, KnotId):
-        if p.is_named:
-            raise TypeError("named knots have no cyclotomic route here; "
-                            "use colored_jones_multisum")
-        p = p.twist
     if n < 1:
         raise ValueError("color n must be >= 1")
     return assemble_sum([(to_dense(masbaum_coeff(p, k, convention)),

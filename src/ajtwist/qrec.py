@@ -7,7 +7,10 @@ instead of a buried constant.  Two kinds are supported:
   kfree   a relation among shifted copies of the double-sum summand
           F(n, k, l), with coefficients polynomial in q and q^n.
           check_kfree certifies that the relation annihilates the
-          summand on an exact integer grid.
+          summand on an exact integer grid, reading each shifted
+          summand through jones.summand_factors: interior mode skips a
+          point where one is not evaluable (NegativeIndex), and full
+          mode leaves out each one outside the summation range.
 
   inhom   a relation among shifted colored Jones values J(n + i) with
           rational-in-(q, q^n) coefficients and an unprinted right hand
@@ -40,9 +43,8 @@ import sys
 from . import _bind_on_lookup
 from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       coefficient_diff, parse_poly, unit_ratio)
-from .qseries import (QFactors, NegativeIndex, is_zero_sum, to_dense,
-                      to_dense_qn)
-from .jones import KnotId, NAMED_KNOTS, summand_factors
+from .qseries import is_zero_sum, to_dense, to_dense_qn
+from .jones import KnotId, NAMED_KNOTS, NegativeIndex, summand_factors
 
 # a_polynomial is bound on first lookup, so that rec-check never loads
 # apoly; compare_with_apoly calls it as _qrec.a_polynomial, so a patch on
@@ -139,6 +141,9 @@ def parse_recurrence(text):
                     raise RecurrenceParseError("expected key=value, got %r"
                                                % tok, lineno, col)
                 key, val = tok.split("=", 1)
+                if key in fields:
+                    raise RecurrenceParseError("duplicate field %r" % key,
+                                               lineno, col)
                 fields[key] = (val, col)
             try:
                 kindval, kcol = fields.pop("kind")
@@ -266,18 +271,20 @@ def check_kfree(spec, n_range, mode="interior"):
 def _point_parts(spec, coeffs, n, k, l, mode):
     """(dense coefficient, summand QFactors) pairs at one grid point.
 
-    None marks a point that interior mode skips."""
+    None marks a point that interior mode skips; full mode leaves out
+    each shifted summand that is literal zero."""
     parts = []
     for t in spec.terms:
         i, jk, jl = t.shift
+        point = (n + i, k + jk, l + jl)
+        if mode == "full" and not _in_support(*point):
+            continue
         try:
-            f = summand_factors(spec.knot, n + i, k + jk, l + jl)
+            f = summand_factors(spec.knot, *point)
         except NegativeIndex:
             if mode == "interior":
                 return None
-            f = QFactors.make_zero()
-        if mode == "full" and not _in_support(n + i, k + jk, l + jl):
-            f = QFactors.make_zero()
+            continue
         parts.append((coeffs[t.shift], f))
     return parts
 

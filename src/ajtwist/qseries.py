@@ -1,11 +1,14 @@
-"""A factored value type for q-Pochhammer products, and a dense q kernel.
+"""A factored value type for products of (1 - q^j), and a dense q kernel.
 
-QFactors is the workhorse for summand evaluation at integer lattice
-points: it keeps a value of the shape
+QFactors is a named tuple (sign, qpow, num, den) of facts about one
+value,
 
-    sign * q^e * prod (1 - q^j) / prod (1 - q^j)      (j >= 1)
+    sign * q^qpow * prod (1 - q^j) / prod (1 - q^j)      (j >= 1)
 
-as multisets of indices instead of expanding anything.
+with num and den the multisets of indices j of its two products, so
+nothing is expanded; sign 0 is the value 0.  It knows nothing of
+Pochhammer symbols: jones._factors reads a summand at a lattice point
+into one.
 
 Every value in q alone that gets expanded, the colored Jones sums and
 their cyclotomic coefficients included, is held densely:
@@ -28,7 +31,7 @@ routes, and is_zero_sum, its exact zero test on the same dense parts,
 is how the recurrence checks stay both exact and fast.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import accumulate
 import operator
@@ -36,94 +39,18 @@ import operator
 from .laurent import InexactDivision, LaurentPoly
 
 
-class NegativeIndex(ValueError):
-    """A Pochhammer with negative index appeared in a numerator."""
+class QFactors(namedtuple("QFactors", "sign qpow num den")):
+    """sign * q^qpow * prod_{j in num} (1 - q^j) / prod_{j in den} (1 - q^j).
 
-
-class QFactors:
-    """sign * q^qpow * prod num / prod den with (1-q^j) factors, j >= 1.
-
-    num and den are Counters of the indices j.
+    num and den are Counters of indices j >= 1.  sign is 1 or -1, or 0
+    for the value 0 (its other fields then mean nothing).
     """
 
-    __slots__ = ("zero", "sign", "qpow", "num", "den")
+    __slots__ = ()
 
-    def __init__(self, zero=False, sign=1, qpow=0, num=None, den=None):
-        self.zero = zero
-        self.sign = sign
-        self.qpow = qpow
-        self.num = Counter() if num is None else num
-        self.den = Counter() if den is None else den
-
-    def __repr__(self):
-        return ("QFactors(zero=%r, sign=%r, qpow=%r, num=%r, den=%r)"
-                % (self.zero, self.sign, self.qpow, self.num, self.den))
-
-    @classmethod
-    def one(cls):
-        return cls()
-
-    @classmethod
-    def make_zero(cls):
-        return cls(zero=True, sign=0)
-
-    def times_qpow(self, e):
-        self.qpow += e
-        return self
-
-    def times_sign(self, s):
-        if s == -1:
-            self.sign = -self.sign
-        elif s != 1:
-            raise ValueError("sign must be +1 or -1")
-        return self
-
-    def times_binom(self, j):
-        """Multiply by (1 - q^j).  j may be any integer.
-
-        (1 - q^0) = 0 sets the zero flag; (1 - q^-j) is normalized to
-        -q^-j (1 - q^j).
-        """
-        if j == 0:
-            self.zero = True
-            return self
-        if j < 0:
-            self.sign = -self.sign
-            self.qpow += j
-            j = -j
-        self.num[j] += 1
-        return self
-
-    def times_poch(self, n, inverted_base=False):
-        """Multiply by (q)_n, or (q^-1)_n when inverted_base.
-
-        A negative n raises NegativeIndex; the callers treat that as a
-        point where the closed formula is not evaluable.
-        """
-        if n < 0:
-            raise NegativeIndex("numerator Pochhammer with index %d" % n)
-        return self._poch(self.num, 1, n, inverted_base)
-
-    def div_poch(self, n, inverted_base=False):
-        """Divide by (q)_n, or (q^-1)_n when inverted_base.
-
-        Division by a Pochhammer with negative index is the conventional
-        zero (the reciprocal vanishes), so the whole value becomes 0.
-        """
-        if n < 0:
-            self.zero = True
-            return self
-        return self._poch(self.den, -1, n, inverted_base)
-
-    def _poch(self, side, power, n, inverted_base):
-        """(q)_n or (q^-1)_n, n >= 0, to the power +-1 on side."""
-        if inverted_base:
-            # (q^-1)_n = (-1)^n q^(-n(n+1)/2) (q)_n
-            if n % 2:
-                self.sign = -self.sign
-            self.qpow -= power * (n * (n + 1) // 2)
-        side.update(range(1, n + 1))
-        return self
+    @property
+    def zero(self):
+        return not self.sign
 
 
 # the dense kernel
@@ -314,7 +241,7 @@ def cleared_sum(parts):
     everything is plain int arithmetic: v_i packs with _pack, q^a is a
     shift by 8w*a bits, and a factor (1 - q^j) is val -= val << 8w*j.
     """
-    live = [(v, qf) for v, qf in parts if v[1] and not qf.zero]
+    live = [(v, qf) for v, qf in parts if v[1] and qf.sign]
     if not live:
         return DENSE_ZERO, 1 << 8 * _width(0), Counter(), Counter()
     den_all, common, rests = clear_denominators([qf for _, qf in live])

@@ -17,10 +17,9 @@ import math
 
 import mpmath as mp
 
-from ajtwist.jones import summand_factors
+from ajtwist.jones import NegativeIndex, summand_factors
 from ajtwist.laurent import VAR_INDEX, VARS, InexactDivision, LaurentPoly
 from ajtwist.qrec import _coeffs_at, _point_parts
-from ajtwist.qseries import NegativeIndex
 
 ONE = LaurentPoly.const(1)
 
@@ -210,16 +209,23 @@ def inv_qpoch(n):
 
 # QFactors values
 
+def times_binom(qf, j):
+    """qf * (1 - q^j), a new value: 1 - q^-j = -q^-j (1 - q^j), and
+    1 - q^0 makes it zero."""
+    if j == 0:
+        return qf._replace(sign=0)
+    if j < 0:
+        return times_binom(qf._replace(sign=-qf.sign, qpow=qf.qpow + j), -j)
+    return qf._replace(num=qf.num + Counter({j: 1}))
+
+
 def div_binom(qf, j):
-    """Divide qf by (1 - q^j) in place, normalizing a negative j."""
+    """qf / (1 - q^j), a new value: 1 / (1 - q^-j) = -q^j / (1 - q^j)."""
     if j == 0:
         raise ZeroDivisionError("division by (1 - q^0)")
     if j < 0:
-        qf.sign = -qf.sign
-        qf.qpow -= j
-        j = -j
-    qf.den[j] += 1
-    return qf
+        return div_binom(qf._replace(sign=-qf.sign, qpow=qf.qpow - j), -j)
+    return qf._replace(den=qf.den + Counter({j: 1}))
 
 
 def qfactors_ratfunc(qf):
@@ -335,11 +341,11 @@ def ratio_holds(ratio, knot, point, shifted):
         return None
     rhs = summand_factors(knot, n, k, l)
     for aa, bb, cc, dd in ratio.den:
-        lhs.times_binom(aa + bb * n + cc * k + dd * l)
-    rhs.times_sign(ratio.sign)
-    rhs.times_qpow(sum(a * x for a, x in zip(ratio.mono, (1, n, k, l))))
+        lhs = times_binom(lhs, aa + bb * n + cc * k + dd * l)
+    rhs = rhs._replace(sign=ratio.sign * rhs.sign, qpow=rhs.qpow + sum(
+        a * x for a, x in zip(ratio.mono, (1, n, k, l))))
     for aa, bb, cc, dd in ratio.num:
-        rhs.times_binom(aa + bb * n + cc * k + dd * l)
+        rhs = times_binom(rhs, aa + bb * n + cc * k + dd * l)
     return factors_equal(lhs, rhs)
 
 

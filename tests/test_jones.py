@@ -5,11 +5,12 @@ import pytest
 
 from ajtwist import apoly, jones
 from ajtwist.laurent import InexactDivision, LaurentPoly, unit_ratio
-from ajtwist.jones import (KnotId, masbaum_coeff, sigma_basis, colored_jones,
+from ajtwist.jones import (DEN, NUM, KnotId, NegativeIndex, ProductForm,
+                           masbaum_coeff, sigma_basis, colored_jones,
                            colored_jones_multisum, summand_factors,
                            shift_ratio, named_form_unit)
-from oracles import (RatFunc, inv_qpoch, qfactors_ratfunc, ratio_holds,
-                     ratio_polys, ratio_ratfunc)
+from oracles import (RatFunc, inv_qpoch, qfactors_ratfunc, qpoch,
+                     ratio_holds, ratio_polys, ratio_ratfunc)
 
 
 def qmono(c=1, **e):
@@ -183,15 +184,92 @@ class TestColoredJones:
             colored_jones_multisum(1, -2)
 
     def test_named_knots_go_through_multisum(self):
-        with pytest.raises(TypeError):
-            colored_jones(KnotId.named("5_2"), 2)
-        assert colored_jones_multisum(KnotId.named("5_2"), 1) == \
-            LaurentPoly.const(-1)
-        assert colored_jones_multisum(KnotId.named("6_1"), 1) == \
-            LaurentPoly.const(1)
+        # the cyclotomic route takes a twist parameter only; a named
+        # knot's double sum is its color-1 unit times the cyclotomic
+        # sum at its twist parameter, as the jones command prints it
+        for name, unit in (("5_2", -1), ("6_1", 1)):
+            knot = KnotId.named(name)
+            assert colored_jones_multisum(knot, 1) == LaurentPoly.const(unit)
+            for n in range(1, 6):
+                assert colored_jones_multisum(knot, n) == unit * colored_jones(
+                    knot.twist_parameter(), n, "habiro"), (name, n)
+
+
+def printed_summand(knot, n, k, l):
+    """The summand sigma_k(n) c(k, l) as printed in the comments on
+    jones.SIGMA and jones.LEVEL_PARTS: (parity, q-exponent, numerator
+    and denominator Pochhammers as (base, index) pairs, indices of the
+    binomials (1 - q^j))."""
+    p = knot.twist_parameter()
+    sigma = (0, n * k, [(-1, n + k), (-1, n - 1)],
+             [(-1, n), (-1, n - k - 1)], [])
+    if knot.name is None:
+        level = (k + l, k * (k + 3) // 2 + p * l * (l + 1) + l * (l - 1) // 2,
+                 [(1, k)], [(1, k + l + 1), (1, k - l)], [2 * l + 1])
+    elif knot.name == "5_2":
+        level = (k + 1, (3 * k * k + 5 * k) // 2 - l * (k + 1),
+                 [(-1, k)], [(-1, l), (-1, k - l)], [])
+    else:
+        level = (0, -k * k - k + l * (k + 1),
+                 [(1, k)], [(1, l), (1, k - l)], [])
+    return tuple(a + b for a, b in zip(sigma, level))
 
 
 class TestSummandF:
+    def test_matches_printed_closed_forms(self):
+        # NegativeIndex exactly where a printed numerator index is
+        # negative, else zero where a denominator index is, else the
+        # printed value, each Pochhammer expanded by the oracles
+        expanded = {}
+
+        def pochs(pairs):
+            out = LaurentPoly.const(1)
+            for base, i in pairs:
+                if (base, i) not in expanded:
+                    expanded[base, i] = qpoch(i) if base > 0 else inv_qpoch(i)
+                out = out * expanded[base, i]
+            return out
+
+        knots = [KnotId.twist_knot(p) for p in (1, -1, 2, -2, 3, -3)]
+        knots += [KnotId.named("5_2"), KnotId.named("6_1")]
+        seen = Counter()
+        for knot in knots:
+            for n in range(-1, 7):
+                for k in range(-2, 8):
+                    for l in range(-2, 8):
+                        parity, e, num, den, binoms = printed_summand(
+                            knot, n, k, l)
+                        if any(i < 0 for _, i in num):
+                            with pytest.raises(NegativeIndex):
+                                summand_factors(knot, n, k, l)
+                            seen["raises"] += 1
+                            continue
+                        f = summand_factors(knot, n, k, l)
+                        if any(i < 0 for _, i in den):
+                            assert f.zero, (knot, n, k, l)
+                            seen["zero"] += 1
+                            continue
+                        top = qmono(-1 if parity % 2 else 1, q=e) * pochs(num)
+                        for j in binoms:
+                            top = top * (1 - qmono(q=j))
+                        assert qfactors_ratfunc(f) == \
+                            RatFunc(top, pochs(den)), (knot, n, k, l)
+                        seen["value"] += 1
+        # each K_p has 92 points with a value, 5_2 and 6_1 have 56 each
+        assert seen == {"raises": 2560, "zero": 3176, "value": 664}
+
+    def test_negative_numerator_wins_in_any_order(self):
+        # a negative denominator index listed first does not hide a
+        # negative numerator index listed after it
+        for pochs in (((DEN, 1, (-1, 0, 0, 0)), (NUM, 1, (-1, 0, 0, 0))),
+                      ((NUM, -1, (-1, 0, 0, 0)), (DEN, -1, (-1, 0, 0, 0)))):
+            with pytest.raises(NegativeIndex):
+                jones._factors(ProductForm(qexp2=(), pochs=pochs), 0,
+                               (1, 0, 0, 0))
+        zero = ProductForm(qexp2=(), pochs=((DEN, 1, (-1, 0, 0, 0)),
+                                            (NUM, 1, (0, 0, 0, 0))))
+        assert jones._factors(zero, 0, (1, 0, 0, 0)).zero
+
     def test_base_point(self):
         # F(1, 0, 0) = 1 for every twist parameter
         knots = [KnotId.twist_knot(p) for p in (-2, -1, 1, 2)]

@@ -100,6 +100,8 @@ class TestGrammar:
         ("recurrence x knot=5_2\n", "missing kind"),
         ("recurrence x kind=inhom\n", "missing knot"),
         ("recurrence x kind=inhom knot=5_2 extra=1\n", "unknown field"),
+        ("recurrence x kind=kfree knot=5_2 kind=inhom\n",
+         "duplicate field 'kind' (line 1, column 34)"),
         ("term shift=(0) num= 1 den= 1\n", "before recurrence header"),
         ("recurrence x kind=inhom knot=5_2\nrecurrence y kind=inhom "
          "knot=5_2\n", "second recurrence header"),

@@ -1,11 +1,13 @@
-import random
+from collections import Counter
 from fractions import Fraction
+import math
+import random
 
 import pytest
 
+from ajtwist.jones import DEN, NUM, NegativeIndex, ProductForm, _factors
 from ajtwist.laurent import LaurentPoly, parse_poly
-from ajtwist.qseries import (QFactors, NegativeIndex, is_zero_sum, to_dense,
-                             to_dense_qn)
+from ajtwist.qseries import QFactors, is_zero_sum, to_dense, to_dense_qn
 from oracles import (RatFunc, div_binom, factors_equal, inv_qpoch, qfactors_at,
                      qfactors_ratfunc, qpoch)
 
@@ -30,38 +32,62 @@ class TestBuilders:
             assert inv_qpoch(n) == expect
 
 
+def constant_form(pochs=(), binoms=(), qexp=0, parity=0):
+    """_factors of a ProductForm whose indices are the constants given:
+    pochs are (side, base, index), binoms the indices of (1 - q^j)."""
+    form = ProductForm(
+        qexp2=((2 * qexp, ""),),
+        pochs=tuple((side, base, (i, 0, 0, 0)) for side, base, i in pochs),
+        parity=(parity, 0, 0, 0),
+        binoms=tuple((j, 0, 0, 0) for j in binoms))
+    return _factors(form, 0, (1, 0, 0, 0))
+
+
+def poch_at(base, i, t):
+    """(t^base; t^base)_i at a rational t, one factor at a time."""
+    return math.prod((1 - t ** (base * m) for m in range(1, i + 1)),
+                     start=Fraction(1))
+
+
 class TestQFactors:
+    # jones._factors reads a ProductForm's Pochhammers and binomials
+    # into (1 - q^j) products; these forms have one Pochhammer or none
     def test_one_and_zero(self):
-        assert qfactors_ratfunc(QFactors.one()) == 1
-        assert qfactors_ratfunc(QFactors.make_zero()) == RatFunc.zero()
+        assert constant_form() == QFactors(1, 0, Counter(), Counter())
+        assert qfactors_ratfunc(constant_form()) == 1
+        zero = constant_form([(DEN, 1, -1)])
+        assert zero == QFactors(0, 0, Counter(), Counter()) and zero.zero
+        assert qfactors_ratfunc(zero) == RatFunc.zero()
 
     def test_binom_normalization(self):
         # (1 - q^-3) = -q^-3 (1 - q^3)
-        f = QFactors.one().times_binom(-3)
+        f = constant_form(binoms=[-3])
+        assert f == QFactors(-1, -3, Counter({3: 1}), Counter())
         assert qfactors_ratfunc(f) == \
             RatFunc(ONE - LaurentPoly.monomial(1, q=-3))
-        g = QFactors.one().times_binom(0)
-        assert g.zero
+        assert constant_form(binoms=[0]).zero
 
     def test_poch_roundtrip(self):
-        f = QFactors.one().times_poch(4)
+        f = constant_form([(NUM, 1, 4)])
         assert qfactors_ratfunc(f).as_poly() == qpoch(4)
-        g = QFactors.one().times_poch(3, inverted_base=True)
+        g = constant_form([(NUM, -1, 3)])
         assert qfactors_ratfunc(g) == RatFunc(inv_qpoch(3))
-        h = QFactors.one().div_poch(3, inverted_base=True)
+        h = constant_form([(DEN, -1, 3)])
         assert qfactors_ratfunc(h) == RatFunc(ONE, inv_qpoch(3))
 
     def test_div_poch_negative_is_zero(self):
-        f = QFactors.one().div_poch(-2)
-        assert f.zero
+        for base in (1, -1):
+            f = constant_form([(DEN, base, -2)], binoms=[2], qexp=3)
+            assert f == QFactors(0, 0, Counter(), Counter())
 
     def test_times_poch_negative_raises(self):
-        with pytest.raises(NegativeIndex):
-            QFactors.one().times_poch(-1)
+        for base in (1, -1):
+            with pytest.raises(NegativeIndex):
+                constant_form([(NUM, base, -1)])
 
     def test_ratio_value(self):
         # (q)_5 / ((q)_2 (q)_3) is the Gaussian binomial [5 choose 2]
-        f = QFactors.one().times_poch(5).div_poch(2).div_poch(3)
+        f = constant_form([(NUM, 1, 5), (DEN, 1, 2), (DEN, 1, 3)])
         gauss = qfactors_ratfunc(f).as_poly()
         # q-binomial via explicit product
         expect = qpoch(5).exact_divide(qpoch(2) * qpoch(3))
@@ -69,35 +95,42 @@ class TestQFactors:
         assert gauss.eval_fraction({"q": 1}) == 10
 
     def test_eval_fraction_matches_expansion(self):
+        # the form evaluated at q = t factor by factor, against the
+        # QFactors read off it, evaluated and expanded
         rng = random.Random(11)
-        for _ in range(50):
-            f = QFactors.one()
-            for _ in range(rng.randint(0, 4)):
-                f.times_binom(rng.randint(-5, 5))
-            for _ in range(rng.randint(0, 3)):
-                div_binom(f, rng.choice([1, 2, 3, 4, 5, -1, -2]))
-            f.times_qpow(rng.randint(-4, 4))
-            if rng.random() < 0.5:
-                f.times_sign(-1)
+        for _ in range(200):
+            side, base = rng.choice([NUM, DEN]), rng.choice([1, -1])
+            i = rng.randint(0 if side == NUM else -2, 5)
+            binoms = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+            qexp, parity = rng.randint(-4, 4), rng.randint(0, 1)
+            f = constant_form([(side, base, i)], binoms, qexp, parity)
             t = Fraction(rng.choice([2, 3, 5, 7]))
-            if f.zero:
-                assert qfactors_at(f, t) == 0
-                continue
-            r = qfactors_ratfunc(f)
-            assert qfactors_at(f, t) == r.eval_fraction({"q": t})
+            want = Fraction(0)
+            if i >= 0:
+                want = ((-1) ** parity * t ** qexp
+                        * poch_at(base, i, t) ** side
+                        * math.prod(1 - t ** j for j in binoms))
+            assert f.zero == (not want)
+            assert qfactors_at(f, t) == want
+            assert qfactors_ratfunc(f).eval_fraction({"q": t}) == want
 
     def test_equals_fast_and_slow(self):
-        a = QFactors.one().times_poch(2)
-        b = QFactors.one().times_poch(2)
+        a = constant_form([(NUM, 1, 2)])
+        b = constant_form([(NUM, 1, 2)])
         assert factors_equal(a, b)
         # different construction paths normalize to one representation
-        c = div_binom(QFactors.one().times_binom(2), 1)
-        d = div_binom(QFactors.one().times_binom(-2), -1).times_qpow(1)
-        assert factors_equal(c, d)
+        c = div_binom(constant_form(binoms=[2]), 1)
+        d = div_binom(constant_form(binoms=[-2]), -1)
+        assert factors_equal(c, d._replace(qpow=d.qpow + 1))
         # unequal values take the expansion fallback and disagree
-        e = div_binom(QFactors.one().times_binom(3), 1)
+        e = div_binom(constant_form(binoms=[3]), 1)
         assert not factors_equal(c, e)
-        assert not factors_equal(c, QFactors.make_zero())
+        assert not factors_equal(c, constant_form(binoms=[0]))
+
+
+def poch(n):
+    """(q)_n as QFactors."""
+    return QFactors(1, 0, Counter(range(1, n + 1)), Counter())
 
 
 def zero_test(parts):
@@ -110,9 +143,9 @@ class TestZeroCertificate:
         # (q)_{n+1} - (q)_n + q^{n+1} (q)_n = 0
         n = 5
         parts = [
-            (ONE, QFactors.one().times_poch(n + 1)),
-            (-ONE, QFactors.one().times_poch(n)),
-            (LaurentPoly.monomial(1, q=n + 1), QFactors.one().times_poch(n)),
+            (ONE, poch(n + 1)),
+            (-ONE, poch(n)),
+            (LaurentPoly.monomial(1, q=n + 1), poch(n)),
         ]
         ok, base = zero_test(parts)
         assert ok
@@ -120,17 +153,18 @@ class TestZeroCertificate:
     def test_single_sign_flip_is_detected(self):
         n = 5
         parts = [
-            (ONE, QFactors.one().times_poch(n + 1)),
-            (ONE, QFactors.one().times_poch(n)),
-            (LaurentPoly.monomial(1, q=n + 1), QFactors.one().times_poch(n)),
+            (ONE, poch(n + 1)),
+            (ONE, poch(n)),
+            (LaurentPoly.monomial(1, q=n + 1), poch(n)),
         ]
         ok, _ = zero_test(parts)
         assert not ok
 
     def test_with_denominators(self):
         # 1/(q)_2 - 1/(q)_2 = 0, and (1-q^3)/(q)_3 - 1/(q)_2 = 0
-        parts = [(ONE, QFactors.one().div_poch(2)),
-                 (-ONE, QFactors.one().times_binom(3).div_poch(3))]
+        parts = [(ONE, QFactors(1, 0, Counter(), Counter({1: 1, 2: 1}))),
+                 (-ONE, QFactors(1, 0, Counter({3: 1}),
+                                 Counter({1: 1, 2: 1, 3: 1})))]
         ok, _ = zero_test(parts)
         assert ok
 
@@ -140,12 +174,12 @@ class TestZeroCertificate:
             parts = []
             sym = RatFunc.zero()
             for _ in range(rng.randint(1, 4)):
-                f = QFactors.one()
-                for _ in range(rng.randint(0, 3)):
-                    f.times_binom(rng.randint(1, 5))
+                num = Counter(rng.randint(1, 5)
+                              for _ in range(rng.randint(0, 3)))
+                den = Counter()
                 if rng.random() < 0.4:
-                    f.div_poch(rng.randint(0, 3))
-                f.times_qpow(rng.randint(-3, 3))
+                    den = poch(rng.randint(0, 3)).num
+                f = QFactors(1, rng.randint(-3, 3), num, den)
                 p = LaurentPoly.monomial(rng.randint(-3, 3), q=rng.randint(0, 2))
                 parts.append((p, f))
                 sym = sym + RatFunc(p) * qfactors_ratfunc(f)

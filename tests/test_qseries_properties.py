@@ -9,7 +9,6 @@ kernel is checked against the sparse LaurentPoly multiply and
 exact_divide.
 """
 from collections import Counter
-from copy import deepcopy
 
 import pytest
 
@@ -48,6 +47,14 @@ nonzero_q_polys = st.dictionaries(st.integers(-4, 4),
                                   min_size=1, max_size=4).map(_poly)
 
 
+def factors(sign=1, qpow=0, num=(), den=()):
+    """A QFactors with fresh Counters of the indices given."""
+    return QFactors(sign, qpow, Counter(num), Counter(den))
+
+
+zero_factors = st.builds(factors, st.just(0))
+
+
 @st.composite
 def qfactors(draw, shared=(Counter(), Counter())):
     """A nonzero QFactors; den-only values come from an empty num draw."""
@@ -62,7 +69,7 @@ def part_lists(draw, shared=False):
     also carries one common num and den multiset."""
     common = ((draw(shared_multisets), draw(shared_multisets)) if shared
               else (Counter(), Counter()))
-    factor = qfactors(common) | st.builds(QFactors.make_zero)
+    factor = qfactors(common) | zero_factors
     return draw(st.lists(st.tuples(q_polys, factor), min_size=1,
                          max_size=4))
 
@@ -73,26 +80,24 @@ any_parts = part_lists() | part_lists(shared=True)
 @st.composite
 def rewritten(draw, part):
     """The same value poly * qf, written with other factors."""
-    poly, qf = part
-    f = deepcopy(qf)
+    poly, f = part
     for _ in range(draw(st.integers(0, 3))):
         move = draw(st.sampled_from(("qpow", "sign", "pair", "expand")))
         if move == "qpow":
             k = draw(st.integers(-3, 3))
             poly = poly * LaurentPoly.monomial(1, q=k)
-            f.times_qpow(-k)
+            f = f._replace(qpow=f.qpow - k)
         elif move == "sign":
             poly = -poly
-            f.times_sign(-1)
+            f = f._replace(sign=-f.sign)
         elif move == "pair":
-            j = draw(st.integers(1, 6))
-            f.num[j] += 1
-            f.den[j] += 1
+            pair = Counter({draw(st.integers(1, 6)): 1})
+            f = f._replace(num=f.num + pair, den=f.den + pair)
         else:
             # negative j takes the (1 - q^-j) normalization in div_binom
             j = draw(st.integers(-6, 6).filter(bool))
             poly = poly * (ONE - LaurentPoly.monomial(1, q=j))
-            div_binom(f, j)
+            f = div_binom(f, j)
     return poly, f
 
 
@@ -128,7 +133,8 @@ def test_agrees_with_expansion(parts, data):
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(parts) - 1))
         poly, qf = parts[i]
-        qf = deepcopy(qf).times_binom(data.draw(st.integers(1, 6)))
+        j = data.draw(st.integers(1, 6))
+        qf = qf._replace(num=qf.num + Counter({j: 1}))
         parts = parts[:i] + [(poly, qf)] + parts[i + 1:]
     ok, base = is_zero_sum(dense(parts))
     assert ok == (not expanded(parts))
@@ -139,8 +145,7 @@ def test_agrees_with_expansion(parts, data):
 @given(any_parts | zero_sums())
 # R = (1 - q)^10 + (1 - q^2) has the coefficient C(10, 5) = 252, which
 # only the 2^|rest_i| factor of the bound makes room for
-@example([(ONE, QFactors(num=Counter({1: 10}))),
-          (ONE, QFactors(num=Counter({2: 1})))])
+@example([(ONE, factors(num={1: 10})), (ONE, factors(num={2: 1}))])
 def test_base_bounds_the_reduced_residual(parts):
     # the docstring's residual R = D * S / C, expanded independently;
     # R(base) = 0 forces R = 0 only when base >= 2 * l1(R) + 2
@@ -189,8 +194,8 @@ def test_shared_factor_identity_and_sign_flip(num, den, n, qpow, flip):
     # (q)_{n+1} - (q)_n + q^{n+1} (q)_n = 0, times a common factor
     # q^qpow * prod num / prod den that every part carries
     def part(coeff, q_exp, poch):
-        f = QFactors(qpow=qpow, num=Counter(num), den=Counter(den))
-        return LaurentPoly.monomial(coeff, q=q_exp), f.times_poch(poch)
+        f = QFactors(1, qpow, num + Counter(range(1, poch + 1)), Counter(den))
+        return LaurentPoly.monomial(coeff, q=q_exp), f
 
     parts = [part(1, 0, n + 1), part(-1, 0, n), part(1, n + 1, n)]
     assert is_zero_sum(dense(parts))[0]
@@ -206,7 +211,7 @@ wide_coeffs = (st.integers(-3, 3).filter(bool)
 dense_polys = st.dictionaries(st.integers(-6, 12), wide_coeffs,
                               max_size=8).map(_poly)
 binom_indices = st.lists(st.integers(1, 7), max_size=4).map(Counter)
-any_qfactors = qfactors() | st.builds(QFactors.make_zero)
+any_qfactors = qfactors() | zero_factors
 
 
 @st.composite
@@ -224,12 +229,12 @@ def polynomial_sums(draw):
         if qf.zero:
             out.append((poly, qf))
             continue
-        qf.num += qf.den + pair
-        qf.den += pair
+        qf = qf._replace(num=qf.num + qf.den + pair, den=qf.den + pair)
         if draw(st.booleans()):
             j = draw(st.integers(1, 6))
-            out.append((poly, div_binom(deepcopy(qf), j)))
-            qf = div_binom(qf, j).times_qpow(j).times_sign(-1)
+            split = div_binom(qf, j)
+            out.append((poly, split))
+            qf = split._replace(sign=-split.sign, qpow=split.qpow + j)
         out.append((poly, qf))
     return draw(st.permutations(out))
 
@@ -250,23 +255,21 @@ wide_part_lists = st.lists(
 @SETTINGS
 @given(wide_part_lists | polynomial_sums() | canceling_parts())
 @example([])
-@example([(ONE, QFactors.make_zero())])
-@example([(LaurentPoly.zero(), QFactors.one())])
-@example([(ONE, div_binom(QFactors.one(), 1))])
-@example([(ONE, QFactors(num=Counter({1: 1}), den=Counter({1: 1})))])
-@example([(ONE, QFactors(num=Counter({1: 1}), den=Counter({2: 1}))),
-          (ONE, QFactors(sign=-1, num=Counter({1: 1}),
-                         den=Counter({2: 1})))])
+@example([(ONE, factors(0))])
+@example([(LaurentPoly.zero(), factors())])
+@example([(ONE, factors(den={1: 1}))])
+@example([(ONE, factors(num={1: 1}, den={1: 1}))])
+@example([(ONE, factors(num={1: 1}, den={2: 1})),
+          (ONE, factors(-1, num={1: 1}, den={2: 1}))])
 # a coefficient beyond 2^64, times a binomial
 @example([(_poly({-3: 2 ** 70, 2: 1}),
-           QFactors(sign=-1, qpow=5, num=Counter({4: 1})))])
+           factors(-1, 5, num={4: 1}))])
 # each part stays below 2^7 but the sum does not: the width must come
 # from the summed bound, not from the largest part
-@example([(_poly({0: 127}), QFactors.one()),
-          (_poly({0: 127}), QFactors.one())])
+@example([(_poly({0: 127}), factors()), (_poly({0: 127}), factors())])
 # a canceling pair of wide non-polynomial parts divides to zero
-@example([(_poly({0: 2 ** 70, 2: 1}), QFactors(den=Counter({1: 1}))),
-          (_poly({0: -(2 ** 70), 2: -1}), QFactors(den=Counter({1: 1})))])
+@example([(_poly({0: 2 ** 70, 2: 1}), factors(den={1: 1})),
+          (_poly({0: -(2 ** 70), 2: -1}), factors(den={1: 1}))])
 def test_assemble_sum_agrees_with_expansion(parts):
     try:
         want = expanded(parts).as_poly()

@@ -1,7 +1,7 @@
 """Rules the package source keeps: no cached check, no unused import,
 no costly import at module level, no orphaned private or public name,
 one writer of the command line's stdout, one renderer of command
-output, one reader of exponent keys.
+output, one reader of exponent keys, one builder of QFactors.
 
 No check is cached (verify_aj's docstring): a cache would answer a
 repeated question from an earlier run instead of proving it again.  The
@@ -220,3 +220,15 @@ def test_only_laurent_reads_exponent_keys(path):
                     and node.value.attr == "terms")):
             found.append(ast.unparse(node))
     assert found == []
+
+
+def test_only_jones_builds_qfactors():
+    # a QFactors is a product of (1 - q^j); jones alone reads a
+    # summand's Pochhammers into one, so it alone calls the constructor
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(
+                    node.func).rsplit(".", 1)[-1] == "QFactors"):
+                builders.append(path.name)
+    assert builders and set(builders) == {"jones.py"}
