@@ -8,7 +8,8 @@ and evaluates the associated hyperbolic volume numerics.
 Importing the package loads no submodule: each public name is imported
 from its submodule on first access and then cached here.  Only the
 volume half of volnum imports mpmath, inside its functions, so of all
-the commands only volume loads it; kashaev runs on Python ints.
+the commands only volume loads it; kashaev runs on Python ints, and
+neither kashaev nor apoly --p loads jones or qseries.
 """
 
 from importlib import import_module

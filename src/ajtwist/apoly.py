@@ -12,6 +12,8 @@ here and is the independent reference.
 The constructive route starts from the summand of the double sum: its
 shift quotients (jones.shift_ratio) at q = 1, with N = m^2, K = x and
 L2 = y (_at_q1, the package's one reader of the summand at q = 1).
+Only _step_at_q1 imports jones, so a_polynomial loads neither jones
+nor qseries.
 
   k-step   numerator minus denominator is x (y + 1/y - a/m^2), which
            gives the rank-2 algebra y^2 = (a / m^2) * y - 1 (quad_a);
@@ -36,7 +38,6 @@ Everything here is exact integer arithmetic; nothing is numeric.
 
 from collections import Counter, namedtuple
 
-from .jones import KnotId, shift_ratio
 from .laurent import LaurentPoly, coefficient_diff, unit_ratio
 
 
@@ -69,6 +70,7 @@ def _at_q1(ratio):
 
 def _step_at_q1(p, step):
     """K_p's summand quotient for one (dn, dk, dl) step, at q = 1."""
+    from .jones import KnotId, shift_ratio
     return _at_q1(shift_ratio(KnotId.twist_knot(p), step))
 
 

@@ -27,19 +27,17 @@ refuses the non-hyperbolic p = 0 and p = 1 as a usage error.
 verify-aj says on stderr which p it certified by the three-term law
 from the seeds and which it compared directly.
 
-The commands call apoly, qrec and volnum names as _cli.NAME, bound on
-first lookup from the package's _HOME table, so a command loads only
-the layers it runs and a patch on ``cli.NAME`` still reaches it: jones
-and rec-check never load apoly, and kashaev loads neither apoly nor
-mpmath.
+The commands call jones, apoly, qrec and volnum names as _cli.NAME,
+bound on first lookup from the package's _HOME table, so a command
+loads only the layers it runs and a patch on ``cli.NAME`` still reaches
+it: jones and rec-check never load apoly, kashaev loads neither apoly
+nor mpmath, and kashaev and apoly --p load neither jones nor qseries.
 """
 import argparse
 import math
 import sys
 
 from . import _bind_on_lookup
-from .jones import (NAMED_KNOTS, KnotId, colored_jones,
-                    colored_jones_multisum, named_form_unit)
 from .laurent import InexactDivision
 
 _cli = sys.modules[__name__]
@@ -57,17 +55,18 @@ def _check_prec(args):
 
 
 def _cmd_jones(args):
+    from .jones import KnotId
     knot = (KnotId.named(args.knot) if args.knot is not None
             else KnotId.twist_knot(args.p))
     if args.form == "masbaum":
         conv = "habiro" if args.habiro_normalize else "printed"
-        poly = colored_jones(knot.twist_parameter(), args.n, conv)
+        poly = _cli.colored_jones(knot.twist_parameter(), args.n, conv)
     else:
-        poly = colored_jones_multisum(knot, args.n)
-        if args.habiro_normalize and knot.is_named:
+        poly = _cli.colored_jones_multisum(knot, args.n)
+        if args.habiro_normalize and knot.name:
             # a named double sum sits a constant unit, its value at
             # color 1, away from the already normalized twist-parameter one
-            poly = poly.exact_divide(named_form_unit(knot.name))
+            poly = poly.exact_divide(_cli.named_form_unit(knot.name))
     text = poly.text()
     return 0, text, {"knot": knot.label(), "n": args.n, "form": args.form,
                      "habiro_normalize": bool(args.habiro_normalize),
@@ -240,19 +239,9 @@ def _cmd_kashaev(args):
                      "rows": [{"n": n, "v_n": v} for n, v in rows]}
 
 
-# The command line, one row per subcommand: (help, handler, --out
-# choices with the default first or None for no --out, arguments).  An
-# argument is (flag, add_argument keywords); a list of them is one
-# required either-or group.
-_P = ("--p", {"type": int, "required": True})
-_FIXTURE = ("--fixture", {"required": True,
-                          "help": "fixture name or path to a .rec file"})
-_PREC = ("--prec", {"type": int, "default": 128, "help": "bits, >= 64"})
-_N_MIN = ("--n-min", {"type": int, "required": True})
-_N_MAX = ("--n-max", {"type": int, "required": True})
-_TEXT_JSON = ("text", "json")
-COMMANDS = {
-    "jones": ("colored Jones polynomial", _cmd_jones, _TEXT_JSON, [
+def _jones_arguments():
+    from .jones import NAMED_KNOTS
+    return [
         [("--p", {"type": int, "help": "twist parameter"}),
          ("--knot", {"choices": NAMED_KNOTS,
                      "help": "named knot instead of a twist parameter"})],
@@ -261,7 +250,25 @@ COMMANDS = {
                     "default": "masbaum"}),
         ("--habiro-normalize", {
             "action": "store_true",
-            "help": "use the sign convention with value 1 at color 1"})]),
+            "help": "use the sign convention with value 1 at color 1"})]
+
+
+# The command line, one row per subcommand: (help, handler, --out
+# choices with the default first or None for no --out, arguments).  An
+# argument is (flag, add_argument keywords); a list of them is one
+# required either-or group.  A function in place of the arguments
+# builds them with the subcommand's parser: jones's --knot choices come
+# from jones, which kashaev and apoly never load.
+_P = ("--p", {"type": int, "required": True})
+_FIXTURE = ("--fixture", {"required": True,
+                          "help": "fixture name or path to a .rec file"})
+_PREC = ("--prec", {"type": int, "default": 128, "help": "bits, >= 64"})
+_N_MIN = ("--n-min", {"type": int, "required": True})
+_N_MAX = ("--n-max", {"type": int, "required": True})
+_TEXT_JSON = ("text", "json")
+COMMANDS = {
+    "jones": ("colored Jones polynomial", _cmd_jones, _TEXT_JSON,
+              _jones_arguments),
     "apoly": ("A-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
     "bpoly": ("B-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
     "hpoly": ("H-polynomial at parameter p", _cmd_poly, _TEXT_JSON, [_P]),
@@ -299,7 +306,7 @@ def _parser(argv):
     for name in names:
         help_text, run, outs, arguments = COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
-        for arg in arguments:
+        for arg in arguments() if callable(arguments) else arguments:
             if isinstance(arg, list):
                 group = sp.add_mutually_exclusive_group(required=True)
                 for flag, keywords in arg:

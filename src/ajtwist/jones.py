@@ -43,6 +43,7 @@ denominator index is.
 
 from collections import Counter, namedtuple
 import math
+import re
 
 from .laurent import LaurentPoly
 from .qseries import (QFactors, cleared_sum, dense_divide_binoms,
@@ -193,9 +194,15 @@ class KnotId(namedtuple("KnotId", "twist name")):
     def named(cls, name):
         return cls(name=name)
 
-    @property
-    def is_named(self):
-        return self.name is not None
+    @classmethod
+    def parse(cls, token):
+        """The knot label() writes: a named knot, or K_p for an integer p."""
+        if token in NAMED_KNOTS:
+            return cls.named(token)
+        m = re.fullmatch(r"K_(-?\d+)", token)
+        if m is None:
+            raise ValueError("unknown knot %r" % token)
+        return cls.twist_knot(int(m.group(1)))
 
     def twist_parameter(self):
         """The twist parameter, with 5_2 = K_2 and 6_1 = K_-2."""

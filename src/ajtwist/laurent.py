@@ -199,15 +199,7 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self.terms) != 1:
-                raise InexactDivision(
-                    "negative power of a non-monomial")
-            (e, c), = self.terms.items()
-            if c not in (1, -1):
-                raise InexactDivision(
-                    "negative power needs a unit coefficient, got %d" % c)
-            ce = c if n % 2 else 1
-            return LaurentPoly({tuple(n * a for a in e): ce})
+            raise ValueError("negative exponent %d" % n)
         result = LaurentPoly.const(1)
         base = self
         while n:

@@ -44,7 +44,7 @@ from . import _bind_on_lookup
 from .laurent import (LaurentPoly, InexactDivision, PolyParseError,
                       coefficient_diff, parse_poly, unit_ratio)
 from .qseries import is_zero_sum, to_dense, to_dense_qn
-from .jones import KnotId, NAMED_KNOTS, NegativeIndex, summand_factors
+from .jones import KnotId, NegativeIndex, summand_factors
 
 # a_polynomial is bound on first lookup, so that rec-check never loads
 # apoly; compare_with_apoly calls it as _qrec.a_polynomial, so a patch on
@@ -103,15 +103,6 @@ def _coefficient(line, start, end, lineno, what):
                                    start + err.pos + 1) from None
 
 
-def _parse_knot(token, lineno, col):
-    if token in NAMED_KNOTS:
-        return KnotId.named(token)
-    m = re.fullmatch(r"K_(-?\d+)", token)
-    if m:
-        return KnotId.twist_knot(int(m.group(1)))
-    raise RecurrenceParseError("unknown knot %r" % token, lineno, col)
-
-
 def parse_recurrence(text):
     spec_name = None
     kind = None
@@ -157,7 +148,10 @@ def parse_recurrence(text):
                 knotval, ncol = fields.pop("knot")
             except KeyError:
                 raise RecurrenceParseError("missing knot=", lineno) from None
-            knot = _parse_knot(knotval, lineno, ncol)
+            try:
+                knot = KnotId.parse(knotval)
+            except ValueError as err:
+                raise RecurrenceParseError(str(err), lineno, ncol) from None
             if fields:
                 k = sorted(fields)[0]
                 raise RecurrenceParseError("unknown field %r" % k, lineno,

@@ -19,8 +19,8 @@ product is 0 only when that vector is.  jhat takes the twist
 parameter p alone; a named knot's sum differs from K_p's by a unit of
 modulus one there, so its magnitudes and scans are K_p's.
 
-The volume half runs on mpmath.  dilog and bloch_wigner provide the
-principal-branch dilogarithm and its imaginary-part combination D(z).
+The volume half runs on mpmath.  dilog is the principal-branch
+dilogarithm, and bloch_wigner reads it for the combination D(z).
 saddle_solve takes the two growth equations in (x, y) from apoly
 (quad_a's quadratic at m = 1, and saddle_constraint), eliminates x by
 putting the root of the second, which is linear in x, into the first,
@@ -32,7 +32,7 @@ precision, certifies each root, and scores each solution with
     3 D(x0) - D(x0 y0) - D(x0 / y0).
 
 optimistic_volume picks the maximal score.  mpmath, apoly and qseries
-are imported inside the volume half only, so the Kashaev half loads
+are imported in the volume half only, so the kashaev command loads
 none of them, nor jones.  All numerics run at the requested precision
 plus 32 guard bits and are deterministic for fixed inputs.
 """
@@ -561,14 +561,9 @@ def bloch_wigner(z, prec=128):
         z = mp.mpc(z)
         if z == 0 or z == 1:
             raise ValueError("Bloch-Wigner D is defined away from 0 and 1")
-        return _bloch_wigner(z)
-
-
-def _bloch_wigner(z):
-    import mpmath as mp
-    if mp.im(z) == 0:
-        return mp.mpf(0)
-    return mp.im(_dilog(z)) + mp.log(abs(z)) * mp.arg(1 - z)
+        if mp.im(z) == 0:
+            return mp.mpf(0)
+        return mp.im(dilog(z, prec)) + mp.log(abs(z)) * mp.arg(1 - z)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +723,8 @@ def saddle_solve(p, prec=128):
             if (abs(x0 - 1) < thresh or abs(y0) < thresh
                     or abs(x0 * y0 - 1) < thresh or abs(y0 - x0) < thresh):
                 continue
-            vol = (3 * _bloch_wigner(mp.mpc(x0))
-                   - _bloch_wigner(mp.mpc(x0 * y0))
-                   - _bloch_wigner(mp.mpc(x0 / y0)))
+            vol = (3 * bloch_wigner(x0, prec) - bloch_wigner(x0 * y0, prec)
+                   - bloch_wigner(x0 / y0, prec))
             sols.append(SaddleSolution(x0, y0, vol, (r1, r2)))
         if failures:
             raise CertificationError(

@@ -124,8 +124,9 @@ def _mutate_summand(monkeypatch):
 
 
 def _non_unit_color_one(monkeypatch):
-    # every double sum doubled: named_form_unit then reads -2 at color 1
-    real = jones.colored_jones_multisum
+    # every double sum doubled: named_form_unit then reads -2 at color 1;
+    # cli binds the real sum first, so the patch cannot stay bound there
+    real = cli.colored_jones_multisum
     monkeypatch.setattr(jones, "colored_jones_multisum",
                         lambda knot, n: 2 * real(knot, n))
 

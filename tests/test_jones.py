@@ -1,5 +1,6 @@
 from collections import Counter
 import hashlib
+import re
 
 import pytest
 
@@ -36,6 +37,18 @@ class TestKnotId:
             KnotId(twist=1, name="5_2")
         with pytest.raises(ValueError):
             KnotId.named("4_1")
+
+    def test_parse_reads_label(self):
+        knots = [KnotId.twist_knot(p) for p in range(-30, 31)]
+        knots += [KnotId.named("5_2"), KnotId.named("6_1")]
+        for knot in knots:
+            assert KnotId.parse(knot.label()) == knot
+
+    @pytest.mark.parametrize("token", ["K_", "K_+3", "K_3.0", "k_3", "8_1"])
+    def test_parse_refuses(self, token):
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown knot %r" % token)):
+            KnotId.parse(token)
 
 
 class TestMasbaumCoeff:
@@ -299,10 +312,11 @@ class TestShiftRatios:
         n_step = shift_ratio(KnotId.twist_knot(2), N_STEP)
         q1 = LaurentPoly.monomial(1, q=-1)
         # ratio_ratfunc writes K = q^k as x
-        N = LaurentPoly.var("N")
         K = LaurentPoly.var("x")
-        num = K * (1 - q1 * N ** -1 * K ** -1) * (1 - N ** -1)
-        den = (1 - q1 * N ** -1) * (1 - N ** -1 * K)
+        n1 = LaurentPoly.monomial(1, N=-1)
+        k1 = LaurentPoly.monomial(1, x=-1)
+        num = K * (1 - q1 * n1 * k1) * (1 - n1)
+        den = (1 - q1 * n1) * (1 - n1 * K)
         assert ratio_ratfunc(n_step) == RatFunc(num, den)
 
     def test_l_step_sign_is_carried(self):

@@ -1,8 +1,9 @@
 """What each command imports, and the lazily bound names behind it.
 
-``ajtwist`` and ``ajtwist.cli`` import apoly, qrec, volnum and mpmath
-on first lookup, and ``qrec`` imports apoly the same way, so a command
-loads only the layers it runs.  These tests pin that footprint in a
+``ajtwist`` and ``ajtwist.cli`` import jones, apoly, qrec, volnum and
+mpmath on first lookup, ``qrec`` imports apoly the same way, and apoly
+imports jones only for its constructive route, so a command loads only
+the layers it runs.  These tests pin that footprint in a
 fresh interpreter, and check that every lazily bound name still
 resolves and can still be patched where its command looks it up.
 """
@@ -16,7 +17,7 @@ import sys
 import pytest
 
 import ajtwist
-from ajtwist import apoly, cli, laurent, qrec, volnum
+from ajtwist import apoly, cli, jones, laurent, qrec, volnum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +37,8 @@ print(repr({"rc": rc, "modules": sorted(sys.modules)}))
 
 HEAVY = {"mpmath", "ajtwist.volnum", "ajtwist.qrec"}
 APOLY = {"ajtwist.apoly"}
+# the summand and its q-series kernel, which kashaev and apoly never run
+JONES = {"ajtwist.jones", "ajtwist.qseries"}
 # fractions loads decimal and numbers; a command that prints text and
 # evaluates no Fraction needs none of them
 NUMERIC = {"fractions", "decimal", "numbers", "json"}
@@ -55,10 +58,10 @@ def probe(code, *argv):
 
 class TestImportFootprint:
     @pytest.mark.parametrize("argv, absent", [
-        ([], HEAVY | APOLY | SLOW),
+        ([], HEAVY | APOLY | JONES | SLOW),
         (["jones", "--p", "2", "--n", "3"], HEAVY | APOLY | NUMERIC | SLOW),
-        (["apoly", "--p", "2"], HEAVY | NUMERIC | SLOW),
-        (["apoly", "--p", "1"], HEAVY | NUMERIC | SLOW),
+        (["apoly", "--p", "2"], HEAVY | JONES | NUMERIC | SLOW),
+        (["apoly", "--p", "1"], HEAVY | JONES | NUMERIC | SLOW),
         (["verify-aj", "--p-min", "1", "--p-max", "2"],
          HEAVY | NUMERIC | SLOW),
         (["verify-aj", "--p-min", "-3", "--p-max", "3"],
@@ -71,7 +74,7 @@ class TestImportFootprint:
         (["volume", "--p", "2"], SLOW),
         # the Kashaev half of volnum runs on ints and needs no apoly
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
-         {"mpmath"} | APOLY | NUMERIC | SLOW),
+         {"mpmath"} | APOLY | JONES | NUMERIC | SLOW),
     ], ids=["import-cli", "jones", "apoly", "apoly-setup", "verify-aj",
             "verify-aj-law", "rec-check", "rec-q1", "volume", "kashaev"])
     def test_command_leaves_out(self, argv, absent):
@@ -80,13 +83,19 @@ class TestImportFootprint:
         assert absent.isdisjoint(out["modules"])
 
     @pytest.mark.parametrize("argv, present", [
+        (["jones", "--p", "2", "--n", "3"], JONES),
+        (["verify-aj", "--p-min", "1", "--p-max", "2"], {"ajtwist.jones"}),
+        (["rec-check", "--fixture", "fivetwo_kfree",
+          "--n-min", "6", "--n-max", "6"], {"ajtwist.jones"}),
         (["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"],
-         {"ajtwist.qrec"}),
-        (["volume", "--p", "2"], {"mpmath", "ajtwist.volnum"} | APOLY),
+         {"ajtwist.qrec", "ajtwist.jones"}),
+        (["volume", "--p", "2"],
+         {"mpmath", "ajtwist.volnum", "ajtwist.jones"} | APOLY),
         (["kashaev", "--p", "2", "--n-min", "10", "--n-max", "10"],
          {"ajtwist.volnum"}),
         (["apoly", "--p", "1", "--out", "json"], {"json"}),
-    ], ids=["rec-q1", "volume", "kashaev", "apoly-json"])
+    ], ids=["jones", "verify-aj", "rec-check", "rec-q1", "volume", "kashaev",
+            "apoly-json"])
     def test_command_loads_what_it_runs(self, argv, present):
         # the probe sees a module the command does load
         out = probe(PROBE, *argv)
@@ -119,6 +128,11 @@ REC_CHECK = ["rec-check", "--fixture", "fivetwo_kfree",
              "--n-min", "6", "--n-max", "6"]
 REC_Q1 = ["rec-q1", "--fixture", "fivetwo_inhom", "--compare-p", "2"]
 PATCH_CASES = {
+    "colored_jones": (jones, ["jones", "--p", "2", "--n", "3"]),
+    "colored_jones_multisum": (jones, ["jones", "--p", "2", "--n", "3",
+                                       "--form", "multisum"]),
+    "named_form_unit": (jones, ["jones", "--knot", "5_2", "--n", "3",
+                                "--form", "multisum", "--habiro-normalize"]),
     "check_kfree": (qrec, REC_CHECK),
     "load_recurrence": (qrec, REC_CHECK),
     "specialize_q1": (qrec, REC_Q1),

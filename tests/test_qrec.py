@@ -97,6 +97,8 @@ class TestGrammar:
         ("recurrence x kind=inhom knot=5_2\n", "at least two terms"),
         ("recurrence x kind=sum knot=5_2\n", "kfree or inhom"),
         ("recurrence x kind=inhom knot=8_1\n", "unknown knot"),
+        ("recurrence x kind=inhom knot=K_+3\n",
+         "unknown knot 'K_+3' (line 1, column 25)"),
         ("recurrence x knot=5_2\n", "missing kind"),
         ("recurrence x kind=inhom\n", "missing knot"),
         ("recurrence x kind=inhom knot=5_2 extra=1\n", "unknown field"),
